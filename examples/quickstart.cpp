@@ -95,14 +95,14 @@ int main() {
               attrs.at(0).value.ToString().c_str());
 
   // --- 7. Server statistics (monitoring interface).
-  rls::ServerStats stats;
-  ThrowIfError(lrc_client->Stats(&stats));
+  rls::GetStatsResponse stats;
+  ThrowIfError(lrc_client->GetStats(&stats));
   std::printf("LRC stats: %llu logical names, %llu mappings, %llu requests, "
               "%llu updates sent\n",
-              static_cast<unsigned long long>(stats.lfn_count),
-              static_cast<unsigned long long>(stats.mapping_count),
-              static_cast<unsigned long long>(stats.requests_served),
-              static_cast<unsigned long long>(stats.updates_sent));
+              static_cast<unsigned long long>(stats.vitals.lfn_count),
+              static_cast<unsigned long long>(stats.vitals.mapping_count),
+              static_cast<unsigned long long>(stats.vitals.requests_served),
+              static_cast<unsigned long long>(stats.vitals.updates_sent));
 
   lrc.Stop();
   rli.Stop();

@@ -99,24 +99,25 @@ int main(int argc, char** argv) {
     std::unique_ptr<rls::LrcClient> admin;
     ThrowIfError(rls::LrcClient::Connect(&network, server->address(), {}, &admin));
     ThrowIfError(admin->Ping());
-    rls::ServerStats stats;
-    ThrowIfError(admin->Stats(&stats));
-    PrintStats(name.c_str(), stats);
+    rls::GetStatsResponse stats;
+    ThrowIfError(admin->GetStats(&stats));
+    PrintStats(name.c_str(), stats.vitals);
   }
 
-  // --- Latency metrics from one busy LRC.
+  // --- Per-method latency metrics from one busy LRC.
   std::printf("\n== lrc0 latency metrics ==\n");
   {
     std::unique_ptr<rls::LrcClient> admin;
     ThrowIfError(rls::LrcClient::Connect(&network, "rls://lrc0.example.org", {}, &admin));
-    rls::MetricsResponse metrics;
-    ThrowIfError(admin->Metrics(&metrics));
-    for (const rls::FamilyMetrics& f : metrics.families) {
-      std::printf("%-12s count=%-6llu mean=%.0fus p50=%lluus p95=%lluus p99=%lluus\n",
-                  f.family.c_str(), static_cast<unsigned long long>(f.count),
-                  f.mean_us, static_cast<unsigned long long>(f.p50_us),
-                  static_cast<unsigned long long>(f.p95_us),
-                  static_cast<unsigned long long>(f.p99_us));
+    rls::GetStatsResponse stats;
+    ThrowIfError(admin->GetStats(&stats));
+    for (const rls::MetricSample& m : stats.metrics) {
+      if (m.name != "rpc_request_latency_us") continue;
+      std::printf("%-32s count=%-6llu mean=%.0fus p50=%lluus p95=%lluus p99=%lluus\n",
+                  m.labels.c_str(), static_cast<unsigned long long>(m.count),
+                  m.mean_us, static_cast<unsigned long long>(m.p50_us),
+                  static_cast<unsigned long long>(m.p95_us),
+                  static_cast<unsigned long long>(m.p99_us));
     }
   }
 

@@ -16,7 +16,7 @@
 //   wildcard <pattern> [limit]  '*'/'?' pattern query
 //   exists <lfn>                0 if mapped, 1 if not
 //   stats                       server vitals
-//   metrics                     per-family latency histograms
+//   metrics                     per-method latency histograms
 //   rlilist                     RLIs this LRC updates
 //   force-update                flush pending updates to the RLIs now
 // Commands (RLI role):
@@ -123,26 +123,28 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else if (command == "stats") {
-    rls::ServerStats stats;
-    Check(lrc->Stats(&stats));
+    rls::GetStatsResponse stats;
+    Check(lrc->GetStats(&stats));
+    const rls::ServerStats& vitals = stats.vitals;
     std::printf("lfns=%llu mappings=%llu requests_served=%llu "
                 "updates_sent=%llu updates_received=%llu bloom_filters=%llu\n",
-                static_cast<unsigned long long>(stats.lfn_count),
-                static_cast<unsigned long long>(stats.mapping_count),
-                static_cast<unsigned long long>(stats.requests_served),
-                static_cast<unsigned long long>(stats.updates_sent),
-                static_cast<unsigned long long>(stats.updates_received),
-                static_cast<unsigned long long>(stats.bloom_filters));
+                static_cast<unsigned long long>(vitals.lfn_count),
+                static_cast<unsigned long long>(vitals.mapping_count),
+                static_cast<unsigned long long>(vitals.requests_served),
+                static_cast<unsigned long long>(vitals.updates_sent),
+                static_cast<unsigned long long>(vitals.updates_received),
+                static_cast<unsigned long long>(vitals.bloom_filters));
   } else if (command == "metrics") {
-    rls::MetricsResponse metrics;
-    Check(lrc->Metrics(&metrics));
-    for (const rls::FamilyMetrics& f : metrics.families) {
-      std::printf("%-12s count=%-6llu mean=%.0fus p50=%lluus p95=%lluus "
+    rls::GetStatsResponse stats;
+    Check(lrc->GetStats(&stats));
+    for (const rls::MetricSample& m : stats.metrics) {
+      if (m.name != "rpc_request_latency_us") continue;
+      std::printf("%-32s count=%-6llu mean=%.0fus p50=%lluus p95=%lluus "
                   "p99=%lluus\n",
-                  f.family.c_str(), static_cast<unsigned long long>(f.count),
-                  f.mean_us, static_cast<unsigned long long>(f.p50_us),
-                  static_cast<unsigned long long>(f.p95_us),
-                  static_cast<unsigned long long>(f.p99_us));
+                  m.labels.c_str(), static_cast<unsigned long long>(m.count),
+                  m.mean_us, static_cast<unsigned long long>(m.p50_us),
+                  static_cast<unsigned long long>(m.p95_us),
+                  static_cast<unsigned long long>(m.p99_us));
     }
   } else if (command == "rlilist") {
     std::vector<std::string> rlis;

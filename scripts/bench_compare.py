@@ -7,9 +7,10 @@ registry instrument. The gate protects the perf trajectory:
 
   * structural counters (lfn_count, mapping_count) must match exactly —
     a drift means the bench is measuring a different workload;
-  * hot-path latency histograms (--metrics, default the per-family RLS
-    service times and the RPC request latency) must not slip: current
-    mean > baseline mean * (1 + tolerance) on any matched series fails.
+  * hot-path latency histograms (--metrics, default the per-method RPC
+    request latency, rpc_request_latency_us{method}) must not slip:
+    current mean > baseline mean * (1 + tolerance) on any matched series
+    fails. Series of other instruments in a baseline are not gated.
     Getting faster never fails the gate.
 
 With --throughput the gate compares requests_served / uptime_seconds
@@ -31,7 +32,6 @@ import json
 import sys
 
 HOT_PATH_METRICS = (
-    "rls_family_latency_us",
     "rpc_request_latency_us",
 )
 

@@ -1,7 +1,7 @@
 // Lock-free latency histogram with logarithmic buckets.
 //
-// Servers record per-request service times into per-operation-family
-// histograms; the monitoring interface reports count/mean/quantiles.
+// Servers record per-request service times into per-method histograms;
+// the monitoring interface reports count/mean/quantiles.
 // Buckets are powers of two in microseconds (1 us .. ~36 min), so
 // Record is one atomic increment and quantiles are exact to within a 2x
 // bucket (plenty for operation-rate monitoring).

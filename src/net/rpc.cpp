@@ -134,30 +134,29 @@ std::size_t RpcServer::active_connections() const {
 RpcServer::OpMetrics* RpcServer::MetricsFor(uint16_t opcode) {
   if (!options_.metrics) return nullptr;
   // Real opcodes are all < 256; anything larger takes the locked path
-  // every time rather than growing the cache unboundedly.
+  // every time rather than growing the cache.
   const bool cacheable = opcode < kOpcodeCacheSize;
-  if (cacheable) {
-    OpMetrics* cached = op_metrics_[opcode].load(std::memory_order_acquire);
-    if (cached) return cached;
-  }
-  std::lock_guard<std::mutex> lock(op_metrics_mu_);
   if (cacheable) {
     OpMetrics* cached = op_metrics_[opcode].load(std::memory_order_acquire);
     if (cached) return cached;
   }
   const std::string method = options_.opcode_name ? options_.opcode_name(opcode)
                                                   : std::to_string(opcode);
-  const std::string labels = obs::Label("method", method);
-  auto metrics = std::make_unique<OpMetrics>();
-  metrics->method = method;
-  metrics->requests = options_.metrics->GetCounter("rpc_requests_total", labels);
-  metrics->errors = options_.metrics->GetCounter("rpc_errors_total", labels);
-  metrics->latency =
-      options_.metrics->GetHistogram("rpc_request_latency_us", labels);
-  OpMetrics* raw = metrics.get();
-  op_metrics_storage_.push_back(std::move(metrics));
-  if (cacheable) op_metrics_[opcode].store(raw, std::memory_order_release);
-  return raw;
+  std::lock_guard<std::mutex> lock(op_metrics_mu_);
+  // One entry per label: opcodes that render alike (e.g. every unknown
+  // opcode) share their instruments instead of minting new ones.
+  auto [it, fresh] = op_metrics_by_method_.try_emplace(method);
+  OpMetrics* metrics = &it->second;
+  if (fresh) {
+    const std::string labels = obs::Label("method", method);
+    metrics->method = method;
+    metrics->requests = options_.metrics->GetCounter("rpc_requests_total", labels);
+    metrics->errors = options_.metrics->GetCounter("rpc_errors_total", labels);
+    metrics->latency =
+        options_.metrics->GetHistogram("rpc_request_latency_us", labels);
+  }
+  if (cacheable) op_metrics_[opcode].store(metrics, std::memory_order_release);
+  return metrics;
 }
 
 obs::Histogram* RpcServer::StageHistogram(OpMetrics* metrics,

@@ -129,7 +129,7 @@ class RpcServer {
   std::size_t active_connections() const;
 
  private:
-  /// Per-opcode instrument pointers, resolved once per opcode and cached
+  /// Per-method instrument pointers, resolved once per opcode and cached
   /// so the request hot path does no registry (map+mutex) lookups.
   struct OpMetrics {
     std::string method;  // rendered method label for this opcode
@@ -207,10 +207,12 @@ class RpcServer {
   std::vector<std::thread> workers_;
   obs::Counter* shed_queue_full_ = nullptr;
 
-  // Cache slots are created lazily and retired only at destruction.
+  // Cache slots are created lazily and retired only at destruction. They
+  // point into op_metrics_by_method_, which holds one entry per method
+  // label (map nodes never move).
   std::array<std::atomic<OpMetrics*>, kOpcodeCacheSize> op_metrics_{};
   std::mutex op_metrics_mu_;
-  std::vector<std::unique_ptr<OpMetrics>> op_metrics_storage_;
+  std::map<std::string, OpMetrics> op_metrics_by_method_;
 
   mutable std::mutex mu_;
   uint64_t next_conn_id_ = 0;

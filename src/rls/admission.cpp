@@ -8,65 +8,6 @@ namespace rls {
 
 using rlscommon::Status;
 
-namespace {
-
-/// Protected traffic: never charged against a tenant bucket, executed
-/// on the RPC server's priority lane. Covers the flows whose loss turns
-/// a local overload into a global one — soft-state updates (an RLI that
-/// stops receiving them expires its whole index), admin operations (the
-/// operator's only lever during an incident) and monitoring probes.
-bool IsPriorityOp(uint16_t opcode) {
-  switch (opcode) {
-    case kPing:
-    case kServerStats:
-    case kServerMetrics:
-    case kServerGetStats:
-    case kServerGetTraces:
-    case kLrcRliList:
-    case kLrcRliAdd:
-    case kLrcRliRemove:
-    case kLrcForceUpdate:
-    case kSsFullBegin:
-    case kSsFullChunk:
-    case kSsFullEnd:
-    case kSsIncremental:
-    case kSsBloom:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Privilege class an opcode is charged as (mirrors the Authorize
-/// mapping in rls_server.cpp, collapsed to cost classes).
-gsi::Privilege CostClassFor(uint16_t opcode) {
-  switch (opcode) {
-    case kLrcCreate:
-    case kLrcAdd:
-    case kLrcDelete:
-    case kLrcBulkCreate:
-    case kLrcBulkAdd:
-    case kLrcBulkDelete:
-    case kLrcAttrDefine:
-    case kLrcAttrAdd:
-    case kLrcAttrModify:
-    case kLrcAttrDelete:
-    case kLrcBulkAttrAdd:
-    case kLrcBulkAttrDelete:
-    case kLrcAttrUndefine:
-      return gsi::Privilege::kLrcWrite;
-    case kRliQueryLfn:
-    case kRliBulkQuery:
-    case kRliWildcardQuery:
-    case kRliLrcList:
-      return gsi::Privilege::kRliRead;
-    default:
-      return gsi::Privilege::kLrcRead;
-  }
-}
-
-}  // namespace
-
 AdmissionController::AdmissionController(const ServerLimits& limits,
                                          rlscommon::Clock* clock,
                                          obs::Registry* registry)
@@ -85,12 +26,15 @@ AdmissionController::AdmissionController(const ServerLimits& limits,
 net::AdmitDecision AdmissionController::Admit(const gsi::AuthContext& context,
                                               uint16_t opcode,
                                               const std::string& /*request*/) {
-  if (IsPriorityOp(opcode)) {
+  const OpSpec* op = FindOp(opcode);
+  if (op && op->priority()) {
     if (admitted_priority_) admitted_priority_->Increment();
     return {Status::Ok(), /*priority=*/true};
   }
   if (limits_.per_dn_rate > 0) {
-    const gsi::Privilege cls = CostClassFor(opcode);
+    // Every normal-lane row has a privilege; an unknown opcode is charged
+    // as a read and then rejected by the server.
+    const gsi::Privilege cls = op ? *op->privilege : gsi::Privilege::kLrcRead;
     const double cost =
         std::max(0.0, limits_.privilege_cost[static_cast<std::size_t>(cls)]);
     const rlscommon::TimePoint now = clock_->Now();

@@ -13,7 +13,9 @@
 //   * a protected priority lane: soft-state updates, admin operations
 //     and monitoring probes bypass the buckets and are routed to the
 //     RPC server's priority queue, so one tenant's query storm cannot
-//     starve the RLI update stream or blind operators;
+//     starve the RLI update stream or blind operators. The lane and the
+//     cost both follow from the privilege in the opcode's rls::kOpTable
+//     row (OpSpec::priority);
 //   * shed-with-hint: rejected requests fail UNAVAILABLE with a
 //     retry-after hint that net::RetryPolicy honors as a backoff floor.
 #pragma once

@@ -289,20 +289,6 @@ Status LrcClient::Ping() {
   return rpc_->Call(kPing, "", &response);
 }
 
-Status LrcClient::Stats(ServerStats* stats) {
-  std::string response;
-  Status s = rpc_->Call(kServerStats, "", &response);
-  if (!s.ok()) return s;
-  return DecodeStats(response, stats);
-}
-
-Status LrcClient::Metrics(MetricsResponse* metrics) {
-  std::string response;
-  Status s = rpc_->Call(kServerMetrics, "", &response);
-  if (!s.ok()) return s;
-  return MetricsResponse::Decode(response, metrics);
-}
-
 Status LrcClient::GetStats(GetStatsResponse* stats) {
   std::string response;
   Status s = rpc_->Call(kServerGetStats, "", &response);
@@ -387,13 +373,6 @@ Status RliClient::LrcList(std::vector<std::string>* lrcs) {
 Status RliClient::Ping() {
   std::string response;
   return rpc_->Call(kPing, "", &response);
-}
-
-Status RliClient::Stats(ServerStats* stats) {
-  std::string response;
-  Status s = rpc_->Call(kServerStats, "", &response);
-  if (!s.ok()) return s;
-  return DecodeStats(response, stats);
 }
 
 Status RliClient::GetStats(GetStatsResponse* stats) {

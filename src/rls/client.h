@@ -102,12 +102,9 @@ class LrcClient {
   rlscommon::Status ForceUpdate();
 
   rlscommon::Status Ping();
-  rlscommon::Status Stats(ServerStats* stats);
-  /// Per-operation-family latency histograms (monitoring).
-  rlscommon::Status Metrics(MetricsResponse* metrics);
-  /// Full introspection snapshot (requires the kStats privilege).
+  /// Full introspection snapshot: vitals plus every registry instrument.
   rlscommon::Status GetStats(GetStatsResponse* stats);
-  /// Flight-recorder dump (requires the kStats privilege).
+  /// Flight-recorder dump.
   rlscommon::Status GetTraces(const GetTracesRequest& filter,
                               GetTracesResponse* traces);
 
@@ -146,10 +143,9 @@ class RliClient {
   rlscommon::Status LrcList(std::vector<std::string>* lrcs);
 
   rlscommon::Status Ping();
-  rlscommon::Status Stats(ServerStats* stats);
-  /// Full introspection snapshot (requires the kStats privilege).
+  /// Full introspection snapshot: vitals plus every registry instrument.
   rlscommon::Status GetStats(GetStatsResponse* stats);
-  /// Flight-recorder dump (requires the kStats privilege).
+  /// Flight-recorder dump.
   rlscommon::Status GetTraces(const GetTracesRequest& filter,
                               GetTracesResponse* traces);
 

@@ -8,47 +8,8 @@ using net::Writer;
 using rlscommon::Status;
 
 std::string OpName(uint16_t opcode) {
-  switch (opcode) {
-    case kPing: return "ping";
-    case kServerStats: return "server_stats";
-    case kServerMetrics: return "server_metrics";
-    case kServerGetStats: return "server_get_stats";
-    case kServerGetTraces: return "server_get_traces";
-    case kLrcCreate: return "lrc_create";
-    case kLrcAdd: return "lrc_add";
-    case kLrcDelete: return "lrc_delete";
-    case kLrcBulkCreate: return "lrc_bulk_create";
-    case kLrcBulkAdd: return "lrc_bulk_add";
-    case kLrcBulkDelete: return "lrc_bulk_delete";
-    case kLrcQueryLfn: return "lrc_query_lfn";
-    case kLrcQueryPfn: return "lrc_query_pfn";
-    case kLrcBulkQueryLfn: return "lrc_bulk_query_lfn";
-    case kLrcWildcardQueryLfn: return "lrc_wildcard_query_lfn";
-    case kLrcExists: return "lrc_exists";
-    case kLrcAttrDefine: return "lrc_attr_define";
-    case kLrcAttrAdd: return "lrc_attr_add";
-    case kLrcAttrModify: return "lrc_attr_modify";
-    case kLrcAttrDelete: return "lrc_attr_delete";
-    case kLrcAttrQueryObj: return "lrc_attr_query_obj";
-    case kLrcAttrSearch: return "lrc_attr_search";
-    case kLrcBulkAttrAdd: return "lrc_bulk_attr_add";
-    case kLrcBulkAttrDelete: return "lrc_bulk_attr_delete";
-    case kLrcAttrUndefine: return "lrc_attr_undefine";
-    case kLrcRliList: return "lrc_rli_list";
-    case kLrcRliAdd: return "lrc_rli_add";
-    case kLrcRliRemove: return "lrc_rli_remove";
-    case kLrcForceUpdate: return "lrc_force_update";
-    case kRliQueryLfn: return "rli_query_lfn";
-    case kRliBulkQuery: return "rli_bulk_query";
-    case kRliWildcardQuery: return "rli_wildcard_query";
-    case kRliLrcList: return "rli_lrc_list";
-    case kSsFullBegin: return "ss_full_begin";
-    case kSsFullChunk: return "ss_full_chunk";
-    case kSsFullEnd: return "ss_full_end";
-    case kSsIncremental: return "ss_incremental";
-    case kSsBloom: return "ss_bloom";
-    default: return "op_" + std::to_string(opcode);
-  }
+  const OpSpec* op = FindOp(opcode);
+  return std::string(op ? op->name : "unknown");
 }
 
 void AttrValue::Encode(Writer* w) const {
@@ -411,64 +372,6 @@ Status BloomUpdate::Decode(std::string_view data, BloomUpdate* out) {
   if (!r.Str(&out->lrc_url) || !r.Str(&out->filter_bytes) ||
       !r.I64(&out->sent_micros)) {
     return TruncatedMessage("bloom update");
-  }
-  return Status::Ok();
-}
-
-void EncodeStats(const ServerStats& stats, std::string* out) {
-  Writer w(out);
-  w.U64(stats.lfn_count);
-  w.U64(stats.mapping_count);
-  w.U64(stats.requests_served);
-  w.U64(stats.updates_received);
-  w.U64(stats.updates_sent);
-  w.U64(stats.bloom_filters);
-  w.U64(stats.requests_shed);
-}
-
-void MetricsResponse::Encode(std::string* out) const {
-  Writer w(out);
-  w.U32(static_cast<uint32_t>(families.size()));
-  for (const FamilyMetrics& f : families) {
-    w.Str(f.family);
-    w.U64(f.count);
-    w.F64(f.mean_us);
-    w.U64(f.p50_us);
-    w.U64(f.p95_us);
-    w.U64(f.p99_us);
-    w.U64(f.p999_us);
-    w.U64(f.max_us);
-  }
-}
-
-Status MetricsResponse::Decode(std::string_view data, MetricsResponse* out) {
-  Reader r(data);
-  uint32_t count = 0;
-  if (!r.U32(&count)) return TruncatedMessage("metrics count");
-  if (static_cast<uint64_t>(count) * 60 > r.remaining()) {
-    return TruncatedMessage("metrics list");
-  }
-  out->families.clear();
-  out->families.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    FamilyMetrics f;
-    if (!r.Str(&f.family) || !r.U64(&f.count) || !r.F64(&f.mean_us) ||
-        !r.U64(&f.p50_us) || !r.U64(&f.p95_us) || !r.U64(&f.p99_us) ||
-        !r.U64(&f.p999_us) || !r.U64(&f.max_us)) {
-      return TruncatedMessage("metrics family");
-    }
-    out->families.push_back(std::move(f));
-  }
-  return Status::Ok();
-}
-
-Status DecodeStats(std::string_view data, ServerStats* out) {
-  Reader r(data);
-  if (!r.U64(&out->lfn_count) || !r.U64(&out->mapping_count) ||
-      !r.U64(&out->requests_served) || !r.U64(&out->updates_received) ||
-      !r.U64(&out->updates_sent) || !r.U64(&out->bloom_filters) ||
-      !r.U64(&out->requests_shed)) {
-    return TruncatedMessage("server stats");
   }
   return Status::Ok();
 }

@@ -6,11 +6,15 @@
 // charges realistic per-message costs for large catalogs.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.h"
+#include "gsi/gsi.h"
 #include "net/serialize.h"
 #include "rls/types.h"
 
@@ -18,10 +22,8 @@ namespace rls {
 
 enum Op : uint16_t {
   kPing = 1,
-  kServerStats = 2,
-  kServerMetrics = 3,   // per-operation-family latency histograms
-  kServerGetStats = 4,  // full introspection snapshot (requires kStats)
-  kServerGetTraces = 5, // flight-recorder dump (requires kStats)
+  kServerGetStats = 4,  // full introspection snapshot
+  kServerGetTraces = 5, // flight-recorder dump
 
   // --- LRC mapping management (Table 1) ---
   kLrcCreate = 10,      // create lfn and its first mapping
@@ -69,8 +71,102 @@ enum Op : uint16_t {
   kSsBloom = 64,
 };
 
+/// Server role an operation needs enabled.
+enum class OpRole : uint8_t { kAny, kLrc, kRli };
+
+/// One row per opcode: the method name (the `method` metric label) and
+/// the ACL privilege it requires (paper §3.1). Everything else about an
+/// operation follows from the privilege (DESIGN.md §9).
+struct OpSpec {
+  Op opcode;
+  std::string_view name;
+  std::optional<gsi::Privilege> privilege;  // none: ping
+
+  /// Priority lane: never charged to a tenant bucket and drained first.
+  /// These are the flows whose loss turns a local overload into a global
+  /// one: soft-state updates (an RLI that stops receiving them expires
+  /// its whole index), admin operations (the operator's only lever during
+  /// an incident) and monitoring probes.
+  constexpr bool priority() const {
+    return !privilege || *privilege == gsi::Privilege::kAdmin ||
+           *privilege == gsi::Privilege::kStats ||
+           *privilege == gsi::Privilege::kRliWrite;
+  }
+
+  /// lrc_* and admin need the LRC role, rli_* the RLI role; stats and
+  /// ping run on any server.
+  constexpr OpRole role() const {
+    if (!privilege || *privilege == gsi::Privilege::kStats) return OpRole::kAny;
+    return *privilege == gsi::Privilege::kRliRead ||
+                   *privilege == gsi::Privilege::kRliWrite
+               ? OpRole::kRli
+               : OpRole::kLrc;
+  }
+};
+
+inline constexpr OpSpec kOpTable[] = {
+    {kPing, "ping", std::nullopt},
+    {kServerGetStats, "server_get_stats", gsi::Privilege::kStats},
+    {kServerGetTraces, "server_get_traces", gsi::Privilege::kStats},
+    {kLrcCreate, "lrc_create", gsi::Privilege::kLrcWrite},
+    {kLrcAdd, "lrc_add", gsi::Privilege::kLrcWrite},
+    {kLrcDelete, "lrc_delete", gsi::Privilege::kLrcWrite},
+    {kLrcBulkCreate, "lrc_bulk_create", gsi::Privilege::kLrcWrite},
+    {kLrcBulkAdd, "lrc_bulk_add", gsi::Privilege::kLrcWrite},
+    {kLrcBulkDelete, "lrc_bulk_delete", gsi::Privilege::kLrcWrite},
+    {kLrcQueryLfn, "lrc_query_lfn", gsi::Privilege::kLrcRead},
+    {kLrcQueryPfn, "lrc_query_pfn", gsi::Privilege::kLrcRead},
+    {kLrcBulkQueryLfn, "lrc_bulk_query_lfn", gsi::Privilege::kLrcRead},
+    {kLrcWildcardQueryLfn, "lrc_wildcard_query_lfn", gsi::Privilege::kLrcRead},
+    {kLrcExists, "lrc_exists", gsi::Privilege::kLrcRead},
+    {kLrcAttrDefine, "lrc_attr_define", gsi::Privilege::kLrcWrite},
+    {kLrcAttrAdd, "lrc_attr_add", gsi::Privilege::kLrcWrite},
+    {kLrcAttrModify, "lrc_attr_modify", gsi::Privilege::kLrcWrite},
+    {kLrcAttrDelete, "lrc_attr_delete", gsi::Privilege::kLrcWrite},
+    {kLrcAttrQueryObj, "lrc_attr_query_obj", gsi::Privilege::kLrcRead},
+    {kLrcAttrSearch, "lrc_attr_search", gsi::Privilege::kLrcRead},
+    {kLrcBulkAttrAdd, "lrc_bulk_attr_add", gsi::Privilege::kLrcWrite},
+    {kLrcBulkAttrDelete, "lrc_bulk_attr_delete", gsi::Privilege::kLrcWrite},
+    {kLrcAttrUndefine, "lrc_attr_undefine", gsi::Privilege::kLrcWrite},
+    {kLrcRliList, "lrc_rli_list", gsi::Privilege::kAdmin},
+    {kLrcRliAdd, "lrc_rli_add", gsi::Privilege::kAdmin},
+    {kLrcRliRemove, "lrc_rli_remove", gsi::Privilege::kAdmin},
+    {kLrcForceUpdate, "lrc_force_update", gsi::Privilege::kAdmin},
+    {kRliQueryLfn, "rli_query_lfn", gsi::Privilege::kRliRead},
+    {kRliBulkQuery, "rli_bulk_query", gsi::Privilege::kRliRead},
+    {kRliWildcardQuery, "rli_wildcard_query", gsi::Privilege::kRliRead},
+    {kRliLrcList, "rli_lrc_list", gsi::Privilege::kRliRead},
+    {kSsFullBegin, "ss_full_begin", gsi::Privilege::kRliWrite},
+    {kSsFullChunk, "ss_full_chunk", gsi::Privilege::kRliWrite},
+    {kSsFullEnd, "ss_full_end", gsi::Privilege::kRliWrite},
+    {kSsIncremental, "ss_incremental", gsi::Privilege::kRliWrite},
+    {kSsBloom, "ss_bloom", gsi::Privilege::kRliWrite},
+};
+
+namespace detail {
+
+/// kOpTable indexed by opcode, so a lookup is one bounds check and one
+/// load. kSsBloom is the largest opcode; a row past it or a duplicate
+/// row fails the build.
+inline constexpr auto kOpIndex = [] {
+  std::array<const OpSpec*, kSsBloom + 1> index{};
+  for (const OpSpec& op : kOpTable) {
+    if (op.opcode >= index.size() || index[op.opcode]) throw "bad kOpTable row";
+    index[op.opcode] = &op;
+  }
+  return index;
+}();
+
+}  // namespace detail
+
+/// The table row for an opcode; nullptr for an unknown opcode.
+constexpr const OpSpec* FindOp(uint16_t opcode) {
+  return opcode < detail::kOpIndex.size() ? detail::kOpIndex[opcode] : nullptr;
+}
+
 /// Human-readable opcode name ("lrc_add", "rli_query_lfn"...); used as
-/// the `method` metric label. Unknown opcodes render as "op_<n>".
+/// the `method` metric label. Every unknown opcode renders as "unknown",
+/// so hostile opcodes cannot mint new metric series.
 std::string OpName(uint16_t opcode);
 
 // ---------------------------------------------------------------------
@@ -229,32 +325,9 @@ struct BloomUpdate {
   static rlscommon::Status Decode(std::string_view data, BloomUpdate* out);
 };
 
-/// Server stats codec.
-void EncodeStats(const ServerStats& stats, std::string* out);
-rlscommon::Status DecodeStats(std::string_view data, ServerStats* out);
-
-/// One operation family's latency summary (kServerMetrics).
-struct FamilyMetrics {
-  std::string family;   // "lrc_read", "lrc_write", "rli_query", "soft_state"
-  uint64_t count = 0;
-  double mean_us = 0;
-  uint64_t p50_us = 0;
-  uint64_t p95_us = 0;
-  uint64_t p99_us = 0;
-  uint64_t p999_us = 0;
-  uint64_t max_us = 0;
-};
-
-struct MetricsResponse {
-  std::vector<FamilyMetrics> families;
-
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, MetricsResponse* out);
-};
-
 // ---------------------------------------------------------------------
-// Introspection (kServerGetStats). Wire form of one obs::Registry sample
-// plus server vitals; requires the kStats privilege.
+// Introspection (kServerGetStats), the one stats RPC. Wire form of the
+// obs::Registry samples plus server vitals.
 // ---------------------------------------------------------------------
 
 /// One registry instrument. `kind` mirrors obs::MetricKind (0=counter,
@@ -335,7 +408,7 @@ struct GetStatsResponse {
 
 // ---------------------------------------------------------------------
 // Flight recorder (kServerGetTraces). Wire form of the span recorder's
-// query interface; requires the kStats privilege.
+// query interface.
 // ---------------------------------------------------------------------
 
 /// GetTracesRequest::source values.

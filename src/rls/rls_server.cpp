@@ -41,14 +41,6 @@ RlsServer::RlsServer(net::Transport* network, RlsServerConfig config,
                      dbapi::Environment* env, rlscommon::Clock* clock)
     : network_(network), config_(std::move(config)), env_(env), clock_(clock) {
   if (config_.url.empty()) config_.url = config_.address;
-  lrc_read_latency_ = registry_.GetHistogram("rls_family_latency_us",
-                                             obs::Label("family", "lrc_read"));
-  lrc_write_latency_ = registry_.GetHistogram("rls_family_latency_us",
-                                              obs::Label("family", "lrc_write"));
-  rli_query_latency_ = registry_.GetHistogram("rls_family_latency_us",
-                                              obs::Label("family", "rli_query"));
-  soft_state_latency_ = registry_.GetHistogram(
-      "rls_family_latency_us", obs::Label("family", "soft_state"));
   rli_updates_received_ = registry_.GetCounter("rli_updates_received_total");
   rli_expired_entries_ = registry_.GetCounter("rli_expired_entries_total");
   ss_receive_lag_ = registry_.GetHistogram("ss_receive_lag_us");
@@ -152,7 +144,7 @@ Status RlsServer::Start() {
       network_, config_.address, options,
       [this](const gsi::AuthContext& auth, uint16_t opcode,
              const std::string& request, std::string* response) {
-        return Handle(auth, opcode, request, response);
+        return Dispatch(auth, opcode, request, response);
       });
   Status s = rpc_server_->Start();
   if (!s.ok()) return s;
@@ -396,201 +388,88 @@ void RlsServer::ExpireLoop() {
   }
 }
 
-MetricsResponse RlsServer::Metrics() const {
-  MetricsResponse metrics;
-  auto add = [&](const char* family, const obs::Histogram* hist) {
-    auto snap = hist->GetSnapshot();
-    FamilyMetrics f;
-    f.family = family;
-    f.count = snap.count;
-    f.mean_us = snap.mean_us;
-    f.p50_us = snap.p50_us;
-    f.p95_us = snap.p95_us;
-    f.p99_us = snap.p99_us;
-    f.p999_us = snap.p999_us;
-    f.max_us = snap.max_us;
-    metrics.families.push_back(std::move(f));
-  };
-  add("lrc_read", lrc_read_latency_);
-  add("lrc_write", lrc_write_latency_);
-  add("rli_query", rli_query_latency_);
-  add("soft_state", soft_state_latency_);
-  return metrics;
-}
-
-namespace {
-
-/// Which latency family an opcode bills to; nullptr = untracked.
-enum class OpFamily { kNone, kLrcRead, kLrcWrite, kRliQuery, kSoftState };
-
-OpFamily FamilyFor(uint16_t opcode) {
-  switch (opcode) {
-    case kLrcQueryLfn:
-    case kLrcQueryPfn:
-    case kLrcBulkQueryLfn:
-    case kLrcWildcardQueryLfn:
-    case kLrcExists:
-    case kLrcAttrQueryObj:
-    case kLrcAttrSearch:
-    case kLrcRliList:
-      return OpFamily::kLrcRead;
-    case kLrcCreate:
-    case kLrcAdd:
-    case kLrcDelete:
-    case kLrcBulkCreate:
-    case kLrcBulkAdd:
-    case kLrcBulkDelete:
-    case kLrcAttrDefine:
-    case kLrcAttrUndefine:
-    case kLrcAttrAdd:
-    case kLrcAttrModify:
-    case kLrcAttrDelete:
-    case kLrcBulkAttrAdd:
-    case kLrcBulkAttrDelete:
-      return OpFamily::kLrcWrite;
-    case kRliQueryLfn:
-    case kRliBulkQuery:
-    case kRliWildcardQuery:
-    case kRliLrcList:
-      return OpFamily::kRliQuery;
-    case kSsFullBegin:
-    case kSsFullChunk:
-    case kSsFullEnd:
-    case kSsIncremental:
-    case kSsBloom:
-      return OpFamily::kSoftState;
-    default:
-      return OpFamily::kNone;
-  }
-}
-
-}  // namespace
-
-Status RlsServer::Handle(const gsi::AuthContext& auth, uint16_t opcode,
-                         const std::string& request, std::string* response) {
-  rlscommon::Stopwatch watch(clock_);
-  Status status = Dispatch(auth, opcode, request, response);
-  switch (FamilyFor(opcode)) {
-    case OpFamily::kLrcRead: lrc_read_latency_->Record(watch.Elapsed()); break;
-    case OpFamily::kLrcWrite: lrc_write_latency_->Record(watch.Elapsed()); break;
-    case OpFamily::kRliQuery: rli_query_latency_->Record(watch.Elapsed()); break;
-    case OpFamily::kSoftState: soft_state_latency_->Record(watch.Elapsed()); break;
-    case OpFamily::kNone: break;
-  }
-  return status;
-}
-
 Status RlsServer::Dispatch(const gsi::AuthContext& auth, uint16_t opcode,
                            const std::string& request, std::string* response) {
-  if (opcode == kPing) {
-    *response = "pong";
-    return Status::Ok();
+  const OpSpec* op = FindOp(opcode);
+  if (!op) return Status::Protocol("unknown opcode " + std::to_string(opcode));
+  const OpRole role = op->role();
+  if (role == OpRole::kLrc && !config_.lrc.enabled) {
+    return Status::Unsupported("server has no LRC role");
   }
-  if (opcode == kServerStats) {
-    Status s = config_.auth.Authorize(auth, gsi::Privilege::kStats);
+  if (role == OpRole::kRli && !config_.rli.enabled) {
+    return Status::Unsupported("server has no RLI role");
+  }
+  if (op->privilege) {
+    Status s = config_.auth.Authorize(auth, *op->privilege);
+    rlscommon::StampHop("auth");
     if (!s.ok()) return s;
-    EncodeStats(Stats(), response);
-    return Status::Ok();
   }
-  if (opcode == kServerMetrics) {
-    Status s = config_.auth.Authorize(auth, gsi::Privilege::kStats);
-    if (!s.ok()) return s;
-    Metrics().Encode(response);
-    return Status::Ok();
+  switch (role) {
+    case OpRole::kLrc:
+      return HandleLrc(opcode, request, response);
+    case OpRole::kRli:
+      return *op->privilege == gsi::Privilege::kRliWrite
+                 ? HandleSoftState(opcode, request)
+                 : HandleRli(opcode, request, response);
+    case OpRole::kAny:
+      break;
   }
-  if (opcode == kServerGetStats) {
-    Status s = config_.auth.Authorize(auth, gsi::Privilege::kStats);
-    if (!s.ok()) return s;
-    GetStatsSnapshot().Encode(response);
-    return Status::Ok();
-  }
-  if (opcode == kServerGetTraces) {
-    Status s = config_.auth.Authorize(auth, gsi::Privilege::kStats);
-    if (!s.ok()) return s;
-    GetTracesRequest req;
-    s = GetTracesRequest::Decode(request, &req);
-    if (!s.ok()) return s;
-    obs::TraceFilter filter;
-    filter.trace_id = req.trace_id;
-    filter.name = req.method;
-    filter.component = req.component;
-    filter.min_duration_us = req.min_duration_us;
-    filter.limit = req.limit;
-    filter.slow_log = req.source == kTraceSourceSlowLog;
-    obs::SpanRecorder& recorder = obs::SpanRecorder::Global();
-    const obs::SpanRecorder::Stats rstats = recorder.GetStats();
-    GetTracesResponse resp;
-    resp.depth = rstats.depth;
-    resp.dropped = rstats.dropped;
-    resp.capacity = rstats.capacity;
-    for (obs::CompletedSpan& span : recorder.Query(filter)) {
-      TraceSpan out;
-      out.component = std::move(span.component);
-      out.name = std::move(span.name);
-      out.trace_id = span.trace_id;
-      out.span_id = span.span_id;
-      out.tid = span.tid;
-      out.start_us = span.start_us;
-      out.duration_us = span.duration_us;
-      out.hops.reserve(span.hops.size());
-      for (auto& [hop_name, offset_us] : span.hops) {
-        out.hops.push_back(TraceHop{std::move(hop_name), offset_us});
-      }
-      resp.spans.push_back(std::move(out));
-    }
-    resp.Encode(response);
-    return Status::Ok();
-  }
-  if (opcode >= kLrcCreate && opcode <= kLrcForceUpdate) {
-    if (!config_.lrc.enabled) return Status::Unsupported("server has no LRC role");
-    return HandleLrc(auth, opcode, request, response);
-  }
-  if (opcode >= kRliQueryLfn && opcode <= kRliLrcList) {
-    if (!config_.rli.enabled) return Status::Unsupported("server has no RLI role");
-    return HandleRli(auth, opcode, request, response);
-  }
-  if (opcode >= kSsFullBegin && opcode <= kSsBloom) {
-    if (!config_.rli.enabled) return Status::Unsupported("server has no RLI role");
-    return HandleSoftState(auth, opcode, request, response);
-  }
-  return Status::Protocol("unknown opcode " + std::to_string(opcode));
+  return HandleServer(opcode, request, response);
 }
 
-Status RlsServer::HandleLrc(const gsi::AuthContext& auth, uint16_t opcode,
-                            const std::string& request, std::string* response) {
-  LrcStore& store = *lrc_store_;
-
-  // Privilege per opcode family.
-  gsi::Privilege needed = gsi::Privilege::kLrcRead;
+Status RlsServer::HandleServer(uint16_t opcode, const std::string& request,
+                               std::string* response) {
   switch (opcode) {
-    case kLrcCreate:
-    case kLrcAdd:
-    case kLrcDelete:
-    case kLrcBulkCreate:
-    case kLrcBulkAdd:
-    case kLrcBulkDelete:
-    case kLrcAttrDefine:
-    case kLrcAttrAdd:
-    case kLrcAttrModify:
-    case kLrcAttrDelete:
-    case kLrcBulkAttrAdd:
-    case kLrcBulkAttrDelete:
-    case kLrcAttrUndefine:
-      needed = gsi::Privilege::kLrcWrite;
-      break;
-    case kLrcRliList:
-    case kLrcRliAdd:
-    case kLrcRliRemove:
-    case kLrcForceUpdate:
-      needed = gsi::Privilege::kAdmin;
-      break;
+    case kPing:
+      *response = "pong";
+      return Status::Ok();
+    case kServerGetStats:
+      GetStatsSnapshot().Encode(response);
+      return Status::Ok();
+    case kServerGetTraces: {
+      GetTracesRequest req;
+      Status s = GetTracesRequest::Decode(request, &req);
+      if (!s.ok()) return s;
+      obs::TraceFilter filter;
+      filter.trace_id = req.trace_id;
+      filter.name = req.method;
+      filter.component = req.component;
+      filter.min_duration_us = req.min_duration_us;
+      filter.limit = req.limit;
+      filter.slow_log = req.source == kTraceSourceSlowLog;
+      obs::SpanRecorder& recorder = obs::SpanRecorder::Global();
+      const obs::SpanRecorder::Stats rstats = recorder.GetStats();
+      GetTracesResponse resp;
+      resp.depth = rstats.depth;
+      resp.dropped = rstats.dropped;
+      resp.capacity = rstats.capacity;
+      for (obs::CompletedSpan& span : recorder.Query(filter)) {
+        TraceSpan out;
+        out.component = std::move(span.component);
+        out.name = std::move(span.name);
+        out.trace_id = span.trace_id;
+        out.span_id = span.span_id;
+        out.tid = span.tid;
+        out.start_us = span.start_us;
+        out.duration_us = span.duration_us;
+        out.hops.reserve(span.hops.size());
+        for (auto& [hop_name, offset_us] : span.hops) {
+          out.hops.push_back(TraceHop{std::move(hop_name), offset_us});
+        }
+        resp.spans.push_back(std::move(out));
+      }
+      resp.Encode(response);
+      return Status::Ok();
+    }
     default:
-      needed = gsi::Privilege::kLrcRead;
+      return Status::Protocol("unhandled server opcode " + std::to_string(opcode));
   }
-  Status s = config_.auth.Authorize(auth, needed);
-  rlscommon::StampHop("auth");
-  if (!s.ok()) return s;
+}
 
+Status RlsServer::HandleLrc(uint16_t opcode, const std::string& request,
+                            std::string* response) {
+  LrcStore& store = *lrc_store_;
+  Status s;
   switch (opcode) {
     case kLrcCreate:
     case kLrcAdd:
@@ -778,12 +657,9 @@ Status RlsServer::HandleLrc(const gsi::AuthContext& auth, uint16_t opcode,
   }
 }
 
-Status RlsServer::HandleRli(const gsi::AuthContext& auth, uint16_t opcode,
-                            const std::string& request, std::string* response) {
-  Status s = config_.auth.Authorize(auth, gsi::Privilege::kRliRead);
-  rlscommon::StampHop("auth");
-  if (!s.ok()) return s;
-
+Status RlsServer::HandleRli(uint16_t opcode, const std::string& request,
+                            std::string* response) {
+  Status s;
   switch (opcode) {
     case kRliQueryLfn: {
       NameQueryRequest req;
@@ -864,13 +740,8 @@ Status RlsServer::HandleRli(const gsi::AuthContext& auth, uint16_t opcode,
   }
 }
 
-Status RlsServer::HandleSoftState(const gsi::AuthContext& auth, uint16_t opcode,
-                                  const std::string& request, std::string* response) {
-  (void)response;
-  Status s = config_.auth.Authorize(auth, gsi::Privilege::kRliWrite);
-  rlscommon::StampHop("auth");
-  if (!s.ok()) return s;
-
+Status RlsServer::HandleSoftState(uint16_t opcode, const std::string& request) {
+  Status s;
   const int64_t now_micros = std::chrono::duration_cast<std::chrono::microseconds>(
                                  clock_->Now().time_since_epoch())
                                  .count();

@@ -21,7 +21,6 @@
 
 #include "common/clock.h"
 #include "common/error.h"
-#include "common/histogram.h"
 #include "common/thread_pool.h"
 #include "dbapi/dbapi.h"
 #include "gsi/gsi.h"
@@ -120,10 +119,8 @@ class RlsServer {
   RliBloomStore* rli_bloom() { return rli_bloom_.get(); }
   UpdateManager* update_manager() { return update_manager_.get(); }
 
+  /// Vitals: the `vitals` block of GetStats.
   ServerStats Stats() const;
-
-  /// Per-operation-family latency histograms (monitoring).
-  MetricsResponse Metrics() const;
 
   /// Full introspection snapshot (what kServerGetStats serves).
   GetStatsResponse GetStatsSnapshot() const;
@@ -139,17 +136,18 @@ class RlsServer {
   void ExpireNow();
 
  private:
-  rlscommon::Status Handle(const gsi::AuthContext& auth, uint16_t opcode,
-                           const std::string& request, std::string* response);
+  /// Looks the opcode up in kOpTable, checks the role and the ACL, then
+  /// runs the matching Handle* switch.
   rlscommon::Status Dispatch(const gsi::AuthContext& auth, uint16_t opcode,
                              const std::string& request, std::string* response);
 
-  rlscommon::Status HandleLrc(const gsi::AuthContext& auth, uint16_t opcode,
-                              const std::string& request, std::string* response);
-  rlscommon::Status HandleRli(const gsi::AuthContext& auth, uint16_t opcode,
-                              const std::string& request, std::string* response);
-  rlscommon::Status HandleSoftState(const gsi::AuthContext& auth, uint16_t opcode,
-                                    const std::string& request, std::string* response);
+  rlscommon::Status HandleServer(uint16_t opcode, const std::string& request,
+                                 std::string* response);
+  rlscommon::Status HandleLrc(uint16_t opcode, const std::string& request,
+                              std::string* response);
+  rlscommon::Status HandleRli(uint16_t opcode, const std::string& request,
+                              std::string* response);
+  rlscommon::Status HandleSoftState(uint16_t opcode, const std::string& request);
 
   void ForwardToParents(uint16_t opcode, const std::string& request);
   void ExpireLoop();
@@ -190,12 +188,6 @@ class RlsServer {
   // Trace id of the last soft-state update this server received.
   std::atomic<uint64_t> last_update_trace_id_{0};
   rlscommon::TimePoint start_time_{};
-
-  // Service-time histograms per operation family (registry-owned).
-  obs::Histogram* lrc_read_latency_ = nullptr;
-  obs::Histogram* lrc_write_latency_ = nullptr;
-  obs::Histogram* rli_query_latency_ = nullptr;
-  obs::Histogram* soft_state_latency_ = nullptr;
 
   std::mutex expire_mu_;
   std::condition_variable expire_cv_;

@@ -118,10 +118,10 @@ TEST(ConcurrencyTest, MixedWorkloadKeepsInvariants) {
     resolvable += targets.size();
   }
   EXPECT_EQ(resolvable, all.size());  // wildcard view == per-name view
-  ServerStats stats;
-  ASSERT_TRUE(checker->Stats(&stats).ok());
-  EXPECT_EQ(stats.lfn_count, names.size());
-  EXPECT_EQ(stats.mapping_count, all.size());
+  GetStatsResponse stats;
+  ASSERT_TRUE(checker->GetStats(&stats).ok());
+  EXPECT_EQ(stats.vitals.lfn_count, names.size());
+  EXPECT_EQ(stats.vitals.mapping_count, all.size());
 
   // The immediate-mode scheduler kept feeding the RLI throughout; one
   // final flush + full update must reconcile the index completely.

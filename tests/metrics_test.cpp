@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <thread>
 
 #include "common/histogram.h"
@@ -83,7 +84,7 @@ TEST(HistogramTest, ToStringContainsFields) {
   EXPECT_NE(text.find("p95="), std::string::npos);
 }
 
-TEST(ServerMetricsTest, FamiliesTrackOperations) {
+TEST(ServerMetricsTest, MethodsTrackOperations) {
   net::Network network;
   dbapi::Environment env;
   ASSERT_TRUE(env.CreateDatabase("mysql://metrics_lrc").ok());
@@ -101,43 +102,50 @@ TEST(ServerMetricsTest, FamiliesTrackOperations) {
   std::vector<std::string> targets;
   ASSERT_TRUE(client->Query("m1", &targets).ok());
 
-  rls::MetricsResponse metrics;
-  ASSERT_TRUE(client->Metrics(&metrics).ok());
-  ASSERT_EQ(metrics.families.size(), 4u);
-  uint64_t reads = 0, writes = 0;
-  for (const rls::FamilyMetrics& f : metrics.families) {
-    if (f.family == "lrc_read") reads = f.count;
-    if (f.family == "lrc_write") writes = f.count;
-    if (f.count > 0) EXPECT_GT(f.max_us, 0u) << f.family;
+  rls::GetStatsResponse stats;
+  ASSERT_TRUE(client->GetStats(&stats).ok());
+  std::map<std::string, uint64_t> counts;
+  for (const rls::MetricSample& m : stats.metrics) {
+    if (m.name != "rpc_request_latency_us") continue;
+    counts[m.labels] = m.count;
+    if (m.count > 0) {
+      EXPECT_GT(m.max_us, 0u) << m.labels;
+    }
   }
-  EXPECT_EQ(writes, 2u);
-  EXPECT_EQ(reads, 1u);
+  EXPECT_EQ(counts["method=\"lrc_create\""], 2u);
+  EXPECT_EQ(counts["method=\"lrc_query_lfn\""], 1u);
   server.Stop();
 }
 
 TEST(ServerMetricsTest, CodecRoundTrip) {
-  rls::MetricsResponse metrics;
-  rls::FamilyMetrics f;
-  f.family = "lrc_read";
-  f.count = 7;
-  f.mean_us = 12.5;
-  f.p50_us = 8;
-  f.p95_us = 64;
-  f.p99_us = 128;
-  f.p999_us = 192;
-  f.max_us = 255;
-  metrics.families.push_back(f);
+  rls::GetStatsResponse stats;
+  rls::MetricSample m;
+  m.name = "rpc_request_latency_us";
+  m.labels = "method=\"lrc_query_lfn\"";
+  m.kind = 2;
+  m.count = 7;
+  m.mean_us = 12.5;
+  m.p50_us = 8;
+  m.p95_us = 64;
+  m.p99_us = 128;
+  m.p999_us = 192;
+  m.max_us = 255;
+  m.exemplar_us = 250;
+  m.exemplar_trace = 0xfeed;
+  stats.metrics.push_back(m);
   std::string bytes;
-  metrics.Encode(&bytes);
-  rls::MetricsResponse decoded;
-  ASSERT_TRUE(rls::MetricsResponse::Decode(bytes, &decoded).ok());
-  ASSERT_EQ(decoded.families.size(), 1u);
-  EXPECT_EQ(decoded.families[0].family, "lrc_read");
-  EXPECT_EQ(decoded.families[0].count, 7u);
-  EXPECT_DOUBLE_EQ(decoded.families[0].mean_us, 12.5);
-  EXPECT_EQ(decoded.families[0].p999_us, 192u);
-  EXPECT_EQ(decoded.families[0].max_us, 255u);
-  EXPECT_FALSE(rls::MetricsResponse::Decode("garbage", &decoded).ok());
+  stats.Encode(&bytes);
+  rls::GetStatsResponse decoded;
+  ASSERT_TRUE(rls::GetStatsResponse::Decode(bytes, &decoded).ok());
+  ASSERT_EQ(decoded.metrics.size(), 1u);
+  const rls::MetricSample& d = decoded.metrics[0];
+  EXPECT_EQ(d.labels, m.labels);
+  EXPECT_EQ(d.count, 7u);
+  EXPECT_DOUBLE_EQ(d.mean_us, 12.5);
+  EXPECT_EQ(d.p999_us, 192u);
+  EXPECT_EQ(d.max_us, 255u);
+  EXPECT_EQ(d.exemplar_trace, 0xfeedu);
+  EXPECT_FALSE(rls::GetStatsResponse::Decode("garbage", &decoded).ok());
 }
 
 }  // namespace

@@ -216,7 +216,7 @@ TEST(GetStatsTest, SnapshotSpansAllSubsystems) {
       "lrc_mappings",                  // LRC store
       "rli_associations",              // RLI store
       "ss_updates_sent_total",         // update manager
-      "rls_family_latency_us",         // per-family histograms
+      "rpc_request_latency_us",        // per-method histograms
       "server_uptime_seconds",
   };
   for (const char* name : expected) {

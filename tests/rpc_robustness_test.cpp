@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "net/rpc.h"
@@ -42,21 +45,18 @@ class RobustnessTest : public ::testing::Test {
 };
 
 TEST_F(RobustnessTest, TruncatedPayloadsRejectedOnEveryOpcode) {
-  const uint16_t opcodes[] = {
-      kLrcCreate,  kLrcAdd,       kLrcDelete,        kLrcBulkCreate,
-      kLrcQueryLfn, kLrcQueryPfn, kLrcBulkQueryLfn,  kLrcWildcardQueryLfn,
-      kLrcExists,  kLrcAttrDefine, kLrcAttrAdd,      kLrcAttrSearch,
-      kLrcAttrQueryObj, kLrcRliAdd, kRliQueryLfn,    kRliBulkQuery,
-      kRliWildcardQuery, kSsFullBegin, kSsFullChunk, kSsFullEnd,
-      kSsIncremental, kSsBloom};
-  for (uint16_t opcode : opcodes) {
+  // The rows that take no request body.
+  const std::set<uint16_t> bodyless = {kPing, kServerGetStats, kLrcRliList,
+                                       kLrcForceUpdate, kRliLrcList};
+  for (const OpSpec& op : kOpTable) {
+    if (bodyless.count(op.opcode)) continue;
     std::string response;
     // Empty payload where a body is required.
-    auto s = rpc_->Call(opcode, "", &response);
-    EXPECT_FALSE(s.ok()) << "opcode " << opcode << " accepted empty payload";
+    auto s = rpc_->Call(op.opcode, "", &response);
+    EXPECT_FALSE(s.ok()) << op.name << " accepted empty payload";
     // One stray byte.
-    s = rpc_->Call(opcode, "\x01", &response);
-    EXPECT_FALSE(s.ok()) << "opcode " << opcode << " accepted 1-byte payload";
+    s = rpc_->Call(op.opcode, "\x01", &response);
+    EXPECT_FALSE(s.ok()) << op.name << " accepted 1-byte payload";
   }
   // The connection survives all of it.
   EXPECT_TRUE(rpc_->Call(kPing, "", nullptr).ok());
@@ -121,6 +121,35 @@ TEST_F(RobustnessTest, UnknownOpcodeRejected) {
   EXPECT_EQ(s.code(), ErrorCode::kProtocol);
 }
 
+TEST_F(RobustnessTest, UnknownOpcodesShareOneMetricSeries) {
+  // Opcodes past the last row, on both sides of the RPC server's
+  // 256-slot opcode cache.
+  std::vector<uint16_t> unknown = {0x7fff, 0xffff};
+  for (uint16_t opcode = kSsBloom + 1; opcode < 1000; ++opcode) {
+    unknown.push_back(opcode);
+  }
+  std::string response;
+  for (int round = 0; round < 2; ++round) {
+    for (uint16_t opcode : unknown) {
+      ASSERT_EQ(rpc_->Call(opcode, "", &response).code(), ErrorCode::kProtocol)
+          << "opcode " << opcode;
+    }
+  }
+  int per_opcode_series = 0;
+  std::map<std::string, int> unknown_series;
+  for (const obs::Sample& sample : server_->metrics_registry()->TakeSnapshot().samples) {
+    if (sample.labels.find("method=\"op_") != std::string::npos) ++per_opcode_series;
+    if (sample.labels.find("method=\"unknown\"") != std::string::npos) {
+      ++unknown_series[sample.name];
+    }
+  }
+  EXPECT_EQ(per_opcode_series, 0);
+  ASSERT_FALSE(unknown_series.empty());
+  for (const auto& [name, series] : unknown_series) {
+    EXPECT_EQ(series, 1) << name;
+  }
+}
+
 TEST_F(RobustnessTest, OversizedNameRejectedCleanly) {
   // The Fig. 3 schema caps names at VARCHAR(250); a 10 KB name must fail
   // with a clean error, not corrupt anything.
@@ -168,8 +197,28 @@ TEST_F(RobustnessTest, ProtocolDecodersRejectGarbageDirectly) {
     (void)IncrementalUpdate::Decode(junk, &iu);
     BloomUpdate bu;
     (void)BloomUpdate::Decode(junk, &bu);
-    ServerStats stats;
-    (void)DecodeStats(junk, &stats);
+    NameQueryRequest nq;
+    (void)NameQueryRequest::Decode(junk, &nq);
+    StringListResponse sl;
+    (void)StringListResponse::Decode(junk, &sl);
+    MappingListResponse ml;
+    (void)MappingListResponse::Decode(junk, &ml);
+    BulkStatusResponse bs;
+    (void)BulkStatusResponse::Decode(junk, &bs);
+    AttrDefineRequest ad;
+    (void)AttrDefineRequest::Decode(junk, &ad);
+    AttrListResponse al;
+    (void)AttrListResponse::Decode(junk, &al);
+    FullUpdateBegin fb;
+    (void)FullUpdateBegin::Decode(junk, &fb);
+    FullUpdateEnd fe;
+    (void)FullUpdateEnd::Decode(junk, &fe);
+    GetStatsResponse gs;
+    (void)GetStatsResponse::Decode(junk, &gs);
+    GetTracesRequest gtq;
+    (void)GetTracesRequest::Decode(junk, &gtq);
+    GetTracesResponse gtr;
+    (void)GetTracesResponse::Decode(junk, &gtr);
   }
   SUCCEED();  // no crash, no UB (run under sanitizers in CI)
 }

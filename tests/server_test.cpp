@@ -39,9 +39,9 @@ class ServerTest : public ::testing::Test {
 
 TEST_F(ServerTest, PingAndStats) {
   ASSERT_TRUE(client_->Ping().ok());
-  ServerStats stats;
-  ASSERT_TRUE(client_->Stats(&stats).ok());
-  EXPECT_EQ(stats.lfn_count, 0u);
+  GetStatsResponse stats;
+  ASSERT_TRUE(client_->GetStats(&stats).ok());
+  EXPECT_EQ(stats.vitals.lfn_count, 0u);
 }
 
 TEST_F(ServerTest, MappingLifecycleOverRpc) {
@@ -92,9 +92,7 @@ TEST_F(ServerTest, BulkOperations) {
 
   ASSERT_TRUE(client_->BulkDelete(mappings, &result).ok());
   EXPECT_EQ(result.succeeded, 100u);
-  ServerStats stats;
-  ASSERT_TRUE(client_->Stats(&stats).ok());
-  EXPECT_EQ(stats.lfn_count, 0u);
+  EXPECT_EQ(server_->Stats().lfn_count, 0u);
 }
 
 TEST_F(ServerTest, BulkQuerySkipsMissingNames) {

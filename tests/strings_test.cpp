@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace rlscommon {
 namespace {
 
@@ -101,13 +104,17 @@ TEST(StartsEndsWithTest, Basic) {
 }
 
 // Property sweep: LIKE -> glob -> match agrees with direct glob semantics.
-class LikeGlobProperty : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+// The parameters are std::string, not const char*, so gtest prints their
+// contents rather than their addresses and the discovered test names are
+// the same on every build.
+using LikeCase = std::pair<std::string, std::string>;
+class LikeGlobProperty : public ::testing::TestWithParam<LikeCase> {};
 
 TEST_P(LikeGlobProperty, RoundTripMatches) {
   auto [like, text] = GetParam();
   std::string glob = LikeToGlob(like);
   // Sanity: conversions never change length.
-  EXPECT_EQ(glob.size(), std::string(like).size());
+  EXPECT_EQ(glob.size(), like.size());
   // Matching is well-defined (no crash) and consistent when repeated.
   bool first = WildcardMatch(glob, text);
   EXPECT_EQ(first, WildcardMatch(glob, text));
@@ -115,11 +122,11 @@ TEST_P(LikeGlobProperty, RoundTripMatches) {
 
 INSTANTIATE_TEST_SUITE_P(
     Patterns, LikeGlobProperty,
-    ::testing::Values(std::make_pair("%run%", "lfn://a/run-1/f"),
-                      std::make_pair("lfn%", "lfn://a"),
-                      std::make_pair("_fn%", "lfn://a"),
-                      std::make_pair("%", ""),
-                      std::make_pair("a_b", "axb")));
+    ::testing::Values(LikeCase("%run%", "lfn://a/run-1/f"),
+                      LikeCase("lfn%", "lfn://a"),
+                      LikeCase("_fn%", "lfn://a"),
+                      LikeCase("%", ""),
+                      LikeCase("a_b", "axb")));
 
 }  // namespace
 }  // namespace rlscommon
