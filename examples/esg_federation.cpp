@@ -34,7 +34,7 @@ std::string DatasetLfn(int site, int d) {
 }  // namespace
 
 int main() {
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
 
   // --- Build the fully connected mesh: every node is LRC+RLI and sends

@@ -45,7 +45,7 @@ std::string FramePfn(uint64_t gps_start, uint32_t replica) {
 }  // namespace
 
 int main() {
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   ThrowIfError(env.CreateDatabase("mysql://ligo_lrc"));
 

@@ -39,7 +39,7 @@ std::string Projected(int i) {
 }  // namespace
 
 int main() {
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
 
   // --- Deployment: 4 RLIs; 6 LRCs, each updating two RLIs (redundancy).

@@ -14,7 +14,7 @@ using rlscommon::ThrowIfError;
 
 int main() {
   // --- 1. The fabric: an in-process network and a database environment.
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   ThrowIfError(env.CreateDatabase("mysql://quickstart_lrc"));
   ThrowIfError(env.CreateDatabase("mysql://quickstart_rli"));

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     std::printf("using the built-in demo topology\n");
   }
 
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   std::unique_ptr<rls::Topology> topology;
   ThrowIfError(rls::Topology::Create(config, &network, &env, &topology));

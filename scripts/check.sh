@@ -12,9 +12,9 @@
 # every commit boundary and at intra-record offsets, recovered and
 # compared against the committed prefix — plus the pinned-seed
 # storage-fault WAL tests and the recovery-idempotence property. The
-# matrix runs twice: per-txn flush and WAL group commit
-# (RLS_CRASH_GROUP=1), so grouped appends satisfy the same
-# committed-prefix contract.
+# matrix runs once: the WAL has a single commit path (a batch cap of
+# one is the per-commit flush), and cuts inside multi-frame batches are
+# covered by the grouped-batch cut tests in the same binaries.
 #
 # The `trace` config is the tracing smoke gate: it runs the fig06 bench
 # with the flight recorder on (RLS_TRACE_JSON), validates the exported
@@ -56,10 +56,10 @@ run_bench_gate() {  # $1 = output mode: "compare" or "rebaseline"
     echo "=== [bench] $bench"
     env "${BENCH_GATE_ENV[@]}" RLS_BENCH_JSON="$json" "$dir/bench/$bench" >/dev/null
     if [ "$bench" = bench_fig04_lrc_add_flush ]; then
-      # fig04 runs two servers: the legacy flush path (gated against the
-      # long-standing baseline, which must NOT move) and the group-commit
-      # server (its own baseline). Split the snapshot so each series is
-      # pinned separately.
+      # fig04 runs two servers: the per-commit flush (WAL batch cap one;
+      # gated against the long-standing baseline, which must NOT move)
+      # and the group-commit server (its own baseline). Split the
+      # snapshot so each series is pinned separately.
       grep '"server": "lrc:fig4-group"' "$json" > "$dir/BENCH_fig04_group.json"
       grep -v '"server": "lrc:fig4-group"' "$json" > "$json.tmp" && \
         mv "$json.tmp" "$json"

@@ -89,11 +89,9 @@ class Connection {
   rlscommon::Status Rollback();
 
   /// Split commit: CommitBegin closes the open transaction and reserves
-  /// its WAL slot without blocking on the disk (group-commit mode), so
-  /// the caller can release its own ordering lock before parking in
-  /// CommitFinish for the group sync. The ticket must outlive the
-  /// matching CommitFinish. In per-txn-flush mode CommitBegin performs
-  /// the whole commit and CommitFinish just reports its status.
+  /// its WAL slot without blocking on the disk, so the caller can
+  /// release its own ordering lock before parking in CommitFinish for
+  /// the batch sync. The ticket must outlive the matching CommitFinish.
   rlscommon::Status CommitBegin(rdb::Wal::CommitTicket* ticket) {
     return engine_.CommitBegin(&session_, ticket);
   }

@@ -3,8 +3,8 @@
 // The paper's soft-state argument (§4, §6) is that an RLS keeps working
 // through server failure: clients tolerate transient unavailability and a
 // restarted RLI reconverges from periodic full/Bloom updates. To exercise
-// that claim the Network can carry a FaultInjector that perturbs traffic
-// at well-defined decision points:
+// that claim an InProcTransport can carry a FaultInjector that perturbs
+// traffic at well-defined decision points:
 //
 //   * per-endpoint FaultPlan: message drop probability, extra delivery
 //     latency, connect-failure probability, forced disconnect after N

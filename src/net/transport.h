@@ -278,10 +278,6 @@ class InProcTransport final : public Transport {
   std::map<std::string, std::shared_ptr<RateLimiter>> inbound_limits_;
 };
 
-/// Historical name for the in-process fabric; most tests and benches
-/// declare `net::Network` and run on either transport via the seam.
-using Network = InProcTransport;
-
 /// In-process connection endpoint (one direction of queues each way).
 class InProcConnection final : public Connection {
  public:

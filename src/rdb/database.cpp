@@ -20,12 +20,11 @@ WalOptions MakeWalOptions(const BackendProfile& profile,
       profile.wal_recycle_bytes ? profile.wal_recycle_bytes : Wal::kRecycleBytes;
   options.recovery = profile.wal_recovery;
   options.fault = fault;
-  options.group_commit = profile.wal_group_commit;
-  if (profile.wal_group_max_commits > 0) {
+  // The paper's per-commit flush is a batch cap of one.
+  if (!profile.wal_group_commit) {
+    options.group_max_commits = 1;
+  } else if (profile.wal_group_max_commits > 0) {
     options.group_max_commits = profile.wal_group_max_commits;
-  }
-  if (profile.wal_group_max_bytes > 0) {
-    options.group_max_bytes = profile.wal_group_max_bytes;
   }
   options.group_max_wait = profile.wal_group_max_wait;
   return options;
@@ -102,8 +101,8 @@ void Database::VacuumAll() {
 std::string Database::SerializeSnapshot(uint64_t* snapshot_rows) {
   // Lock order matches the rest of the engine: catalog, then tables.
   // The checkpoint writer runs under the WAL commit lock with no table
-  // locks held (Commit is called after the statement's TableLocks are
-  // released), so taking them here cannot deadlock.
+  // locks held (MaybeCheckpoint runs after the statement's TableLocks
+  // are released), so taking them here cannot deadlock.
   std::lock_guard<std::mutex> catalog_lock(catalog_mu_);
   std::vector<TableSnapshot> tables;
   tables.reserve(tables_.size());
@@ -164,6 +163,11 @@ Status Database::ApplyTxnPayload(std::string_view payload,
 Status Database::Recover() {
   std::lock_guard<std::mutex> recover_lock(recover_mu_);
   recovery_stats_.enabled = profile_.wal_recovery;
+  // A log that could not be opened fails start-up in either lifetime.
+  if (wal_.poisoned()) {
+    return Status::DataLoss("WAL " + wal_.path() + " of " + name_ +
+                            " is unusable; refusing to serve");
+  }
   if (!profile_.wal_recovery || wal_.path().empty()) return Status::Ok();
   if (recovery_stats_.ran) return Status::Ok();  // exactly-once per process
   const auto start = std::chrono::steady_clock::now();

@@ -47,27 +47,20 @@ class Database {
   void SetDurableFlush(bool enabled) { profile_.durable_flush = enabled; }
   bool durable_flush() const { return profile_.durable_flush; }
 
-  /// Toggles WAL group commit at runtime (benches flip it between the
-  /// legacy flat-curve series and the scaling series). Call only while
-  /// no transactions are in flight.
-  void SetGroupCommit(bool enabled) {
-    profile_.wal_group_commit = enabled;
-    wal_.SetGroupCommit(enabled);
-  }
-
   /// Transaction gate (profile.wal_recovery): the engine holds it
   /// shared from a transaction's first logged mutation until the WAL
-  /// has reserved the transaction's LSN (CommitBegin). MaybeCheckpoint
-  /// takes it exclusively, so the checkpoint snapshot never captures a
+  /// has reserved the transaction's LSN (CommitBegin) or the
+  /// transaction rolls back. MaybeCheckpoint takes it exclusively, so
+  /// the checkpoint snapshot never captures an uncommitted row, nor a
   /// mutation whose frame would replay on top of it (LSN above the
   /// checkpoint's).
   void LockTxnGateShared() { txn_gate_.lock_shared(); }
   void UnlockTxnGateShared() { txn_gate_.unlock_shared(); }
 
-  /// Runs a WAL checkpoint deferred by a group-commit wrap, from a
-  /// context where no transaction sits between applying its mutations
-  /// and reserving its LSN. Cheap no-op when nothing is pending; the
-  /// engine calls it after every commit.
+  /// Runs the WAL checkpoint a batch past the recycle threshold left
+  /// pending, from a context where no transaction sits between applying
+  /// its mutations and reserving its LSN. Cheap no-op when nothing is
+  /// pending; the engine calls it after every commit.
   rlscommon::Status MaybeCheckpoint() {
     if (!wal_.checkpoint_pending()) return rlscommon::Status::Ok();
     std::unique_lock<std::shared_mutex> gate(txn_gate_);
@@ -96,7 +89,8 @@ class Database {
   /// snapshot if one exists, then reapplies every committed transaction
   /// the log holds beyond it. Call once, after the schema has been
   /// recreated (DDL is not logged) and before serving traffic. A second
-  /// call is a no-op — replay is exactly-once per process.
+  /// call is a no-op — replay is exactly-once per process. DATA_LOSS
+  /// when the log file could not be opened (either lifetime).
   rlscommon::Status Recover();
 
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
@@ -117,7 +111,7 @@ class Database {
   std::map<std::string, std::unique_ptr<Table>> tables_;
   std::mutex recover_mu_;
   RecoveryStats recovery_stats_;
-  /// See LockTxnGateShared(). Shared holders are short (one statement's
+  /// See LockTxnGateShared(). Shared holders are short (a transaction's
   /// apply + WAL enqueue), so writer starvation is not a concern here.
   std::shared_mutex txn_gate_;
 };

@@ -37,28 +37,28 @@ struct BackendProfile {
   /// and hide the effect the paper measures.
   std::chrono::microseconds durable_flush_penalty{8000};
 
-  /// When true the WAL is a real recovery log: checksummed LSN-stamped
-  /// frames, a checkpoint snapshot at recycle-wrap, and Database
-  /// open-time replay via Recover(). When false (default) the WAL stays
-  /// the legacy cost-and-bytes model the paper's Fig. 4 flush curves
-  /// reproduce against.
+  /// How long the WAL file lives. Every commit is a checksummed frame
+  /// either way. True: persistent — kept on close, checkpointed at the
+  /// recycle wrap, and replayed by Database::Recover(). False
+  /// (default): scratch — truncated on open, rewound past the
+  /// threshold and unlinked on close; the fig benches' flush curves run
+  /// on it.
   bool wal_recovery = false;
 
   /// Overrides the WAL recycle threshold; 0 = the Wal default (256 MB).
   /// Tests use tiny values to drive the checkpoint-wrap boundary.
   uint64_t wal_recycle_bytes = 0;
 
-  /// When true, durable commits use WAL group commit: concurrent
+  /// Picks the WAL batch cap. True: group commit — concurrent
   /// committers share one write + one fdatasync + ONE modeled
-  /// `durable_flush_penalty` per batch, so durable throughput scales
-  /// with client count. When false (default), every commit pays its own
-  /// serialized sync — the 2004 cost model behind the paper's flat
-  /// Fig. 4 flush-enabled curve.
+  /// `durable_flush_penalty` per batch of up to `wal_group_max_commits`,
+  /// so durable throughput scales with client count. False (default): a
+  /// cap of one — every commit pays its own serialized sync, the 2004
+  /// cost model behind the paper's flat Fig. 4 flush-enabled curve.
   bool wal_group_commit = false;
 
-  /// Group-commit batch caps; 0 = the Wal defaults (64 commits, 1 MB).
+  /// Group-commit batch cap; 0 = the Wal default (64 commits).
   std::size_t wal_group_max_commits = 0;
-  std::size_t wal_group_max_bytes = 0;
 
   /// >0 = a group-commit leader lingers up to this long for the batch
   /// to fill before syncing (low-load latency floor).

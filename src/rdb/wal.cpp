@@ -21,6 +21,9 @@ using rlscommon::Status;
 
 constexpr uint32_t kSidecarMagic = 0x504B4352u;  // "RCKP" little-endian
 
+/// Byte cap on a batch (the first frame always fits).
+constexpr std::size_t kGroupMaxBytes = 1u << 20;
+
 void PutU32(char* p, uint32_t v) { std::memcpy(p, &v, 4); }
 void PutU64(char* p, uint64_t v) { std::memcpy(p, &v, 8); }
 uint32_t GetU32(const char* p) { uint32_t v; std::memcpy(&v, p, 4); return v; }
@@ -58,17 +61,22 @@ int PWriteAll(int fd, const char* p, std::size_t n, uint64_t offset,
   return 0;
 }
 
+Status PoisonedError() {
+  return Status::DataLoss(
+      "WAL is poisoned after an earlier open/sync/write failure; restart "
+      "and recover");
+}
+
 }  // namespace
 
-/// One parked committer. The frame is fully built at enqueue time
-/// (recovery mode: header+payload with the reserved LSN; legacy mode:
-/// the raw payload bytes) so the leader's write is a plain
+/// One parked committer. The frame (header + payload with the reserved
+/// LSN) is fully built at enqueue time so the leader's write is a plain
 /// concatenation. `done`/`status` are guarded by the Wal's group_mu_.
 struct WalGroupWaiter {
   std::string frame;
   bool durable = false;
   std::chrono::microseconds penalty{0};
-  uint64_t lsn = 0;  // 0 = no frame (legacy mode or nothing to write)
+  uint64_t lsn = 0;  // 0 = no frame (no file, or nothing to write)
   bool done = false;
   rlscommon::Status status;
 };
@@ -81,32 +89,28 @@ Wal::CommitTicket::~CommitTicket() {
   if (pending_ && wal_) (void)wal_->CommitFinish(this);
 }
 
-Wal::Wal(std::string path, uint64_t recycle_bytes)
-    : Wal(std::move(path), WalOptions{recycle_bytes, /*recovery=*/false,
-                                      /*fault=*/nullptr}) {}
-
 Wal::Wal(std::string path, WalOptions options)
     : path_(std::move(path)), options_(options) {
-  group_on_.store(options_.group_commit, std::memory_order_relaxed);
   if (path_.empty()) return;
-  // Legacy mode truncates on open (the log is scratch space); recovery
-  // mode must preserve whatever a previous incarnation left behind.
-  const int flags =
-      options_.recovery ? (O_CREAT | O_RDWR) : (O_CREAT | O_WRONLY | O_TRUNC);
+  // A scratch log starts empty; a persistent one must keep whatever a
+  // previous incarnation left behind.
+  const int flags = O_CREAT | O_RDWR | (options_.recovery ? 0 : O_TRUNC);
   fd_ = ::open(path_.c_str(), flags, 0644);
   if (fd_ < 0) {
-    RLS_WARN("wal") << "cannot open WAL file " << path_ << ": "
-                    << std::strerror(errno) << " — falling back to in-memory";
-  } else if (options_.recovery) {
-    const off_t end = ::lseek(fd_, 0, SEEK_END);
-    if (end > 0) file_bytes_ = static_cast<uint64_t>(end);
+    // Fail stop: a log that holds nothing must not acknowledge commits.
+    RLS_ERROR("wal") << "cannot open WAL file " << path_ << ": "
+                     << std::strerror(errno) << "; every commit will fail";
+    poisoned_.store(true, std::memory_order_release);
+    return;
   }
+  const off_t end = ::lseek(fd_, 0, SEEK_END);
+  if (end > 0) file_bytes_ = static_cast<uint64_t>(end);
 }
 
 Wal::~Wal() {
   if (fd_ >= 0) {
     ::close(fd_);
-    // The legacy log is a cost model, not state: remove it. A recovery
+    // A scratch log is a cost model, not state: remove it. A persistent
     // log (and its checkpoint sidecar) must survive for replay.
     if (!options_.recovery) ::unlink(path_.c_str());
   }
@@ -117,25 +121,12 @@ void Wal::SetObserver(WalObserver observer) {
   observer_ = std::move(observer);
 }
 
-void Wal::SetGroupCommit(bool enabled) {
-  // Taking both locks flushes out any in-flight commit on either path;
-  // the queue must already be empty (callers toggle between phases).
-  std::lock_guard<std::mutex> group_lock(group_mu_);
-  std::lock_guard<std::mutex> commit_lock(commit_mu_);
-  group_on_.store(enabled, std::memory_order_relaxed);
-  // Reserved-but-unwritten LSNs from failed batches may be reused by
-  // the synchronous path; frames carrying them never reached the disk.
-  uint64_t reserve = lsn_reserve_.load(std::memory_order_relaxed);
-  if (reserve < last_lsn_) lsn_reserve_.store(last_lsn_, std::memory_order_relaxed);
-}
-
-Status Wal::WriteFrameLocked(uint8_t type, uint64_t lsn,
-                             std::string_view payload) {
-  const std::string frame = BuildFrame(type, lsn, payload);
+Status Wal::AppendLocked(std::string_view bytes) {
   const uint64_t offset = file_bytes_;
-  std::size_t to_write = frame.size();
+  std::size_t allowed = bytes.size();
+  int fault_error = 0;
   if (options_.fault) {
-    const auto verdict = options_.fault->OnWrite(offset, frame.size());
+    const auto verdict = options_.fault->OnWrite(offset, bytes.size());
     using Kind = StorageFaultInjector::WriteVerdict::Kind;
     if (verdict.kind == Kind::kError) {
       // Nothing reached the disk; the log is still consistent.
@@ -143,46 +134,48 @@ Status Wal::WriteFrameLocked(uint8_t type, uint64_t lsn,
                               std::strerror(verdict.error));
     }
     if (verdict.kind == Kind::kShort) {
-      std::size_t written = 0;
-      (void)PWriteAll(fd_, frame.data(), verdict.allowed, offset, &written);
-      if (options_.fault->crashed()) {
-        // Simulated power cut: the torn frame stays on disk for recovery
-        // to find, and this Wal is dead.
-        poisoned_.store(true, std::memory_order_release);
-        file_bytes_ = offset + written;
-        return Status::DataLoss("WAL write: simulated crash after " +
-                                std::to_string(written) + " bytes");
-      }
-      // Disk error mid-frame with the process alive: truncate the torn
-      // frame away so the log stays a clean prefix of committed frames.
-      if (::ftruncate(fd_, static_cast<off_t>(offset)) != 0) {
-        poisoned_.store(true, std::memory_order_release);
-        return Status::DataLoss(std::string("WAL short write; repair failed: ") +
-                                std::strerror(errno));
-      }
-      return Status::DataLoss(std::string("WAL short write: ") +
-                              std::strerror(verdict.error));
+      allowed = verdict.allowed;
+      fault_error = verdict.error;
     }
-    to_write = frame.size();
   }
   std::size_t written = 0;
-  const int err = PWriteAll(fd_, frame.data(), to_write, offset, &written);
-  if (err != 0) {
-    if (::ftruncate(fd_, static_cast<off_t>(offset)) != 0) {
-      poisoned_.store(true, std::memory_order_release);
-      return Status::DataLoss(std::string("WAL write failed; repair failed: ") +
-                              std::strerror(errno));
-    }
-    return Status::DataLoss(std::string("WAL write: ") + std::strerror(err));
+  const int err = PWriteAll(fd_, bytes.data(), allowed, offset, &written);
+  if (err == 0 && fault_error == 0) {
+    file_bytes_ = offset + written;
+    return Status::Ok();
   }
-  file_bytes_ = offset + frame.size();
-  return Status::Ok();
+  if (options_.fault && options_.fault->crashed()) {
+    // Simulated power cut: the torn bytes stay on disk for recovery to
+    // find, and this Wal is dead.
+    poisoned_.store(true, std::memory_order_release);
+    file_bytes_ = offset + written;
+    return Status::DataLoss("WAL write: simulated crash after " +
+                            std::to_string(written) + " bytes");
+  }
+  // Disk error mid-write with the process alive: truncate the torn bytes
+  // away so the log stays a clean prefix of committed frames. A failed
+  // batch's reserved LSNs become a gap, which replay tolerates (it only
+  // requires ascending LSNs, not dense ones).
+  if (::ftruncate(fd_, static_cast<off_t>(offset)) != 0) {
+    poisoned_.store(true, std::memory_order_release);
+    return Status::DataLoss(std::string("WAL write failed; repair failed: ") +
+                            std::strerror(errno));
+  }
+  return Status::DataLoss(std::string("WAL write: ") +
+                          std::strerror(err != 0 ? err : fault_error));
+}
+
+int Wal::SyncFile(int fd, bool data_only) const {
+  if (options_.fault) {
+    if (const int err = options_.fault->OnSync()) return err;
+  }
+  const int rc = data_only ? ::fdatasync(fd) : ::fsync(fd);
+  return rc == 0 ? 0 : errno;
 }
 
 Status Wal::SyncLocked() {
-  if (options_.fault) {
-    const int err = options_.fault->OnSync();
-    if (err != 0) {
+  if (fd_ >= 0) {
+    if (const int err = SyncFile(fd_, /*data_only=*/true)) {
       // fsyncgate: a failed sync may have dropped the dirty pages.
       // Retrying would claim durability that does not exist, so the log
       // fails stop.
@@ -190,51 +183,59 @@ Status Wal::SyncLocked() {
       return Status::DataLoss(std::string("WAL fsync: ") + std::strerror(err));
     }
   }
-  if (fd_ >= 0 && ::fdatasync(fd_) != 0) {
-    poisoned_.store(true, std::memory_order_release);
-    return Status::DataLoss(std::string("WAL fsync: ") + std::strerror(errno));
-  }
   syncs_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
 Status Wal::CheckpointLocked(uint64_t ckpt_lsn) {
   // 1. Snapshot the committed state (the writer takes the table locks;
-  //    Commit holds none).
+  //    the commit path holds none).
   uint64_t snapshot_rows = 0;
   const std::string snapshot =
       checkpoint_writer_ ? checkpoint_writer_(&snapshot_rows) : std::string();
 
-  // 2. Persist the snapshot atomically: tmp + fsync + rename. A crash
-  //    before the rename leaves the old sidecar + the full log; after
-  //    it, the new sidecar + (possibly still full) log — either way
-  //    recovery sees a consistent pair, because frames with LSN <= the
-  //    sidecar's are skipped during replay.
+  // 2. Persist the snapshot atomically and durably: tmp + fsync +
+  //    rename + fsync of the directory. Until the directory sync lands,
+  //    a power cut may undo the rename, so the log is not truncated
+  //    before it: the disk always holds a sidecar/log pair that
+  //    recovers, because replay skips frames with LSN <= the sidecar's.
   const std::string ckpt_path = path_ + ".ckpt";
   const std::string tmp_path = ckpt_path + ".tmp";
-  int cfd = ::open(tmp_path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (cfd < 0) {
-    return Status::DataLoss(std::string("WAL checkpoint: open ") + tmp_path +
-                            ": " + std::strerror(errno));
-  }
   std::string blob(20, '\0');
   PutU32(&blob[0], kSidecarMagic);
   PutU64(&blob[8], ckpt_lsn);
   PutU32(&blob[16], static_cast<uint32_t>(snapshot.size()));
   blob.append(snapshot);
-  const uint32_t crc = rlscommon::Crc32c(blob.data() + 8, blob.size() - 8);
-  PutU32(&blob[4], crc);
-  std::size_t written = 0;
-  int err = PWriteAll(cfd, blob.data(), blob.size(), 0, &written);
-  if (err == 0 && ::fsync(cfd) != 0) err = errno;
-  ::close(cfd);
+  PutU32(&blob[4], rlscommon::Crc32c(blob.data() + 8, blob.size() - 8));
+  int err = 0;
+  const int cfd = ::open(tmp_path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+  if (cfd < 0) {
+    err = errno;
+  } else {
+    std::size_t written = 0;
+    err = PWriteAll(cfd, blob.data(), blob.size(), 0, &written);
+    if (err == 0) err = SyncFile(cfd, /*data_only=*/false);
+    ::close(cfd);
+  }
   if (err == 0 && ::rename(tmp_path.c_str(), ckpt_path.c_str()) != 0) {
     err = errno;
   }
+  if (err == 0) {
+    const std::size_t slash = path_.rfind('/');
+    const std::string dir =
+        slash == std::string::npos ? "." : path_.substr(0, std::max<std::size_t>(slash, 1));
+    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (dfd < 0) {
+      err = errno;
+    } else {
+      err = SyncFile(dfd, /*data_only=*/false);
+      ::close(dfd);
+    }
+  }
   if (err != 0) {
     ::unlink(tmp_path.c_str());
-    // The wrap is aborted but the log is intact; the next commit
-    // retries the checkpoint.
+    // The wrap is aborted but the log is intact; the next batch past the
+    // threshold retries the checkpoint.
     return Status::DataLoss(std::string("WAL checkpoint: ") +
                             std::strerror(err));
   }
@@ -247,7 +248,7 @@ Status Wal::CheckpointLocked(uint64_t ckpt_lsn) {
                             std::strerror(errno));
   }
   file_bytes_ = 0;
-  Status s = WriteFrameLocked(kWalFrameCheckpoint, ckpt_lsn, {});
+  Status s = AppendLocked(BuildFrame(kWalFrameCheckpoint, ckpt_lsn, {}));
   if (!s.ok()) return s;
   s = SyncLocked();
   if (!s.ok()) return s;
@@ -266,8 +267,8 @@ Status Wal::CheckpointIfPending() {
   // — including ones still queued behind a leader.
   std::lock_guard<std::mutex> lock(commit_mu_);
   checkpoint_pending_.store(false, std::memory_order_release);
-  if (poisoned_.load(std::memory_order_acquire) || !options_.recovery ||
-      fd_ < 0 || file_bytes_ <= options_.recycle_bytes) {
+  if (poisoned_.load(std::memory_order_acquire) ||
+      file_bytes_ <= options_.recycle_bytes) {
     return Status::Ok();
   }
   const uint64_t ckpt_lsn =
@@ -288,16 +289,10 @@ Status Wal::CommitBegin(std::string_view payload, bool durable,
                         CommitTicket* ticket) {
   ticket->wal_ = this;
   ticket->pending_ = false;
-  if (!group_on_.load(std::memory_order_relaxed)) {
-    ticket->immediate_ = CommitSync(payload, durable, penalty);
-    return ticket->immediate_;
-  }
   commits_.fetch_add(1, std::memory_order_relaxed);
   bytes_logged_.fetch_add(payload.size(), std::memory_order_relaxed);
   if (poisoned_.load(std::memory_order_acquire)) {
-    ticket->immediate_ = Status::DataLoss(
-        "WAL is poisoned after an earlier sync/write failure; restart and "
-        "recover");
+    ticket->immediate_ = PoisonedError();
     return ticket->immediate_;
   }
   const bool writes = fd_ >= 0 && !payload.empty();
@@ -312,18 +307,15 @@ Status Wal::CommitBegin(std::string_view payload, bool durable,
   {
     std::lock_guard<std::mutex> lock(group_mu_);
     if (writes) {
-      if (options_.recovery) {
-        // LSNs are reserved in enqueue order under group_mu_, so the
-        // FIFO queue keeps the on-disk frames LSN-sorted.
-        waiter->lsn = lsn_reserve_.fetch_add(1, std::memory_order_relaxed) + 1;
-        waiter->frame = BuildFrame(kWalFrameTxn, waiter->lsn, payload);
-      } else {
-        waiter->frame.assign(payload);
-      }
+      // LSNs are reserved in enqueue order under group_mu_, so the
+      // FIFO queue keeps the on-disk frames LSN-sorted.
+      waiter->lsn = lsn_reserve_.fetch_add(1, std::memory_order_relaxed) + 1;
+      waiter->frame = BuildFrame(kWalFrameTxn, waiter->lsn, payload);
     }
     queue_.push_back(waiter.get());
   }
-  group_cv_.notify_all();  // wake a lingering leader
+  // Only a lingering leader waits for enqueues.
+  if (options_.group_max_wait.count() > 0) group_cv_.notify_all();
   ticket->waiter_ = std::move(waiter);
   ticket->pending_ = true;
   return Status::Ok();
@@ -360,7 +352,7 @@ Status Wal::CommitFinish(CommitTicket* ticket) {
     observer.sync_wait(wait_us, rlscommon::CurrentTrace().trace_id);
   }
   // Stage stamp on the ambient request span: everything since the
-  // db_txn stamp was spent queued behind + inside the group sync.
+  // db_txn stamp was spent queued behind + inside the batch sync.
   if (own->durable) rlscommon::StampHop("wal_sync");
   return own->status;
 }
@@ -379,9 +371,7 @@ void Wal::LeadLocked(std::unique_lock<std::mutex>& lock, WalGroupWaiter* own) {
     std::size_t bytes = 0;
     while (!queue_.empty() && batch.size() < options_.group_max_commits) {
       WalGroupWaiter* next = queue_.front();
-      if (!batch.empty() && bytes + next->frame.size() > options_.group_max_bytes) {
-        break;
-      }
+      if (!batch.empty() && bytes + next->frame.size() > kGroupMaxBytes) break;
       queue_.pop_front();
       batch.push_back(next);
       bytes += next->frame.size();
@@ -392,7 +382,7 @@ void Wal::LeadLocked(std::unique_lock<std::mutex>& lock, WalGroupWaiter* own) {
       continue;
     }
     lock.unlock();
-    const Status s = WriteGroupBatch(batch);
+    const Status s = WriteBatch(batch);
     lock.lock();
     for (WalGroupWaiter* member : batch) {
       member->status = s;
@@ -402,13 +392,9 @@ void Wal::LeadLocked(std::unique_lock<std::mutex>& lock, WalGroupWaiter* own) {
   }
 }
 
-Status Wal::WriteGroupBatch(const std::vector<WalGroupWaiter*>& batch) {
+Status Wal::WriteBatch(const std::vector<WalGroupWaiter*>& batch) {
   std::lock_guard<std::mutex> lock(commit_mu_);
-  if (poisoned_.load(std::memory_order_acquire)) {
-    return Status::DataLoss(
-        "WAL is poisoned after an earlier sync/write failure; restart and "
-        "recover");
-  }
+  if (poisoned_.load(std::memory_order_acquire)) return PoisonedError();
   std::string buf;
   uint64_t max_lsn = 0;
   bool durable = false;
@@ -419,111 +405,30 @@ Status Wal::WriteGroupBatch(const std::vector<WalGroupWaiter*>& batch) {
     durable = durable || member->durable;
     penalty = std::max(penalty, member->penalty);
   }
-  if (fd_ >= 0 && !buf.empty()) {
-    if (options_.recovery) {
-      // One contiguous append for the whole batch; the fault injector
-      // sees it as a single write, so an injected cut can land inside
-      // any member frame (recovery then replays the whole-frame
-      // prefix).
-      const uint64_t offset = file_bytes_;
-      std::size_t to_write = buf.size();
-      if (options_.fault) {
-        const auto verdict = options_.fault->OnWrite(offset, buf.size());
-        using Kind = StorageFaultInjector::WriteVerdict::Kind;
-        if (verdict.kind == Kind::kError) {
-          return Status::DataLoss(std::string("WAL batch write: ") +
-                                  std::strerror(verdict.error));
-        }
-        if (verdict.kind == Kind::kShort) {
-          std::size_t written = 0;
-          (void)PWriteAll(fd_, buf.data(), verdict.allowed, offset, &written);
-          if (options_.fault->crashed()) {
-            poisoned_.store(true, std::memory_order_release);
-            file_bytes_ = offset + written;
-            return Status::DataLoss("WAL batch write: simulated crash after " +
-                                    std::to_string(written) + " bytes");
-          }
-          if (::ftruncate(fd_, static_cast<off_t>(offset)) != 0) {
-            poisoned_.store(true, std::memory_order_release);
-            return Status::DataLoss(
-                std::string("WAL batch short write; repair failed: ") +
-                std::strerror(errno));
-          }
-          // The whole batch is rolled back; its reserved LSNs become a
-          // gap, which replay tolerates (it only requires ascending
-          // LSNs, not dense ones).
-          return Status::DataLoss(std::string("WAL batch short write: ") +
-                                  std::strerror(verdict.error));
-        }
-        to_write = buf.size();
-      }
-      std::size_t written = 0;
-      const int err = PWriteAll(fd_, buf.data(), to_write, offset, &written);
-      if (err != 0) {
-        if (::ftruncate(fd_, static_cast<off_t>(offset)) != 0) {
-          poisoned_.store(true, std::memory_order_release);
-          return Status::DataLoss(
-              std::string("WAL batch write failed; repair failed: ") +
-              std::strerror(errno));
-        }
-        return Status::DataLoss(std::string("WAL batch write: ") +
-                                std::strerror(err));
-      }
-      file_bytes_ = offset + buf.size();
-      if (max_lsn > last_lsn_) last_lsn_ = max_lsn;
-      if (file_bytes_ > options_.recycle_bytes) {
-        // Defer the checkpoint: the snapshot writer takes table locks,
-        // which must not happen while committers are parked behind this
-        // leader (see CheckpointIfPending).
-        checkpoint_pending_.store(true, std::memory_order_release);
-      }
-    } else {
-      // Legacy cost model: recycle by seeking home, then stream the
-      // batch through the same ::write path as the per-txn mode so the
-      // kernel file offset stays in step with file_bytes_.
-      if (file_bytes_ > options_.recycle_bytes) {
-        if (::lseek(fd_, 0, SEEK_SET) == 0) file_bytes_ = 0;
-      }
-      const char* p = buf.data();
-      std::size_t n = buf.size();
-      if (options_.fault) {
-        const auto verdict = options_.fault->OnWrite(file_bytes_, n);
-        using Kind = StorageFaultInjector::WriteVerdict::Kind;
-        if (verdict.kind != Kind::kOk) {
-          if (verdict.kind == Kind::kShort) {
-            ssize_t w = ::write(fd_, p, verdict.allowed);
-            if (w > 0) file_bytes_ += static_cast<uint64_t>(w);
-            if (options_.fault->crashed()) {
-              poisoned_.store(true, std::memory_order_release);
-            }
-          }
-          return Status::DataLoss(std::string("WAL batch write: ") +
-                                  std::strerror(verdict.error));
-        }
-      }
-      while (n > 0) {
-        ssize_t w = ::write(fd_, p, n);
-        if (w < 0) {
-          if (errno == EINTR) continue;
-          return Status::DataLoss(std::string("WAL batch write: ") +
-                                  std::strerror(errno));
-        }
-        p += w;
-        n -= static_cast<std::size_t>(w);
-        file_bytes_ += static_cast<uint64_t>(w);
-      }
+  if (!buf.empty()) {
+    // A scratch log wraps by rewinding: the batch after the one that
+    // crossed the threshold overwrites from offset 0.
+    if (!options_.recovery && file_bytes_ > options_.recycle_bytes) {
+      file_bytes_ = 0;
+    }
+    // One contiguous append for the whole batch; the fault injector
+    // sees it as a single write, so an injected cut can land inside any
+    // member frame (recovery then replays the whole-frame prefix).
+    Status s = AppendLocked(buf);
+    if (!s.ok()) return s;
+    last_lsn_ = std::max(last_lsn_, max_lsn);
+    if (options_.recovery && file_bytes_ > options_.recycle_bytes) {
+      // Defer the checkpoint: the snapshot writer takes table locks,
+      // which must not happen while committers are parked behind this
+      // leader (see CheckpointIfPending).
+      checkpoint_pending_.store(true, std::memory_order_release);
     }
   }
   if (durable) {
-    if (fd_ >= 0) {
-      Status s = SyncLocked();
-      if (!s.ok()) return s;
-    } else {
-      syncs_.fetch_add(1, std::memory_order_relaxed);
-    }
-    // ONE modeled-disk penalty per sync — the whole point of group
-    // commit. The max of the members' penalties, as the slowest
-    // modeled device bounds the batch.
+    Status s = SyncLocked();
+    if (!s.ok()) return s;
+    // ONE modeled-disk penalty per sync: the max of the members'
+    // penalties, as the slowest modeled device bounds the batch.
     if (penalty.count() > 0) {
       std::this_thread::sleep_for(penalty);
       penalty_us_charged_.fetch_add(static_cast<uint64_t>(penalty.count()),
@@ -543,89 +448,6 @@ Status Wal::WriteGroupBatch(const std::vector<WalGroupWaiter*>& batch) {
   return Status::Ok();
 }
 
-Status Wal::CommitSync(std::string_view payload, bool durable,
-                       std::chrono::microseconds penalty) {
-  commits_.fetch_add(1, std::memory_order_relaxed);
-  bytes_logged_.fetch_add(payload.size(), std::memory_order_relaxed);
-
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  if (poisoned_.load(std::memory_order_acquire)) {
-    return Status::DataLoss("WAL is poisoned after an earlier sync/write "
-                            "failure; restart and recover");
-  }
-  if (fd_ >= 0 && !payload.empty()) {
-    if (options_.recovery) {
-      Status s = WriteFrameLocked(kWalFrameTxn, last_lsn_ + 1, payload);
-      if (!s.ok()) return s;
-      ++last_lsn_;
-      if (lsn_reserve_.load(std::memory_order_relaxed) < last_lsn_) {
-        lsn_reserve_.store(last_lsn_, std::memory_order_relaxed);
-      }
-      // Checkpoint AFTER appending this frame, never before: the engine
-      // applies a transaction's mutations to the tables before it
-      // commits here, so the snapshot below already contains this
-      // transaction's effects. Taking it after the append makes the
-      // sidecar LSN include this frame — replay skips it and nothing is
-      // applied twice. (A pre-append checkpoint would capture the
-      // effects under an LSN that excludes them: double-apply on
-      // recovery.)
-      if (file_bytes_ > options_.recycle_bytes) {
-        s = CheckpointLocked(last_lsn_);
-        if (!s.ok()) return s;
-      }
-    } else {
-      if (file_bytes_ > options_.recycle_bytes) {
-        if (::lseek(fd_, 0, SEEK_SET) == 0) file_bytes_ = 0;
-      }
-      const char* p = payload.data();
-      std::size_t n = payload.size();
-      if (options_.fault) {
-        const auto verdict = options_.fault->OnWrite(file_bytes_, n);
-        using Kind = StorageFaultInjector::WriteVerdict::Kind;
-        if (verdict.kind != Kind::kOk) {
-          if (verdict.kind == Kind::kShort) {
-            ssize_t w = ::write(fd_, p, verdict.allowed);
-            if (w > 0) file_bytes_ += static_cast<uint64_t>(w);
-            if (options_.fault->crashed()) {
-              poisoned_.store(true, std::memory_order_release);
-            }
-          }
-          return Status::DataLoss(std::string("WAL write: ") +
-                                  std::strerror(verdict.error));
-        }
-      }
-      while (n > 0) {
-        ssize_t w = ::write(fd_, p, n);
-        if (w < 0) {
-          if (errno == EINTR) continue;
-          return Status::DataLoss(std::string("WAL write: ") +
-                                  std::strerror(errno));
-        }
-        p += w;
-        n -= static_cast<std::size_t>(w);
-        file_bytes_ += static_cast<uint64_t>(w);
-      }
-    }
-  }
-  if (durable) {
-    if (fd_ >= 0) {
-      Status s = SyncLocked();
-      if (!s.ok()) return s;
-    } else {
-      syncs_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (penalty.count() > 0) {
-      std::this_thread::sleep_for(penalty);
-      penalty_us_charged_.fetch_add(static_cast<uint64_t>(penalty.count()),
-                                    std::memory_order_relaxed);
-    }
-    // Stage stamp on the ambient request span: everything since the
-    // db_txn stamp (taken before this commit) was spent syncing.
-    rlscommon::StampHop("wal_sync");
-  }
-  return Status::Ok();
-}
-
 Status Wal::Recover(
     uint64_t base_lsn,
     const std::function<Status(uint64_t lsn, std::string_view payload)>& apply,
@@ -634,6 +456,7 @@ Status Wal::Recover(
   if (!options_.recovery) {
     return Status::Unsupported("WAL recovery requires the recovery profile");
   }
+  if (poisoned_.load(std::memory_order_acquire)) return PoisonedError();
   std::lock_guard<std::mutex> lock(commit_mu_);
   result->last_lsn = base_lsn;
   if (fd_ < 0) return Status::Ok();

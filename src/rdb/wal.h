@@ -8,66 +8,57 @@
 // "loose consistency ... at some risk of database corruption" mode the
 // paper recommends enabling for RLS deployments (§5.1).
 //
-// The log runs in one of two modes:
+// Every commit is one self-describing frame:
 //
-//   * Legacy (default): a cost-and-bytes model that makes the
-//     flush-enabled/disabled experiments honest. The file is truncated
-//     on open, recycled by seeking back to 0 past the threshold, and
-//     unlinked on close. No recovery — this is the profile the paper's
-//     Fig. 4 flush curves reproduce against.
+//   u32 crc32c   over everything after this field
+//   u64 lsn      monotonic, 1-based
+//   u8  type     1 = transaction, 2 = checkpoint
+//   u32 len      payload length
+//   payload      logical record stream (rdb/wal_record.h)
 //
-//   * Recovery (WalOptions::recovery): a real recovery log. Every commit
-//     becomes a self-describing frame —
+// WalOptions::recovery decides only how long the file lives:
 //
-//       u32 crc32c   over everything after this field
-//       u64 lsn      monotonic, 1-based
-//       u8  type     1 = transaction, 2 = checkpoint
-//       u32 len      payload length
-//       payload      logical record stream (rdb/wal_record.h)
+//   * Persistent (recovery = true): kept on close and replayed by
+//     Recover(), which verifies checksums, truncates the first
+//     torn/corrupt frame and everything after it, and hands committed
+//     payloads to the caller in LSN order. A batch that pushes the file
+//     past the recycle threshold marks a checkpoint pending;
+//     CheckpointIfPending then snapshots the tables into a sidecar
+//     (path + ".ckpt": tmp + fsync + rename + directory fsync),
+//     truncates the log and writes a checkpoint frame carrying the
+//     covered LSN, so replay cost stays bounded.
 //
-//     The file persists across close/reopen. When a commit pushes the
-//     file past the recycle threshold, the Wal (after appending that
-//     commit's frame — the engine applies mutations before logging, so
-//     the snapshot must include the frame's LSN) invokes the checkpoint
-//     writer (Database serializes a snapshot of all live rows),
-//     persists it atomically to a sidecar file (path + ".ckpt": tmp +
-//     fsync + rename), truncates the log to zero and writes a
-//     checkpoint frame carrying the pre-wrap LSN — so replay cost stays
-//     bounded and `file_bytes()` agrees with replay across the wrap. Recover() scans the log, verifies checksums,
-//     truncates the first torn/corrupt frame and everything after it,
-//     and hands committed payloads to the caller in LSN order.
+//   * Scratch (recovery = false): truncated on open, rewound to offset
+//     0 by the batch after the one that crosses the threshold, and
+//     unlinked on close. The fig benches need this lifetime: real
+//     fdatasync costs and no files left behind.
 //
-// Commit scheduling also has two modes:
+// One commit path, leader/follower group commit: committers enqueue
+// their frames under the group lock (reserving LSNs in queue order) and
+// park on a condition variable. The first parked committer becomes the
+// leader: it drains up to group_max_commits of the queue, issues ONE
+// contiguous append for the whole batch, pays ONE fdatasync and ONE
+// modeled-disk penalty (the max of the batch members'), then wakes the
+// group with a shared status. A cap of one is the paper's per-commit
+// flush: every durable commit pays its own sync and full penalty, so
+// the flush-enabled add rate stays flat as threads are added (Fig. 4).
+// Larger caps let durable throughput scale with the number of
+// concurrent committers. `group_max_wait` > 0 lets a leader linger for
+// the batch to fill at low load. The split CommitBegin/CommitFinish API
+// lets a caller reserve its LSN while holding its own ordering lock and
+// park for the sync after releasing it.
 //
-//   * Per-transaction flush (default): concurrent commits serialize on
-//     the commit lock and each durable commit pays its own sync plus
-//     the full modeled penalty — reproducing the flat
-//     add-rate-vs-threads curve of the paper's Fig. 4.
-//
-//   * Group commit (WalOptions::group_commit): committers enqueue their
-//     pre-framed payloads under the group lock (reserving LSNs in
-//     queue order) and park on a condition variable. The first parked
-//     committer becomes the leader: it drains up to group_max_commits /
-//     group_max_bytes of the queue, issues ONE contiguous append for
-//     the whole batch, pays ONE fdatasync and ONE modeled-disk penalty
-//     (the max of the batch members'), then wakes the group with a
-//     shared status. Durable throughput then scales with the number of
-//     concurrent committers instead of pinning at 1/sync-latency.
-//     `group_max_wait` > 0 lets a leader linger for the batch to fill
-//     at low load (latency floor traded for bigger groups). The split
-//     CommitBegin/CommitFinish API additionally lets a caller reserve
-//     its LSN while holding its own ordering lock and park for the
-//     group sync after releasing it.
-//
-// Failure policy (both modes): a write error or injected short write is
-// a typed non-retryable DATA_LOSS error; in recovery mode the partially
-// written frame (or batch) is truncated away so the log stays
-// consistent. A failed fdatasync poisons the log permanently — after
-// fsync fails, the kernel may already have dropped the dirty pages, so
-// retrying the sync would silently report durability that does not
-// exist (the "fsyncgate" semantics); every later Commit fails fast with
-// DATA_LOSS. A failed group sync poisons once and fails every parked
-// committer of that batch with DATA_LOSS.
+// Failure policy: a write error or an injected short write is a typed
+// non-retryable DATA_LOSS error; the partially written batch is
+// truncated away so the log stays a clean prefix of committed frames
+// (an injected power cut leaves the torn bytes for recovery to find
+// and poisons the log). A failed fdatasync poisons the log
+// permanently — after fsync fails, the kernel may already have dropped
+// the dirty pages, so retrying the sync would silently report
+// durability that does not exist (the "fsyncgate" semantics); every
+// later Commit fails fast with DATA_LOSS, as does every member of the
+// batch whose sync failed. An unopenable path poisons the log the same
+// way, so nothing is acknowledged that no file holds.
 #pragma once
 
 #include <atomic>
@@ -87,32 +78,28 @@
 
 namespace rdb {
 
-/// WAL frame types (recovery mode).
+/// WAL frame types.
 inline constexpr uint8_t kWalFrameTxn = 1;
 inline constexpr uint8_t kWalFrameCheckpoint = 2;
 
 /// Frame header bytes: crc(4) + lsn(8) + type(1) + len(4).
 inline constexpr std::size_t kWalFrameHeaderBytes = 17;
 
-/// One parked group committer (owned by its CommitTicket; queued by
-/// pointer). Defined in wal.cpp.
+/// One parked committer (owned by its CommitTicket; queued by pointer).
+/// Defined in wal.cpp.
 struct WalGroupWaiter;
 
 /// Construction-time options beyond the path.
 struct WalOptions {
   uint64_t recycle_bytes = 256ull << 20;
-  /// True = framed, persistent, replayable log; false = legacy
-  /// cost-and-bytes model.
+  /// True = persistent log (kept on close, replayed, checkpointed);
+  /// false = scratch log (truncated on open, rewound, unlinked on close).
   bool recovery = false;
   /// Optional fault injector consulted before log writes and syncs.
   StorageFaultInjector* fault = nullptr;
-  /// True = leader/follower group commit (one sync per batch); false =
-  /// per-transaction flush matching the paper's Fig. 4 cost model.
-  bool group_commit = false;
-  /// Most commits a leader drains into one batch.
+  /// Most commits a leader drains into one batch; 1 = the paper's
+  /// per-commit flush (one sync and one full penalty per commit).
   std::size_t group_max_commits = 64;
-  /// Byte cap on a batch (the first frame always fits).
-  std::size_t group_max_bytes = 1u << 20;
   /// >0 = a leader lingers up to this long waiting for the batch to
   /// fill before syncing (low-load latency floor for bigger groups).
   std::chrono::microseconds group_max_wait{0};
@@ -121,9 +108,9 @@ struct WalOptions {
 /// Metric hooks fired by the Wal. Plain std::function so rdb keeps no
 /// dependency on the obs registry; unset members are skipped.
 struct WalObserver {
-  /// One call per group batch written: member count + batch bytes.
+  /// One call per batch written: member count + batch bytes.
   std::function<void(uint64_t frames, uint64_t bytes)> group_commit;
-  /// One call per group committer as it unparks: wall time spent
+  /// One call per parked committer as it unparks: wall time spent
   /// waiting for the leader's write+sync, plus the committer's ambient
   /// trace id (0 = none) for exemplars.
   std::function<void(uint64_t wait_us, uint64_t trace_id)> sync_wait;
@@ -140,15 +127,14 @@ struct WalRecoverResult {
 
 class Wal {
  public:
-  /// Default recycle threshold: the log wraps (legacy) or checkpoints
-  /// (recovery) rather than growing without bound.
+  /// Default recycle threshold: the log rewinds (scratch) or
+  /// checkpoints (persistent) rather than growing without bound.
   static constexpr uint64_t kRecycleBytes = 256ull << 20;
 
   /// A commit split into its enqueue and wait halves. Begin reserves
-  /// the LSN and enqueues (group mode) or performs the whole commit
-  /// synchronously (per-txn mode); Finish parks for the group result.
-  /// The destructor waits out a still-pending group commit so the
-  /// queued waiter can never dangle.
+  /// the LSN and enqueues; Finish parks for the batch result. The
+  /// destructor waits out a still-pending commit so the queued waiter
+  /// can never dangle.
   class CommitTicket {
    public:
     CommitTicket();  // out of line: WalGroupWaiter is incomplete here
@@ -156,7 +142,7 @@ class Wal {
     CommitTicket(const CommitTicket&) = delete;
     CommitTicket& operator=(const CommitTicket&) = delete;
 
-    /// True between a successful group CommitBegin and CommitFinish.
+    /// True between a successful CommitBegin and CommitFinish.
     bool pending() const { return pending_; }
 
    private:
@@ -168,30 +154,26 @@ class Wal {
   };
 
   /// `path` empty = account bytes but keep no file (in-memory database).
-  /// `recycle_bytes` overrides the wrap threshold (tests use tiny
-  /// values to exercise the boundary without writing 256 MB).
-  explicit Wal(std::string path, uint64_t recycle_bytes = kRecycleBytes);
-  Wal(std::string path, WalOptions options);
+  /// A path that cannot be opened poisons the log.
+  explicit Wal(std::string path, WalOptions options = {});
   ~Wal();
 
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
   /// Writes one transaction's records. When `durable`, the write is
-  /// synced — one sync per commit in per-txn mode, one per batch in
-  /// group mode — and the modeled disk `penalty` is charged (per
-  /// commit, or once per batch) before returning. Thread-safe.
-  /// Fails with DATA_LOSS on a storage error; permanently after a
-  /// failed sync (see the failure policy above).
+  /// synced and the modeled disk `penalty` is charged, once per batch,
+  /// before returning. Thread-safe. Fails with DATA_LOSS on a storage
+  /// error; permanently after a failed sync (see the failure policy
+  /// above).
   rlscommon::Status Commit(std::string_view payload, bool durable,
                            std::chrono::microseconds penalty);
 
-  /// First half of Commit: in group mode, reserves the commit's LSN and
-  /// enqueues the framed payload without blocking on any disk I/O (the
-  /// caller may still hold its own ordering lock); in per-txn mode,
-  /// performs the entire commit synchronously. The returned status is
-  /// the enqueue verdict — the commit's final status comes from
-  /// CommitFinish. `ticket` must outlive the matching CommitFinish.
+  /// First half of Commit: reserves the commit's LSN and enqueues the
+  /// frame without blocking on any disk I/O (the caller may still hold
+  /// its own ordering lock). The returned status is the enqueue verdict
+  /// — the commit's final status comes from CommitFinish. `ticket` must
+  /// outlive the matching CommitFinish.
   rlscommon::Status CommitBegin(std::string_view payload, bool durable,
                                 std::chrono::microseconds penalty,
                                 CommitTicket* ticket);
@@ -202,7 +184,7 @@ class Wal {
   /// same failure). Idempotent.
   rlscommon::Status CommitFinish(CommitTicket* ticket);
 
-  /// Recovery-mode scan: verifies every frame's checksum, truncates the
+  /// Persistent-log scan: verifies every frame's checksum, truncates the
   /// log at the first torn or corrupt frame, and calls `apply` for each
   /// committed transaction payload with LSN > `base_lsn` (the snapshot
   /// LSN), in order. Leaves the write position at the end of the last
@@ -220,10 +202,10 @@ class Wal {
   rlscommon::Status ReadCheckpointSidecar(std::string* payload, uint64_t* lsn,
                                           bool* present) const;
 
-  /// Installs the snapshot producer invoked at recycle-wrap (recovery
-  /// mode). Returns the serialized table snapshot; `snapshot_rows`
-  /// receives the row count for metrics. Called under the commit lock
-  /// with no table locks held, so the writer may take them.
+  /// Installs the snapshot producer a checkpoint invokes. Returns the
+  /// serialized table snapshot; `snapshot_rows` receives the row count
+  /// for metrics. Called under the commit lock with no table locks
+  /// held, so the writer may take them.
   void SetCheckpointWriter(
       std::function<std::string(uint64_t* snapshot_rows)> writer) {
     checkpoint_writer_ = std::move(writer);
@@ -233,21 +215,16 @@ class Wal {
   /// observer. Call while no commits are in flight.
   void SetObserver(WalObserver observer);
 
-  /// Runtime toggle between per-txn flush and group commit. Call only
-  /// while no commits are in flight (benches flip it between phases).
-  void SetGroupCommit(bool enabled);
-  bool group_commit_enabled() const {
-    return group_on_.load(std::memory_order_relaxed);
-  }
-
-  /// Group mode defers the checkpoint-at-wrap (a leader must not take
-  /// table locks while committers are parked behind it): the batch that
-  /// crosses the recycle threshold only marks the checkpoint pending,
-  /// and the engine calls this from a context where no transaction is
+  /// The one place a persistent log checkpoints. The batch that crosses
+  /// the recycle threshold only marks the checkpoint pending (a leader
+  /// must not take table locks while committers are parked behind it);
+  /// the engine calls this from a context where no transaction is
   /// between applying its mutations and reserving its LSN
   /// (Database::MaybeCheckpoint holds the txn gate exclusively). The
   /// checkpoint LSN is then the highest *reserved* LSN, so queued
-  /// frames that land after the wrap replay as no-ops.
+  /// frames that land after the wrap replay as no-ops. A failed sidecar
+  /// write or sync aborts the wrap with DATA_LOSS and leaves the log
+  /// untouched; the next batch past the threshold retries.
   rlscommon::Status CheckpointIfPending();
   bool checkpoint_pending() const {
     return checkpoint_pending_.load(std::memory_order_acquire);
@@ -259,48 +236,49 @@ class Wal {
   uint64_t checkpoints() const { return checkpoints_.load(std::memory_order_relaxed); }
   uint64_t torn_tail_bytes() const { return torn_tail_bytes_.load(std::memory_order_relaxed); }
   uint64_t checksum_failures() const { return checksum_failures_.load(std::memory_order_relaxed); }
-  /// Batches written by group-commit leaders (one write+sync each).
+  /// Batches written by leaders (one write+sync each).
   uint64_t group_commits() const { return group_commits_.load(std::memory_order_relaxed); }
-  /// Total modeled-disk penalty charged, in microseconds. Per-txn mode
-  /// charges each durable commit; group mode charges once per sync (the
-  /// max of the batch members' penalties) — the cost-model invariant
-  /// the penalty unit tests pin.
+  /// Total modeled-disk penalty charged, in microseconds: once per sync,
+  /// the max of the batch members' penalties — so with a cap of one,
+  /// every durable commit's full penalty (the cost-model invariant the
+  /// penalty unit tests pin).
   uint64_t penalty_us_charged() const { return penalty_us_charged_.load(std::memory_order_relaxed); }
   const std::string& path() const { return path_; }
-  bool recovery_enabled() const { return options_.recovery; }
+  /// Batch cap; 1 = per-commit flush, >1 = group commit.
+  std::size_t group_max_commits() const { return options_.group_max_commits; }
 
-  /// True once a storage failure made the log unusable (failed sync, or
-  /// an unrepairable write error). All further commits fail DATA_LOSS.
+  /// True once a storage failure made the log unusable (unopenable
+  /// path, failed sync, or an unrepairable write error). All further
+  /// commits fail DATA_LOSS.
   bool poisoned() const { return poisoned_.load(std::memory_order_acquire); }
 
   /// Current write offset in the file (post-wrap position). Bounded by
-  /// recycle_bytes + the largest single commit (or batch).
+  /// recycle_bytes + the largest single batch.
   uint64_t file_bytes() const;
 
-  /// Highest LSN assigned to a frame on disk (recovery mode).
+  /// Highest LSN assigned to a frame on disk.
   uint64_t last_lsn() const;
 
   uint64_t recycle_bytes() const { return options_.recycle_bytes; }
 
  private:
-  /// The per-txn (non-group) commit path: write + sync + penalty under
-  /// the commit lock, exactly the paper's serialized cost model.
-  rlscommon::Status CommitSync(std::string_view payload, bool durable,
-                               std::chrono::microseconds penalty);
   /// Leader loop: drains batches until `own` is done. Called with
   /// group_mu_ held (released around the batch I/O).
   void LeadLocked(std::unique_lock<std::mutex>& lk, WalGroupWaiter* own);
   /// Writes one drained batch: single contiguous append, one sync, one
   /// penalty. Returns the shared status for every batch member.
-  rlscommon::Status WriteGroupBatch(const std::vector<WalGroupWaiter*>& batch);
-  /// Appends one frame at file_bytes_ (recovery mode, lock held).
-  rlscommon::Status WriteFrameLocked(uint8_t type, uint64_t lsn,
-                                     std::string_view payload);
-  /// fdatasync with fail-stop semantics (lock held).
+  rlscommon::Status WriteBatch(const std::vector<WalGroupWaiter*>& batch);
+  /// The one append routine: writes `bytes` at file_bytes_ under the
+  /// storage-fault policy (injected error, short write with truncate
+  /// repair, simulated crash, real write error). Lock held.
+  rlscommon::Status AppendLocked(std::string_view bytes);
+  /// fdatasync of the log with fail-stop semantics (lock held).
   rlscommon::Status SyncLocked();
-  /// Snapshot + sidecar + truncate + checkpoint frame (lock held).
-  /// `ckpt_lsn` is the LSN the sidecar covers: last_lsn_ inline
-  /// (per-txn mode), the highest reserved LSN when deferred.
+  /// fsync (or fdatasync) behind the fault injector's sync verdict.
+  /// Returns 0 or an errno.
+  int SyncFile(int fd, bool data_only) const;
+  /// Snapshot + durable sidecar + truncate + checkpoint frame (lock
+  /// held). `ckpt_lsn` is the highest reserved LSN.
   rlscommon::Status CheckpointLocked(uint64_t ckpt_lsn);
 
   std::string path_;
@@ -321,9 +299,8 @@ class Wal {
   uint64_t last_lsn_ = 0;    // guarded by commit_mu_
   std::function<std::string(uint64_t*)> checkpoint_writer_;
 
-  // Group-commit state. Lock order: group_mu_ and commit_mu_ are never
+  // Commit-queue state. Lock order: group_mu_ and commit_mu_ are never
   // held together (the leader releases group_mu_ around the batch I/O).
-  std::atomic<bool> group_on_{false};
   mutable std::mutex group_mu_;
   std::condition_variable group_cv_;
   std::deque<WalGroupWaiter*> queue_;  // guarded by group_mu_

@@ -41,9 +41,8 @@ struct WalRecord {
 };
 
 /// Appenders used by the SQL executor while a transaction buffers its
-/// mutations. The same byte stream serves the legacy bytes-only WAL
-/// profile (where it is opaque cost accounting) and the recovery profile
-/// (where Recover replays it).
+/// mutations. The byte stream is the payload of a WAL transaction frame;
+/// a persistent log's Recover replays it, a scratch log only carries it.
 void AppendInsertRecord(const std::string& table, const Row& row,
                         std::string* out);
 void AppendUpdateRecord(const std::string& table, const Row& old_row,

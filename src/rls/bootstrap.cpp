@@ -152,8 +152,8 @@ Status EnsureDatabases(const RlsServerConfig& config, dbapi::Environment& env,
       wal = wal_dir + "/" + file + ".wal";
     }
     if (!custom_profile) return env.CreateDatabase(dsn, wal);
-    // Custom WAL profile: crash-safe framed log (wal_recovery) and/or
-    // group commit.
+    // Custom WAL profile: persistent log (wal_recovery) and/or group
+    // commit.
     rdb::BackendKind kind;
     std::string name;
     Status s = dbapi::ParseDsn(dsn, &kind, &name);
@@ -170,7 +170,7 @@ Status EnsureDatabases(const RlsServerConfig& config, dbapi::Environment& env,
   Status s = ensure(config.lrc.enabled ? config.lrc.dsn : "",
                     config.lrc.wal_recovery || config.lrc.wal_group_commit);
   if (!s.ok()) return s;
-  // RLI relational state is soft state (rebuilt by LRC updates): legacy
+  // RLI relational state is soft state (rebuilt by LRC updates): scratch
   // WAL profile always.
   return ensure(config.rli.enabled ? config.rli.dsn : "", false);
 }

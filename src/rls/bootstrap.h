@@ -12,9 +12,9 @@
 //   lrc_server         true|false
 //   rli_server         true|false
 //   lrc_dsn            mysql://lrc0              (required with lrc_server)
-//   wal_recovery       true|false  (crash-safe LRC WAL: checksummed
-//                      frames + open-time replay; default false = legacy
-//                      bytes-only flush model)
+//   wal_recovery       true|false  (crash-safe LRC WAL: the log persists
+//                      and replays at open; default false = scratch log
+//                      unlinked on close)
 //   rli_dsn            mysql://rli0              (empty = Bloom-only RLI)
 //   rli_bloomfilter    true|false                (accept Bloom updates)
 //   rli_timeout_s      N                         (soft-state timeout)

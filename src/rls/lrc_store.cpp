@@ -24,11 +24,9 @@ Status WithTxn(Connection& conn, const std::function<Status()>& body) {
 
 /// WithTxn with a split commit: the WAL slot is reserved (fixing replay
 /// order) while `write_lock` is still held, then the lock drops before
-/// parking for the — possibly group — sync, so concurrent writers can
-/// share one fdatasync. `on_logged` fires under the lock once the
-/// transaction is in the log's commit order (soft-state events stay
-/// ordered); in per-txn-flush mode the commit is already complete and
-/// durable at that point.
+/// parking for the batch sync, so concurrent writers can share one
+/// fdatasync. `on_logged` fires under the lock once the transaction is
+/// in the log's commit order (soft-state events stay ordered).
 Status WithTxnDeferred(Connection& conn, std::unique_lock<std::mutex>& write_lock,
                        const std::function<Status()>& body,
                        const std::function<void()>& on_logged) {

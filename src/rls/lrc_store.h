@@ -43,7 +43,7 @@ class LrcStore {
 
   // --- batched mapping management ---
   /// Applies the whole batch in ONE multi-row WAL transaction: one log
-  /// append and one (possibly group) sync instead of a commit per item —
+  /// append and one (possibly shared) sync instead of a commit per item —
   /// the paper's bulk-operation path (§3.3, Fig. 11). A failed item rolls
   /// back to its savepoint and is reported in `result->failures`; the
   /// surviving items commit together. A non-OK return means the batch's

@@ -366,7 +366,7 @@ struct TargetStatus {
 /// Full introspection snapshot: vitals + per-target freshness + every
 /// registry instrument.
 /// What open-time WAL replay did on the server's LRC database. All-zero
-/// with enabled=0 when the server runs the legacy bytes-only WAL profile.
+/// with enabled=0 when the server's LRC log is a scratch log.
 struct WalRecoveryStatus {
   uint8_t enabled = 0;           // crash-safe WAL profile active
   uint64_t recovered_txns = 0;   // committed transactions replayed at open
@@ -379,7 +379,7 @@ struct WalRecoveryStatus {
   // Commit-scheduling vitals (live, not replay): with group commit on,
   // syncs stays far below commits — the batching the durability-ceiling
   // experiment measures.
-  uint8_t group_commit = 0;      // leader/follower group commit active
+  uint8_t group_commit = 0;      // WAL batch cap above one (group commit)
   uint64_t commits = 0;          // transactions committed since open
   uint64_t syncs = 0;            // fdatasyncs issued
   uint64_t group_commits = 0;    // batches written by group leaders

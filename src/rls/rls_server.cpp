@@ -61,12 +61,6 @@ Status RlsServer::Start() {
     });
     if (lrc_store_->database()) {
       rdb::Database* db = lrc_store_->database();
-      if (config_.lrc.wal_group_commit) {
-        // Config-driven enable (profile-driven databases arrive with it
-        // already on; SetGroupCommit is idempotent). Recovery has run,
-        // so no commits are in flight yet.
-        db->SetGroupCommit(true);
-      }
       // WAL commit-scheduling instruments: batch-size distribution,
       // time a committer spends parked for its group's sync (exemplar =
       // slowest waiter's trace, the `wal_sync` stage in its breakdown),
@@ -296,7 +290,7 @@ GetStatsResponse RlsServer::GetStatsSnapshot() const {
         rec.checksum_failures + db->wal().checksum_failures();
     resp.wal.last_lsn = db->wal().last_lsn();
     resp.wal.recover_micros = rec.recover_micros;
-    resp.wal.group_commit = db->wal().group_commit_enabled() ? 1 : 0;
+    resp.wal.group_commit = db->wal().group_max_commits() > 1 ? 1 : 0;
     resp.wal.commits = db->wal().commits();
     resp.wal.syncs = db->wal().syncs();
     resp.wal.group_commits = db->wal().group_commits();

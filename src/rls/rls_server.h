@@ -54,9 +54,12 @@ struct LrcRoleConfig {
   bool enabled = false;
   std::string dsn;
   UpdateConfig update;
-  /// Crash-safe WAL profile for the LRC database: framed checksummed
-  /// records, checkpoint-at-wrap, open-time replay (config key
-  /// `wal_recovery`). Off = the legacy bytes-only flush model.
+  // The wal_* fields are EnsureDatabases' input: it builds the LRC
+  // database's BackendProfile from them. The server itself reads the
+  // WAL settings from the database it is given.
+  /// Persistent, replayed WAL for the LRC database: checkpoint-at-wrap
+  /// and open-time replay (config key `wal_recovery`). Off = a scratch
+  /// log that is unlinked on close.
   bool wal_recovery = false;
   /// WAL group commit (config key `wal_group_commit`): concurrent
   /// committers share one fdatasync + one modeled-disk penalty per

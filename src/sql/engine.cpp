@@ -297,8 +297,9 @@ Status Engine::Execute(const Statement& stmt, const std::vector<Value>& params,
   *result = ResultSet{};
   // Recovery profiles: hold the txn gate shared across the window
   // between applying a mutation to the tables and reserving its WAL
-  // LSN, so a deferred checkpoint (group-commit wrap) can wait out that
-  // window and never snapshot effects its LSN stamp would replay again.
+  // LSN (or rolling back), so a checkpoint can wait out that window and
+  // never snapshot uncommitted rows or effects its LSN stamp would
+  // replay again.
   const bool mutating = std::holds_alternative<InsertStmt>(stmt) ||
                         std::holds_alternative<UpdateStmt>(stmt) ||
                         std::holds_alternative<DeleteStmt>(stmt);
@@ -826,7 +827,7 @@ Status Engine::CommitWalBegin(Session* session,
                               rdb::Wal::CommitTicket* ticket) {
   // Stage stamp on the ambient request span: time up to here was the
   // transaction's parse/plan/execute work; the WAL commit stamps
-  // wal_sync once its group (or its own sync) completes.
+  // wal_sync once its batch's sync completes.
   rlscommon::StampHop("db_txn");
   const rdb::BackendProfile& profile = db_->profile();
   Status s = db_->wal().CommitBegin(session->wal_buffer_,
@@ -849,8 +850,8 @@ Status Engine::CommitBegin(Session* session, rdb::Wal::CommitTicket* ticket) {
 
 Status Engine::CommitWait(rdb::Wal::CommitTicket* ticket) {
   Status s = db_->wal().CommitFinish(ticket);
-  // A group-commit batch that crossed the recycle threshold deferred
-  // its checkpoint; run it now that this thread holds no locks.
+  // A batch that crossed the recycle threshold left its checkpoint
+  // pending; run it now that this thread holds no locks.
   Status ckpt = db_->MaybeCheckpoint();
   return s.ok() ? ckpt : s;
 }

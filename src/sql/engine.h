@@ -49,15 +49,16 @@ class Engine {
   rdb::Database* database() { return db_; }
 
   /// First half of COMMIT, split so a caller can release its own
-  /// ordering lock before parking for the group sync: closes the open
-  /// transaction, hands the WAL buffer to the log (group mode: reserves
-  /// the LSN and enqueues without blocking on disk) and releases the
-  /// txn gate. Complete with CommitWait.
+  /// ordering lock before parking for the batch sync: closes the open
+  /// transaction, hands the WAL buffer to the log (reserves the LSN and
+  /// enqueues without blocking on disk) and releases the txn gate.
+  /// Complete with CommitWait.
   rlscommon::Status CommitBegin(Session* session,
                                 rdb::Wal::CommitTicket* ticket);
 
   /// Second half of COMMIT: parks until the ticket's batch is synced,
-  /// then runs any checkpoint a group-commit wrap deferred.
+  /// then runs any checkpoint a batch past the recycle threshold left
+  /// pending.
   rlscommon::Status CommitWait(rdb::Wal::CommitTicket* ticket);
 
   /// Marks the current position of the open transaction (batched write

@@ -145,7 +145,7 @@ TEST(TopologyTest, StartsWholeDeploymentFromOneFile) {
       "server.lrc1.lrc_dsn mysql://topo_lrc1\n"
       "server.lrc1.update_mode full\n"
       "server.lrc1.update_rli rls://topo-rli0\n");
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   std::unique_ptr<Topology> topology;
   ASSERT_TRUE(Topology::Create(config, &network, &env, &topology).ok());
@@ -167,7 +167,7 @@ TEST(TopologyTest, StartsWholeDeploymentFromOneFile) {
 }
 
 TEST(TopologyTest, RejectsMissingServerList) {
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   std::unique_ptr<Topology> topology;
   EXPECT_FALSE(
@@ -182,7 +182,7 @@ TEST(TopologyTest, BrokenMemberFailsWholeTopology) {
       "server.good.lrc_server true\n"
       "server.good.lrc_dsn mysql://topo_good\n"
       "server.bad.address rls://topo-bad\n");  // no role
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   std::unique_ptr<Topology> topology;
   Status s = Topology::Create(config, &network, &env, &topology);

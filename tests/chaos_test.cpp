@@ -237,7 +237,7 @@ struct LossyFixture {
     EXPECT_TRUE(server->Start().ok());
   }
 
-  net::Network network;
+  net::InProcTransport network;
   net::FaultInjector* faults;
   std::unique_ptr<net::RpcServer> server;
 };

@@ -14,7 +14,7 @@ namespace rls {
 namespace {
 
 TEST(ConcurrencyTest, MixedWorkloadKeepsInvariants) {
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   ASSERT_TRUE(env.CreateDatabase("mysql://stress_lrc").ok());
   ASSERT_TRUE(env.CreateDatabase("mysql://stress_rli").ok());
@@ -138,7 +138,7 @@ TEST(ConcurrencyTest, MixedWorkloadKeepsInvariants) {
 }
 
 TEST(ConcurrencyTest, VacuumDuringLoadBlocksButNeverCorrupts) {
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   ASSERT_TRUE(env.CreateDatabase("postgresql://stress_pg").ok());
   RlsServerConfig config;

@@ -9,12 +9,13 @@
 // the recovered state equals exactly the committed prefix: no lost
 // transaction, no partial transaction, exactly-once application.
 //
+// Every commit goes through the WAL's one leader/batch path; the
+// matrix runs at the default batch cap of one, and the grouped-batch
+// test below cuts inside multi-frame batches.
+//
 // Environment knobs (the scripts/check.sh crash gate turns them up):
 //   RLS_CRASH_TXNS   workload size      (default 120)
 //   RLS_CRASH_SEED   workload seed      (default 42)
-//   RLS_CRASH_GROUP  1 = run the whole matrix with WAL group commit
-//                    enabled (batched appends; scripts/crash_matrix.sh
-//                    runs both modes)
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -32,6 +33,7 @@
 #include "common/rng.h"
 #include "dbapi/dbapi.h"
 #include "rdb/storage_fault.h"
+#include "rls/lrc_store.h"
 
 namespace rls {
 namespace {
@@ -82,10 +84,6 @@ bool CopyFile(const std::string& from, const std::string& to) {
 rdb::BackendProfile RecoveryProfile(uint64_t recycle_bytes = 0) {
   rdb::BackendProfile profile = rdb::BackendProfile::MySQL();
   profile.wal_recovery = true;
-  // With RLS_CRASH_GROUP=1 every commit goes through the group-commit
-  // leader/batch path (batches of one for this single-threaded
-  // workload): the whole matrix must hold in both WAL modes.
-  profile.wal_group_commit = EnvU64("RLS_CRASH_GROUP", 0) != 0;
   if (recycle_bytes) profile.wal_recycle_bytes = recycle_bytes;
   return profile;
 }
@@ -553,6 +551,85 @@ TEST_F(CrashRecoveryTest, BulkTransactionIsAllOrNothingAcrossCrash) {
     RemoveDbFiles(cut_wal);
   }
   RemoveDbFiles(wal);
+}
+
+// A checkpoint must never capture another session's uncommitted row.
+// B holds an open transaction with an applied INSERT while A's commits
+// push the log past the recycle threshold; B then rolls back. The
+// checkpoint waits on the txn gate until B is done, so recovery must
+// not bring B's row back.
+TEST_F(CrashRecoveryTest, CheckpointNeverCapturesUncommittedRow) {
+  const std::string wal = dir_ + "/isolation.wal";
+  RemoveDbFiles(wal);
+  constexpr uint64_t kRecycleBytes = 512;
+
+  dbapi::Environment live_env;
+  const std::string dsn = NewDsn();
+  ASSERT_TRUE(
+      live_env.CreateDatabaseWithProfile(dsn, RecoveryProfile(kRecycleBytes), wal)
+          .ok());
+  std::unique_ptr<dbapi::Connection> a, b;
+  ASSERT_TRUE(dbapi::Connection::Open(live_env, dsn, &a).ok());
+  ASSERT_TRUE(dbapi::Connection::Open(live_env, dsn, &b).ok());
+  ASSERT_TRUE(CreateKvSchema(*a).ok());
+  rdb::Database* db = live_env.Find(dsn);
+  ASSERT_TRUE(db->Recover().ok());
+
+  sql::ResultSet rs;
+  ASSERT_TRUE(b->Begin().ok());
+  ASSERT_TRUE(b->Execute("INSERT INTO kv (key, value) VALUES (?, ?)",
+                         {rdb::Value::String("uncommitted"),
+                          rdb::Value::Int(1)},
+                         &rs)
+                  .ok());
+
+  // A commits until a checkpoint is pending (or, with an inline
+  // checkpoint, has already run), then finishes its last commit.
+  Model committed;
+  std::thread writer([&] {
+    for (int i = 0; i < 1000; ++i) {
+      if (db->wal().checkpoint_pending() || db->wal().checkpoints() > 0) break;
+      const std::string key = "a" + std::to_string(i);
+      sql::ResultSet ars;
+      ASSERT_TRUE(a->Execute("INSERT INTO kv (key, value) VALUES (?, ?)",
+                             {rdb::Value::String(key), rdb::Value::Int(i)},
+                             &ars)
+                      .ok());
+      committed[key] = {a->LastInsertId(), i};
+    }
+  });
+  while (!db->wal().checkpoint_pending() && db->wal().checkpoints() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(b->Rollback().ok());
+  writer.join();
+  ASSERT_GE(db->wal().checkpoints(), 1u);
+
+  dbapi::Environment env;
+  rdb::Database* rec = Reopen(env, NewDsn(), wal, kRecycleBytes);
+  EXPECT_GT(rec->recovery_stats().snapshot_rows, 0u);
+  const Model recovered = DumpTable(rec);
+  EXPECT_EQ(recovered.count("uncommitted"), 0u);
+  EXPECT_EQ(recovered, committed);
+  RemoveDbFiles(wal);
+}
+
+// A log file that cannot be opened fails start-up instead of
+// acknowledging writes no file holds, in either log lifetime.
+TEST_F(CrashRecoveryTest, UnopenableLogFailsStoreCreation) {
+  const std::string wal = dir_ + "/missing_dir/lrc.wal";
+  for (const bool persistent : {false, true}) {
+    SCOPED_TRACE(persistent ? "persistent" : "scratch");
+    rdb::BackendProfile profile = RecoveryProfile();
+    profile.wal_recovery = persistent;
+    dbapi::Environment env;
+    const std::string dsn = NewDsn();
+    ASSERT_TRUE(env.CreateDatabaseWithProfile(dsn, profile, wal).ok());
+    std::unique_ptr<LrcStore> store;
+    EXPECT_EQ(LrcStore::Create(env, dsn, &store).code(),
+              rlscommon::ErrorCode::kDataLoss);
+    EXPECT_EQ(store, nullptr);
+  }
 }
 
 }  // namespace

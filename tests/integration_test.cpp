@@ -23,7 +23,7 @@ std::string UniqueDb(const std::string& base) {
 
 class Topology {
  public:
-  explicit Topology(net::Network* network) : network_(network) {}
+  explicit Topology(net::InProcTransport* network) : network_(network) {}
 
   RlsServer* AddLrc(const std::string& address, UpdateConfig update) {
     RlsServerConfig config;
@@ -67,7 +67,7 @@ class Topology {
     return servers_.back().get();
   }
 
-  net::Network* network_;
+  net::InProcTransport* network_;
   dbapi::Environment env_;
   std::vector<std::unique_ptr<RlsServer>> servers_;
 };
@@ -82,7 +82,7 @@ UpdateConfig FullUpdateTo(std::initializer_list<std::string> rlis) {
 TEST(IntegrationTest, TwoLevelLookupFlow) {
   // The paper's canonical usage: query the RLI for the owning LRCs, then
   // query one of those LRCs for the replicas (paper §3.2).
-  net::Network network;
+  net::InProcTransport network;
   Topology topo(&network);
   topo.AddRli("rli:lookup");
   RlsServer* lrc0 = topo.AddLrc("lrc:west", FullUpdateTo({"rli:lookup"}));
@@ -115,7 +115,7 @@ TEST(IntegrationTest, TwoLevelLookupFlow) {
 TEST(IntegrationTest, EsgStyleFullyConnectedMesh) {
   // ESG deploys four servers functioning as both LRCs and RLIs in a
   // fully connected configuration (paper §6).
-  net::Network network;
+  net::InProcTransport network;
   Topology topo(&network);
   const std::vector<std::string> addresses = {"esg:0", "esg:1", "esg:2", "esg:3"};
   std::vector<RlsServer*> nodes;
@@ -158,7 +158,7 @@ TEST(IntegrationTest, EsgStyleFullyConnectedMesh) {
 TEST(IntegrationTest, PegasusStyleManyLrcsFewRlis) {
   // Pegasus: 6 LRCs and 4 RLIs registering ~100k logical files (§6);
   // here scaled down but with the same fan-out structure.
-  net::Network network;
+  net::InProcTransport network;
   Topology topo(&network);
   const std::vector<std::string> rli_addresses = {"peg-rli:0", "peg-rli:1",
                                                   "peg-rli:2", "peg-rli:3"};
@@ -204,7 +204,7 @@ TEST(IntegrationTest, PegasusStyleManyLrcsFewRlis) {
 TEST(IntegrationTest, BloomRliFalsePositivesRecoverable) {
   // Paper §3.2/§3.4: a Bloom RLI may answer with a false positive; the
   // client recovers by querying the LRC, which authoritatively says no.
-  net::Network network;
+  net::InProcTransport network;
   Topology topo(&network);
   topo.AddRli("rli:bloom", /*bloom_only=*/true);
   UpdateConfig update;
@@ -251,7 +251,7 @@ TEST(IntegrationTest, BloomRliFalsePositivesRecoverable) {
 TEST(IntegrationTest, StaleRliPointerRecovery) {
   // A client holding a stale RLI answer must get NotFound at the LRC and
   // be able to fall back to another replica (paper §3.2 robustness note).
-  net::Network network;
+  net::InProcTransport network;
   Topology topo(&network);
   topo.AddRli("rli:stale");
   RlsServer* lrc_a = topo.AddLrc("lrc:a", FullUpdateTo({"rli:stale"}));

@@ -54,7 +54,7 @@ class LocatorTest : public ::testing::Test {
     return update;
   }
 
-  net::Network network_;
+  net::InProcTransport network_;
   dbapi::Environment env_;
   std::vector<std::unique_ptr<RlsServer>> servers_;
 };

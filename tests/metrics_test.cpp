@@ -85,7 +85,7 @@ TEST(HistogramTest, ToStringContainsFields) {
 }
 
 TEST(ServerMetricsTest, MethodsTrackOperations) {
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   ASSERT_TRUE(env.CreateDatabase("mysql://metrics_lrc").ok());
   rls::RlsServerConfig config;

@@ -87,7 +87,7 @@ TEST(BloomMathTest, FpRateFallsWithMoreBits) {
 }
 
 TEST(ServerBulkTest, PartialFailuresReportedPerItem) {
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   ASSERT_TRUE(env.CreateDatabase("mysql://misc_bulk").ok());
   rls::RlsServerConfig config;
@@ -120,7 +120,7 @@ TEST(ServerBulkTest, PartialFailuresReportedPerItem) {
 }
 
 TEST(ServerBulkTest, BulkDeleteMirror) {
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   ASSERT_TRUE(env.CreateDatabase("mysql://misc_bulkdel").ok());
   rls::RlsServerConfig config;

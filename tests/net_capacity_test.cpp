@@ -51,7 +51,7 @@ TEST(RateLimiterTest, ZeroRateIsUnlimited) {
 TEST(InboundCapacityTest, ConcurrentClientsStretchEachOther) {
   // Two clients with generous private links, one capped server: each
   // client's call stretches to share the server's inbound rate.
-  Network network;
+  InProcTransport network;
   network.SetInboundCapacity("capped:1", 1e6);  // 1 MB/s aggregate
   RpcServer server(&network, "capped:1", ServerOptions{},
                    [](const gsi::AuthContext&, uint16_t, const std::string&,
@@ -96,7 +96,7 @@ TEST(InboundCapacityTest, ConcurrentClientsStretchEachOther) {
 }
 
 TEST(InboundCapacityTest, RemovingCapRestoresSpeed) {
-  Network network;
+  InProcTransport network;
   network.SetInboundCapacity("freed:1", 1e5);  // crawl
   network.SetInboundCapacity("freed:1", 0);    // lifted
   RpcServer server(&network, "freed:1", ServerOptions{},
@@ -115,7 +115,7 @@ TEST(InboundCapacityTest, RemovingCapRestoresSpeed) {
 
 TEST(LinkAndCapacityTest, DelaysCompose) {
   // Private link serialization + shared capacity both apply.
-  Network network;
+  InProcTransport network;
   network.SetInboundCapacity("compose:1", 2e6);
   RpcServer server(&network, "compose:1", ServerOptions{},
                    [](const gsi::AuthContext&, uint16_t, const std::string&,

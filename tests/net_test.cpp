@@ -190,14 +190,14 @@ TEST(MessageQueueTest, PopForTimesOutThenCloseWakes) {
 }
 
 TEST(NetworkTest, ConnectRefusedWithoutListener) {
-  Network network;
+  InProcTransport network;
   ConnectionPtr conn;
   EXPECT_EQ(network.Connect("nowhere:1", LinkModel::Loopback(), &conn).code(),
             ErrorCode::kNotFound);
 }
 
 TEST(NetworkTest, ListenRejectsDuplicateAddress) {
-  Network network;
+  InProcTransport network;
   ASSERT_TRUE(network.Listen("addr:1", [](ConnectionPtr) {}).ok());
   EXPECT_EQ(network.Listen("addr:1", [](ConnectionPtr) {}).code(),
             ErrorCode::kAlreadyExists);
@@ -215,7 +215,7 @@ RpcHandler EchoHandler() {
 }
 
 TEST(RpcTest, CallRoundTrip) {
-  Network network;
+  InProcTransport network;
   RpcServer server(&network, "echo:1", ServerOptions{}, EchoHandler());
   ASSERT_TRUE(server.Start().ok());
 
@@ -229,7 +229,7 @@ TEST(RpcTest, CallRoundTrip) {
 }
 
 TEST(RpcTest, ServerErrorsPropagateAsStatus) {
-  Network network;
+  InProcTransport network;
   RpcServer server(&network, "echo:2", ServerOptions{}, EchoHandler());
   ASSERT_TRUE(server.Start().ok());
   std::unique_ptr<RpcClient> client;
@@ -250,7 +250,7 @@ TEST(RpcTest, SecuredServerRejectsAnonymous) {
   options.auth =
       gsi::AuthManager::Secured(std::move(gridmap), std::move(acl),
                                 std::chrono::microseconds(0));
-  Network network;
+  InProcTransport network;
   RpcServer server(&network, "sec:1", options, EchoHandler());
   ASSERT_TRUE(server.Start().ok());
 
@@ -267,7 +267,7 @@ TEST(RpcTest, SecuredServerRejectsAnonymous) {
 }
 
 TEST(RpcTest, ManyConcurrentClients) {
-  Network network;
+  InProcTransport network;
   RpcServer server(&network, "echo:3", ServerOptions{}, EchoHandler());
   ASSERT_TRUE(server.Start().ok());
   std::atomic<int> failures{0};
@@ -292,7 +292,7 @@ TEST(RpcTest, ManyConcurrentClients) {
 }
 
 TEST(RpcTest, CallAfterServerStopFails) {
-  Network network;
+  InProcTransport network;
   auto server = std::make_unique<RpcServer>(&network, "echo:4", ServerOptions{},
                                             EchoHandler());
   ASSERT_TRUE(server->Start().ok());
@@ -304,7 +304,7 @@ TEST(RpcTest, CallAfterServerStopFails) {
 }
 
 TEST(RpcTest, LinkModelDelaysCall) {
-  Network network;
+  InProcTransport network;
   RpcServer server(&network, "slow:1", ServerOptions{}, EchoHandler());
   ASSERT_TRUE(server.Start().ok());
   ClientOptions options;

@@ -13,6 +13,7 @@
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rls/bootstrap.h"
 #include "rls/client.h"
 #include "rls/protocol.h"
 #include "rls/rls_server.h"
@@ -168,7 +169,7 @@ TEST(ExporterTest, DisabledWithoutPathConfigured) {
 // every instrumented subsystem (rpc, connection pool, thread pool, LRC,
 // RLI, update manager).
 TEST(GetStatsTest, SnapshotSpansAllSubsystems) {
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   rls::RlsServerConfig config;
   config.address = "obs:1";
@@ -243,7 +244,7 @@ TEST(GetStatsTest, SnapshotSpansAllSubsystems) {
 // instruments through the registry, and the codec must round-trip the
 // new fields.
 TEST(GetStatsTest, GroupCommitWalCountersSurface) {
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   rls::RlsServerConfig config;
   config.address = "obs:gc";
@@ -251,7 +252,9 @@ TEST(GetStatsTest, GroupCommitWalCountersSurface) {
   config.lrc.enabled = true;
   config.lrc.dsn = "mysql://obs_gc";
   config.lrc.wal_group_commit = true;
-  ASSERT_TRUE(env.CreateDatabase(config.lrc.dsn).ok());
+  // EnsureDatabases builds the LRC database with the group-commit
+  // profile (in-memory log: empty wal_dir).
+  ASSERT_TRUE(rls::EnsureDatabases(config, env, "").ok());
   rls::RlsServer server(&network, config, &env);
   ASSERT_TRUE(server.Start().ok());
   // Durable flushes so sync waits actually happen (penalty 0: fast).
@@ -300,7 +303,7 @@ TEST(GetStatsTest, GroupCommitWalCountersSurface) {
 }
 
 TEST(GetStatsTest, RequiresStatsPrivilege) {
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   gsi::Gridmap gridmap;
   ASSERT_TRUE(gridmap.AddEntry("/CN=Reader", "reader").ok());

@@ -56,7 +56,7 @@ TEST(OpTableTest, AuthorizationMatrix) {
     }
     ASSERT_TRUE(acl.AddEntry(Dn("all-but", p), others).ok());
   }
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   RlsServerConfig config;
   config.address = "optable:authz";

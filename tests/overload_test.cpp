@@ -35,7 +35,7 @@ net::ClientOptions NoRetryClient(const std::string& dn = "") {
 }
 
 TEST(OverloadTest, QueueFullShedsWithRetryAfter) {
-  net::Network network;
+  net::InProcTransport network;
   net::ServerOptions options;
   options.workers = 1;
   options.queue_depth = 1;
@@ -83,7 +83,7 @@ TEST(OverloadTest, QueueFullShedsWithRetryAfter) {
 }
 
 TEST(OverloadTest, AdmittedTailStaysBounded) {
-  net::Network network;
+  net::InProcTransport network;
   net::ServerOptions options;
   options.workers = 2;
   options.queue_depth = 2;
@@ -154,7 +154,7 @@ TEST(OverloadTest, AdmittedTailStaysBounded) {
 }
 
 TEST(OverloadTest, PerDnRateLimitIsolatesTenants) {
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   RlsServerConfig config;
   config.address = "rls:ratelimit";
@@ -209,7 +209,7 @@ TEST(OverloadTest, PerDnRateLimitIsolatesTenants) {
 }
 
 TEST(OverloadTest, PriorityLaneSurvivesClientStorm) {
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   RlsServerConfig config;
   config.address = "rls:storm";
@@ -284,7 +284,7 @@ TEST(OverloadTest, FlightRecorderShowsQueueWaitDominatingUnderStorm) {
   obs::SpanRecorder::Global().Enable(4096);
   obs::SpanRecorder::Global().Clear();
 
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   RlsServerConfig config;
   config.address = "rls:tracedstorm";

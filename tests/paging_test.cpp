@@ -36,7 +36,7 @@ class PagingTest : public ::testing::Test {
     }
   }
 
-  net::Network network_;
+  net::InProcTransport network_;
   dbapi::Environment env_;
   std::unique_ptr<RlsServer> server_;
   std::unique_ptr<LrcClient> client_;

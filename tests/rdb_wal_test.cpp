@@ -1,12 +1,15 @@
 // WAL tests.
 //
-// Legacy mode: recycle-wrap boundary behavior (the log wraps to offset 0
-// once a commit pushes the file past the recycle threshold), driven with
-// a tiny threshold instead of the production 256 MB.
+// Scratch logs: recycle-wrap boundary behavior (the log rewinds to
+// offset 0 once a commit pushes the file past the recycle threshold),
+// driven with a tiny threshold instead of the production 256 MB.
 //
-// Recovery mode: framed commits, torn-tail truncation, checksum
+// Persistent logs: framed commits, torn-tail truncation, checksum
 // rejection, checkpoint-at-wrap, and the fail-stop storage failure
 // policy, driven through the seeded StorageFaultInjector.
+//
+// Both lifetimes write the same frames through the same commit path;
+// a batch cap of one is the paper's per-commit flush.
 #include "rdb/wal.h"
 
 #include <gtest/gtest.h>
@@ -18,11 +21,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "rdb/database.h"
 #include "rdb/storage_fault.h"
 
 namespace rdb {
@@ -38,20 +43,31 @@ uint64_t FileSize(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size) : 0;
 }
 
-/// Recovery-mode logs persist on close by design; tests clean up.
+/// Persistent logs survive close by design; tests clean up.
 void RemoveWalFiles(const std::string& path) {
   ::unlink(path.c_str());
   ::unlink((path + ".ckpt").c_str());
   ::unlink((path + ".ckpt.tmp").c_str());
 }
 
-WalOptions RecoveryOptions(uint64_t recycle_bytes,
-                           StorageFaultInjector* fault = nullptr) {
+WalOptions ScratchOptions(uint64_t recycle_bytes,
+                          StorageFaultInjector* fault = nullptr) {
   WalOptions options;
   options.recycle_bytes = recycle_bytes;
-  options.recovery = true;
   options.fault = fault;
   return options;
+}
+
+WalOptions RecoveryOptions(uint64_t recycle_bytes,
+                           StorageFaultInjector* fault = nullptr) {
+  WalOptions options = ScratchOptions(recycle_bytes, fault);
+  options.recovery = true;
+  return options;
+}
+
+/// On-disk size of one frame carrying `payload_bytes`.
+constexpr uint64_t FrameBytes(uint64_t payload_bytes) {
+  return kWalFrameHeaderBytes + payload_bytes;
 }
 
 /// Runs a recovery scan collecting (lsn, payload) pairs.
@@ -71,20 +87,22 @@ std::vector<std::pair<uint64_t, std::string>> Replay(Wal* wal,
 
 TEST(WalRecycleTest, WrapsPastThreshold) {
   const std::string path = TestPath("wal_wrap");
-  Wal wal(path, /*recycle_bytes=*/64);
   const std::string record(10, 'x');
-  // 6 commits = 60 bytes: still below the threshold, no wrap yet.
+  constexpr uint64_t kFrame = FrameBytes(10);  // 27
+  Wal wal(path, ScratchOptions(/*recycle_bytes=*/6 * kFrame + 4));
+  // 6 commits = 6 frames: still below the threshold, no wrap yet.
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(wal.Commit(record, false, {}).ok());
   }
-  EXPECT_EQ(wal.file_bytes(), 60u);
-  // 7th commit crosses 64; the *next* commit observes file_bytes_ >
-  // threshold and rewinds to offset 0 before writing.
+  EXPECT_EQ(wal.file_bytes(), 6 * kFrame);
+  // 7th commit crosses the threshold; the *next* commit observes
+  // file_bytes_ > threshold and rewinds to offset 0 before writing.
   ASSERT_TRUE(wal.Commit(record, false, {}).ok());
-  EXPECT_EQ(wal.file_bytes(), 70u);
+  EXPECT_EQ(wal.file_bytes(), 7 * kFrame);
   ASSERT_TRUE(wal.Commit(record, false, {}).ok());
-  EXPECT_EQ(wal.file_bytes(), 10u);  // wrapped: first record after rewind
-  // Accounting is monotonic even though the file position wrapped.
+  EXPECT_EQ(wal.file_bytes(), kFrame);  // wrapped: first frame after rewind
+  // Accounting is monotonic even though the file position wrapped, and
+  // counts payload bytes, not frame bytes.
   EXPECT_EQ(wal.commits(), 8u);
   EXPECT_EQ(wal.bytes_logged(), 80u);
 }
@@ -93,41 +111,79 @@ TEST(WalRecycleTest, FileSizeStaysBounded) {
   const std::string path = TestPath("wal_bounded");
   const uint64_t threshold = 256;
   const std::string record(64, 'y');
-  Wal wal(path, threshold);
+  Wal wal(path, ScratchOptions(threshold));
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(wal.Commit(record, false, {}).ok());
   }
-  // 6400 bytes logged, but the file never grows past threshold + one
-  // record (the commit that crosses the threshold before wrapping).
+  // 6400 payload bytes logged, but the file never grows past threshold
+  // + one frame (the commit that crosses the threshold before wrapping).
   EXPECT_EQ(wal.bytes_logged(), 6400u);
-  EXPECT_LE(FileSize(path), threshold + record.size());
-  EXPECT_LE(wal.file_bytes(), threshold + record.size());
+  EXPECT_LE(FileSize(path), threshold + FrameBytes(record.size()));
+  EXPECT_LE(wal.file_bytes(), threshold + FrameBytes(record.size()));
 }
 
 TEST(WalRecycleTest, ExactBoundaryDoesNotWrapEarly) {
   // Landing exactly on the threshold is not "past" it: the wrap
   // condition is strictly greater-than.
   const std::string path = TestPath("wal_exact");
-  Wal wal(path, /*recycle_bytes=*/40);
   const std::string record(20, 'z');
+  constexpr uint64_t kFrame = FrameBytes(20);  // 37
+  Wal wal(path, ScratchOptions(/*recycle_bytes=*/2 * kFrame));
   ASSERT_TRUE(wal.Commit(record, false, {}).ok());
   ASSERT_TRUE(wal.Commit(record, false, {}).ok());
-  EXPECT_EQ(wal.file_bytes(), 40u);
+  EXPECT_EQ(wal.file_bytes(), 2 * kFrame);
   ASSERT_TRUE(wal.Commit(record, false, {}).ok());
-  EXPECT_EQ(wal.file_bytes(), 60u);  // 40 == threshold: no wrap yet
+  EXPECT_EQ(wal.file_bytes(), 3 * kFrame);  // == threshold: no wrap yet
   ASSERT_TRUE(wal.Commit(record, false, {}).ok());
-  EXPECT_EQ(wal.file_bytes(), 20u);  // 60 > threshold: wrapped
+  EXPECT_EQ(wal.file_bytes(), kFrame);  // > threshold: wrapped
 }
 
 TEST(WalRecycleTest, InMemoryWalIgnoresThreshold) {
   // Path-less WAL keeps accounting without a file; the wrap logic must
   // not disturb the counters.
-  Wal wal("", /*recycle_bytes=*/8);
+  Wal wal("", ScratchOptions(/*recycle_bytes=*/8));
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(wal.Commit("abcdef", false, {}).ok());
   }
   EXPECT_EQ(wal.bytes_logged(), 60u);
   EXPECT_EQ(wal.file_bytes(), 0u);
+}
+
+TEST(WalRecycleTest, ScratchLogTruncatesOnOpenWritesFramesAndUnlinks) {
+  const std::string path = TestPath("wal_scratch_frames");
+  {  // Leftovers from an earlier process must not survive the open.
+    int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::write(fd, "stale", 5), 5);
+    ::close(fd);
+  }
+  {
+    Wal wal(path, ScratchOptions(1 << 20));
+    EXPECT_EQ(FileSize(path), 0u);
+    uint64_t expected = 0;
+    for (const std::string& payload :
+         {std::string("a"), std::string("bravo"), std::string(100, 'c')}) {
+      ASSERT_TRUE(wal.Commit(payload, true, {}).ok());
+      expected += FrameBytes(payload.size());
+      EXPECT_EQ(FileSize(path), expected);
+    }
+    EXPECT_EQ(wal.last_lsn(), 3u);
+    // The first frame is a checksummed transaction frame with LSN 1.
+    char header[kWalFrameHeaderBytes];
+    int fd = ::open(path.c_str(), O_RDONLY);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::pread(fd, header, sizeof(header), 0),
+              static_cast<ssize_t>(sizeof(header)));
+    ::close(fd);
+    uint64_t lsn = 0;
+    uint32_t len = 0;
+    std::memcpy(&lsn, header + 4, 8);
+    std::memcpy(&len, header + 13, 4);
+    EXPECT_EQ(lsn, 1u);
+    EXPECT_EQ(header[12], static_cast<char>(kWalFrameTxn));
+    EXPECT_EQ(len, 1u);
+  }
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);  // unlinked on close
 }
 
 TEST(WalRecycleTest, DefaultThresholdIsProductionSized) {
@@ -137,7 +193,7 @@ TEST(WalRecycleTest, DefaultThresholdIsProductionSized) {
 }
 
 // --------------------------------------------------------------------
-// Recovery mode
+// Persistent logs
 // --------------------------------------------------------------------
 
 TEST(WalRecoveryTest, FramedCommitsReplayAfterReopen) {
@@ -234,9 +290,12 @@ TEST(WalRecoveryTest, CheckpointAtWrapCarriesPreWrapLsn) {
       return std::string("SNAPSHOT");
     });
     ASSERT_TRUE(wal.Commit(payload, true, {}).ok());  // file: 33
+    EXPECT_FALSE(wal.checkpoint_pending());
     ASSERT_TRUE(wal.Commit(payload, true, {}).ok());  // file: 66 > 64
-    // This commit first checkpoints (sidecar at LSN 2, log truncated,
-    // checkpoint frame), then appends LSN 3.
+    EXPECT_TRUE(wal.checkpoint_pending());
+    // Where the engine would (Database::MaybeCheckpoint): sidecar at
+    // LSN 2, log truncated, checkpoint frame. Then LSN 3 appends.
+    ASSERT_TRUE(wal.CheckpointIfPending().ok());
     ASSERT_TRUE(wal.Commit(payload, true, {}).ok());
     EXPECT_EQ(wal.checkpoints(), 1u);
     EXPECT_EQ(wal.file_bytes(), 17u + 33u);  // checkpoint frame + txn frame
@@ -269,6 +328,7 @@ TEST(WalRecoveryTest, CorruptSidecarIsReportedAsDataLoss) {
     wal.SetCheckpointWriter([](uint64_t*) { return std::string("STATE"); });
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(wal.Commit(payload, true, {}).ok());
+      ASSERT_TRUE(wal.CheckpointIfPending().ok());
     }
     ASSERT_EQ(wal.checkpoints(), 1u);
   }
@@ -289,9 +349,9 @@ TEST(WalRecoveryTest, CorruptSidecarIsReportedAsDataLoss) {
 }
 
 // --------------------------------------------------------------------
-// Storage failure policy (satellite of the crash-safety tentpole):
-// write errors are typed, non-retryable DATA_LOSS; a failed sync
-// poisons the log permanently in BOTH modes.
+// Storage failure policy: write errors are typed, non-retryable
+// DATA_LOSS; a failed sync or an unopenable path poisons the log
+// permanently in both lifetimes.
 // --------------------------------------------------------------------
 
 TEST(WalFaultTest, FailedSyncPoisonsRecoveryModeWal) {
@@ -312,13 +372,12 @@ TEST(WalFaultTest, FailedSyncPoisonsRecoveryModeWal) {
   RemoveWalFiles(path);
 }
 
+// "Legacy mode" in test names below means the scratch log lifetime.
 TEST(WalFaultTest, FailedSyncPoisonsLegacyModeWal) {
   const std::string path = TestPath("wal_fault_sync_legacy");
   StorageFaultInjector fault(/*seed=*/1);
   fault.FailNthSync(1, EIO);
-  WalOptions options;
-  options.fault = &fault;  // legacy mode (recovery=false) with injection
-  Wal wal(path, options);
+  Wal wal(path, ScratchOptions(1 << 20, &fault));
   rlscommon::Status s = wal.Commit("payload", /*durable=*/true, {});
   EXPECT_EQ(s.code(), rlscommon::ErrorCode::kDataLoss);
   EXPECT_TRUE(wal.poisoned());
@@ -357,12 +416,75 @@ TEST(WalFaultTest, LegacyWriteErrorIsDataLoss) {
   const std::string path = TestPath("wal_fault_legacy_write");
   StorageFaultInjector fault(/*seed=*/3);
   fault.FailWriteAtByte(0, EIO);
-  WalOptions options;
-  options.fault = &fault;
-  Wal wal(path, options);
+  Wal wal(path, ScratchOptions(1 << 20, &fault));
   rlscommon::Status s = wal.Commit("payload", /*durable=*/false, {});
   EXPECT_EQ(s.code(), rlscommon::ErrorCode::kDataLoss);
   EXPECT_FALSE(rlscommon::IsRetryableError(s.code()));
+  // The torn frame is truncated away, as in a persistent log.
+  EXPECT_EQ(wal.file_bytes(), 0u);
+  EXPECT_EQ(FileSize(path), 0u);
+}
+
+TEST(WalFaultTest, UnopenablePathPoisonsBothLifetimes) {
+  const std::string path = ::testing::TempDir() + "/rls_no_such_dir_" +
+                           std::to_string(::getpid()) + "/x.wal";
+  for (const bool persistent : {false, true}) {
+    SCOPED_TRACE(persistent ? "persistent" : "scratch");
+    WalOptions options = ScratchOptions(1 << 20);
+    options.recovery = persistent;
+    Wal wal(path, options);
+    EXPECT_TRUE(wal.poisoned());
+    // Nothing may be acknowledged that no file holds.
+    EXPECT_EQ(wal.Commit("payload", /*durable=*/true, {}).code(),
+              rlscommon::ErrorCode::kDataLoss);
+    EXPECT_EQ(wal.Commit("payload", /*durable=*/false, {}).code(),
+              rlscommon::ErrorCode::kDataLoss);
+    EXPECT_EQ(wal.syncs(), 0u);
+
+    // The database refuses to start over such a log.
+    BackendProfile profile = BackendProfile::MySQL();
+    profile.wal_recovery = persistent;
+    Database db("unopenable", profile, path);
+    EXPECT_EQ(db.Recover().code(), rlscommon::ErrorCode::kDataLoss);
+  }
+}
+
+TEST(WalFaultTest, FailedCheckpointSyncAbortsWrapAndKeepsTheLog) {
+  // Sync 1 of a checkpoint is the sidecar's fsync, sync 2 the fsync of
+  // the WAL's directory that makes the sidecar's rename durable. If
+  // either fails, the log must not be truncated: after a power cut the
+  // truncation could survive while the sidecar does not.
+  for (const uint64_t failing_sync : {1, 2}) {
+    SCOPED_TRACE("failing sync " + std::to_string(failing_sync));
+    const std::string path = TestPath("wal_fault_ckpt_sync");
+    RemoveWalFiles(path);
+    StorageFaultInjector fault(/*seed=*/9);
+    const std::string payload(16, 'c');  // frame = 33 bytes
+    {
+      Wal wal(path, RecoveryOptions(/*recycle_bytes=*/64, &fault));
+      wal.SetCheckpointWriter([](uint64_t*) { return std::string("STATE"); });
+      ASSERT_TRUE(wal.Commit(payload, false, {}).ok());
+      ASSERT_TRUE(wal.Commit(payload, false, {}).ok());  // 66 > 64
+      ASSERT_TRUE(wal.checkpoint_pending());
+      const uint64_t before = wal.file_bytes();
+      fault.FailNthSync(failing_sync, EIO);
+      rlscommon::Status s = wal.CheckpointIfPending();
+      EXPECT_EQ(s.code(), rlscommon::ErrorCode::kDataLoss);
+      EXPECT_FALSE(wal.poisoned());
+      EXPECT_EQ(wal.checkpoints(), 0u);
+      EXPECT_EQ(wal.file_bytes(), before);
+      EXPECT_EQ(FileSize(path), before);
+      EXPECT_EQ(fault.sync_errors(), 1u);
+    }
+    Wal reopened(path, RecoveryOptions(/*recycle_bytes=*/64));
+    WalRecoverResult result;
+    const auto frames = Replay(&reopened, 0, &result);
+    ASSERT_EQ(frames.size(), 2u);
+    EXPECT_EQ(frames[0].first, 1u);
+    EXPECT_EQ(frames[1].first, 2u);
+    EXPECT_EQ(result.torn_tail_bytes, 0u);
+    RemoveWalFiles(path);
+  }
 }
 
 TEST(WalFaultTest, CrashLeavesTornFrameForRecovery) {
@@ -397,9 +519,10 @@ TEST(WalFaultTest, CrashLeavesTornFrameForRecovery) {
 }
 
 // --------------------------------------------------------------------
-// Group commit: leader/follower batching (one write + one sync + one
-// modeled penalty per batch), LSN ordering, and the failure policy for
-// grouped frames.
+// The commit path: leader/follower batching (one write + one sync + one
+// modeled penalty per batch), LSN ordering, the failure policy for
+// grouped frames, and the batch cap of one that models the paper's
+// per-commit flush.
 // --------------------------------------------------------------------
 
 /// Group-commit options with a linger long enough that `max_commits`
@@ -408,7 +531,6 @@ WalOptions GroupOptions(uint64_t recycle_bytes, std::size_t max_commits,
                         std::chrono::microseconds max_wait,
                         StorageFaultInjector* fault = nullptr) {
   WalOptions options = RecoveryOptions(recycle_bytes, fault);
-  options.group_commit = true;
   options.group_max_commits = max_commits;
   options.group_max_wait = max_wait;
   return options;
@@ -451,15 +573,55 @@ TEST(WalGroupCommitTest, BatchSharesOneSyncAndOnePenalty) {
 TEST(WalGroupCommitTest, PerTxnModeChargesPenaltyPerCommit) {
   const std::string path = TestPath("wal_pertxn_penalty");
   RemoveWalFiles(path);
-  Wal wal(path, RecoveryOptions(1 << 20));  // group commit off
+  Wal wal(path, GroupOptions(1 << 20, /*max_commits=*/1,
+                             std::chrono::microseconds(0)));
   const auto penalty = std::chrono::microseconds(300);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(wal.Commit("payload", true, penalty).ok());
   }
-  // Per-txn mode: every durable commit pays its own sync and its own
+  // Cap of one: every durable commit pays its own sync and its own
   // full modeled penalty (the paper's serialized Fig. 4 cost model).
   EXPECT_EQ(wal.syncs(), 3u);
   EXPECT_EQ(wal.penalty_us_charged(), 900u);
+  RemoveWalFiles(path);
+}
+
+TEST(WalGroupCommitTest, CapOfOneSyncsEveryConcurrentCommit) {
+  const std::string path = TestPath("wal_cap_one_stress");
+  RemoveWalFiles(path);
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 25;
+  const auto penalty = std::chrono::microseconds(300);
+  {
+    Wal wal(path, GroupOptions(1 << 20, /*max_commits=*/1,
+                               std::chrono::microseconds(0)));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&wal, penalty, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          EXPECT_TRUE(wal.Commit("t" + std::to_string(t) + "-" +
+                                     std::to_string(i),
+                                 true, penalty)
+                          .ok());
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    // However many committers contend, a batch of one never shares a
+    // sync or a penalty.
+    EXPECT_EQ(wal.commits(), static_cast<uint64_t>(kThreads * kPerThread));
+    EXPECT_EQ(wal.syncs(), wal.commits());
+    EXPECT_EQ(wal.group_commits(), wal.commits());
+    EXPECT_EQ(wal.penalty_us_charged(),
+              wal.commits() * static_cast<uint64_t>(penalty.count()));
+  }
+  Wal reopened(path, RecoveryOptions(1 << 20));
+  WalRecoverResult result;
+  const auto frames = Replay(&reopened, 0, &result);
+  ASSERT_EQ(frames.size(), static_cast<std::size_t>(kThreads * kPerThread));
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].first, i + 1);  // dense, ascending
+  }
   RemoveWalFiles(path);
 }
 
@@ -564,37 +726,11 @@ TEST(WalGroupCommitTest, CrashMidBatchReplaysWholeTransactionPrefix) {
   RemoveWalFiles(path);
 }
 
-TEST(WalGroupCommitTest, ToggleBetweenModesKeepsLsnContinuity) {
-  const std::string path = TestPath("wal_group_toggle");
-  RemoveWalFiles(path);
-  {
-    Wal wal(path, RecoveryOptions(1 << 20));
-    ASSERT_TRUE(wal.Commit("one", true, {}).ok());
-    ASSERT_TRUE(wal.Commit("two", true, {}).ok());
-    wal.SetGroupCommit(true);
-    ASSERT_TRUE(wal.Commit("three", true, {}).ok());
-    ASSERT_TRUE(wal.Commit("four", true, {}).ok());
-    wal.SetGroupCommit(false);
-    ASSERT_TRUE(wal.Commit("five", true, {}).ok());
-    EXPECT_EQ(wal.last_lsn(), 5u);
-  }
-  Wal reopened(path, RecoveryOptions(1 << 20));
-  WalRecoverResult result;
-  const auto frames = Replay(&reopened, 0, &result);
-  ASSERT_EQ(frames.size(), 5u);
-  EXPECT_EQ(frames[4], (std::pair<uint64_t, std::string>{5, "five"}));
-  RemoveWalFiles(path);
-}
-
 TEST(WalGroupCommitTest, LegacyModeGroupingKeepsByteAccounting) {
-  // The Fig. 4 bench flips the legacy (non-recovery) WAL into group
-  // mode: bytes/commit accounting and the recycle wrap must match the
-  // per-txn cost model.
+  // The Fig. 4 bench's group-commit series runs on a scratch log:
+  // bytes/commit accounting must not depend on how commits batch.
   const std::string path = TestPath("wal_group_legacy");
-  WalOptions options;
-  options.recycle_bytes = 1 << 20;
-  options.group_commit = true;
-  Wal wal(path, options);
+  Wal wal(path, ScratchOptions(1 << 20));
   constexpr int kThreads = 4;
   constexpr int kPerThread = 10;
   std::vector<std::thread> threads;
@@ -608,7 +744,8 @@ TEST(WalGroupCommitTest, LegacyModeGroupingKeepsByteAccounting) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(wal.commits(), static_cast<uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(wal.bytes_logged(), static_cast<uint64_t>(kThreads * kPerThread * 10));
-  EXPECT_EQ(wal.file_bytes(), static_cast<uint64_t>(kThreads * kPerThread * 10));
+  EXPECT_EQ(wal.file_bytes(),
+            static_cast<uint64_t>(kThreads * kPerThread) * FrameBytes(10));
   EXPECT_LE(wal.syncs(), wal.commits());
 }
 

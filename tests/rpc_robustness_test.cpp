@@ -37,7 +37,7 @@ class RobustnessTest : public ::testing::Test {
     ASSERT_TRUE(net::RpcClient::Connect(&network_, address_, {}, &rpc_).ok());
   }
 
-  net::Network network_;
+  net::InProcTransport network_;
   dbapi::Environment env_;
   std::string address_;
   std::unique_ptr<RlsServer> server_;

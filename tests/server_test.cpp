@@ -31,7 +31,7 @@ class ServerTest : public ::testing::Test {
     ASSERT_TRUE(LrcClient::Connect(&network_, config.address, {}, &client_).ok());
   }
 
-  net::Network network_;
+  net::InProcTransport network_;
   dbapi::Environment env_;
   std::unique_ptr<RlsServer> server_;
   std::unique_ptr<LrcClient> client_;
@@ -171,7 +171,7 @@ TEST_F(ServerTest, RliOpcodesRejectedWithoutRliRole) {
 
 TEST(ServerRoleTest, CombinedLrcAndRliServer) {
   // §3.1: one server configured as both LRC and RLI.
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   RlsServerConfig config;
   config.address = "combined:1";
@@ -206,7 +206,7 @@ TEST(ServerRoleTest, TraceIdPropagatesFromClientToRli) {
   // A trace installed at the client edge rides the RPC frame into the
   // LRC handler, through the soft-state send, and is recorded by the
   // receiving RLI as last_update_trace_id.
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   RlsServerConfig config;
   config.address = "traced:1";
@@ -238,7 +238,7 @@ TEST(ServerRoleTest, TraceIdPropagatesFromClientToRli) {
 }
 
 TEST(ServerAclTest, PrivilegesEnforcedPerOperation) {
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
 
   gsi::Gridmap gridmap;
@@ -284,7 +284,7 @@ TEST(ServerAclTest, PrivilegesEnforcedPerOperation) {
 }
 
 TEST(ServerConfigTest, ServerWithNoRolesRejected) {
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   RlsServerConfig config;
   config.address = "none:1";

@@ -49,7 +49,7 @@ class SoftStateTest : public ::testing::Test {
     return server;
   }
 
-  net::Network network_;
+  net::InProcTransport network_;
   dbapi::Environment env_;
 };
 

@@ -343,7 +343,7 @@ TEST(ExemplarTest, HistogramKeepsTheSlowestTrace) {
 
 TEST(GetTracesRpcTest, FlightRecorderIsQueryableOverTheWire) {
   RecorderGuard guard(1024);
-  net::Network network;
+  net::InProcTransport network;
   dbapi::Environment env;
   rls::RlsServerConfig config;
   config.address = "rls:traced";

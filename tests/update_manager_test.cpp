@@ -42,7 +42,7 @@ class UpdateManagerTest : public ::testing::Test {
     return servers_.back().get();
   }
 
-  net::Network network_;
+  net::InProcTransport network_;
   dbapi::Environment env_;
   std::vector<std::unique_ptr<RlsServer>> servers_;
 };
