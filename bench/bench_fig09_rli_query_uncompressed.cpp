@@ -15,7 +15,7 @@ int main() {
       "RLI populated via an actual uncompressed soft-state update");
 
   rlsbench::Testbed bed;
-  rls::RlsServer* rli = bed.StartRli("rli:fig9");
+  bed.StartRli("rli:fig9");
   rls::UpdateConfig update;
   update.mode = rls::UpdateMode::kFull;
   update.targets.push_back(rls::UpdateTarget{"rli:fig9"});

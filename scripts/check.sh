@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Sanitizer gate: builds and runs the test suite plain, under TSan, and
 # under ASan+UBSan, so races like the old HashIndex probe-counter one
-# can't land silently.
+# can't land silently. The plain and TSan builds also treat warnings as
+# errors (RLS_WERROR); the ASan+UBSan build does not, because GCC 12
+# reports -Wmaybe-uninitialized inside libstdc++'s <variant> and <regex>
+# under that instrumentation.
 #
 # Usage: scripts/check.sh [plain|thread|address,undefined|trace|bench|crash]...
 #   (no arguments = the three sanitizer configurations + trace)
@@ -152,11 +155,11 @@ for config in "${configs[@]}"; do
   case "$config" in
     plain)
       dir=build-check
-      flags=(-DRLS_SANITIZE=)
+      flags=(-DRLS_SANITIZE= -DRLS_WERROR=ON)
       ;;
     thread)
       dir=build-check-tsan
-      flags=(-DRLS_SANITIZE=thread)
+      flags=(-DRLS_SANITIZE=thread -DRLS_WERROR=ON)
       ;;
     address,undefined)
       dir=build-check-asan

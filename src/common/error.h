@@ -31,6 +31,7 @@ enum class ErrorCode {
   kProtocol,        // malformed wire message
   kUnsupported,     // e.g. wildcard query against a Bloom-filter RLI
   kDataLoss,        // storage fail-stop: WAL write/sync failed, data at risk
+  kLast = kDataLoss,  // wire decoders reject codes above this
 };
 
 /// Human-readable name of an ErrorCode ("NOT_FOUND", ...).

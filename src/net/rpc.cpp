@@ -24,7 +24,11 @@ Status DecodeError(std::string_view payload) {
   Reader r(payload);
   uint8_t code = 0;
   std::string message;
-  if (!r.U8(&code) || !r.Str(&message)) {
+  // An error frame must carry an error: code 0 (OK) or a code this
+  // build does not know would turn a failure into a success or an
+  // unclassifiable status.
+  if (!r.U8(&code) || code == 0 || code > static_cast<uint8_t>(ErrorCode::kLast) ||
+      !r.Str(&message)) {
     return Status::Protocol("malformed error response");
   }
   Status status(static_cast<ErrorCode>(code), std::move(message));

@@ -46,7 +46,9 @@ inline constexpr uint16_t kOpcodeAuth = 0;
 /// Encodes a failed Status as an error-response payload.
 void EncodeError(const rlscommon::Status& status, std::string* payload);
 
-/// Decodes an error-response payload back into a Status.
+/// Decodes an error-response payload back into a Status. PROTOCOL for a
+/// malformed payload and for a code that is not an error (0 or above
+/// ErrorCode::kLast).
 rlscommon::Status DecodeError(std::string_view payload);
 
 /// Application dispatch: (auth context, opcode, request) -> response.

@@ -1,15 +1,13 @@
-// Binary wire codec: little-endian fixed-width integers and
-// length-prefixed strings. Used by the RLS RPC protocol and the
-// soft-state update payloads.
+// Binary wire primitives: little-endian fixed-width integers and
+// length-prefixed strings. The frame and error codecs use them directly;
+// the RLS messages use them through the field-list codec (net/codec.h).
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
-#include <vector>
-
-#include "common/error.h"
+#include <type_traits>
 
 namespace net {
 
@@ -19,65 +17,59 @@ class Writer {
   explicit Writer(std::string* out) : out_(out) {}
 
   void U8(uint8_t v) { out_->push_back(static_cast<char>(v)); }
-  void U16(uint16_t v) { AppendRaw(&v, 2); }
-  void U32(uint32_t v) { AppendRaw(&v, 4); }
-  void U64(uint64_t v) { AppendRaw(&v, 8); }
-  void I64(int64_t v) { AppendRaw(&v, 8); }
-  void F64(double v) { AppendRaw(&v, 8); }
+  void U16(uint16_t v) { Fixed(v); }
+  void U32(uint32_t v) { Fixed(v); }
+  void U64(uint64_t v) { Fixed(v); }
+  void I64(int64_t v) { Fixed(v); }
+  void F64(double v) { Fixed(v); }
+
+  /// Any integer or double at its own width.
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  void Fixed(T v) {
+    out_->append(reinterpret_cast<const char*>(&v), sizeof v);
+  }
 
   void Str(std::string_view s) {
     U32(static_cast<uint32_t>(s.size()));
     out_->append(s);
   }
 
-  void StrVec(const std::vector<std::string>& v) {
-    U32(static_cast<uint32_t>(v.size()));
-    for (const std::string& s : v) Str(s);
-  }
-
   /// Raw bytes without a length prefix (caller frames them).
   void Raw(std::string_view s) { out_->append(s); }
 
  private:
-  void AppendRaw(const void* p, std::size_t n) {
-    out_->append(static_cast<const char*>(p), n);
-  }
   std::string* out_;
 };
 
 /// Cursor-based reader; every method returns false on underflow and the
-/// caller converts to a Protocol status (Ok() helper below).
+/// caller turns that into a PROTOCOL status.
 class Reader {
  public:
   explicit Reader(std::string_view data) : data_(data) {}
 
-  bool U8(uint8_t* v) { return Fixed(v, 1); }
-  bool U16(uint16_t* v) { return Fixed(v, 2); }
-  bool U32(uint32_t* v) { return Fixed(v, 4); }
-  bool U64(uint64_t* v) { return Fixed(v, 8); }
-  bool I64(int64_t* v) { return Fixed(v, 8); }
-  bool F64(double* v) { return Fixed(v, 8); }
+  bool U8(uint8_t* v) { return Fixed(v); }
+  bool U16(uint16_t* v) { return Fixed(v); }
+  bool U32(uint32_t* v) { return Fixed(v); }
+  bool U64(uint64_t* v) { return Fixed(v); }
+  bool I64(int64_t* v) { return Fixed(v); }
+  bool F64(double* v) { return Fixed(v); }
+
+  /// Any integer or double at its own width.
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  bool Fixed(T* v) {
+    if (data_.size() < sizeof(T)) return false;
+    std::memcpy(v, data_.data(), sizeof(T));
+    data_.remove_prefix(sizeof(T));
+    return true;
+  }
 
   bool Str(std::string* out) {
     uint32_t len;
     if (!U32(&len) || data_.size() < len) return false;
     out->assign(data_.substr(0, len));
     data_.remove_prefix(len);
-    return true;
-  }
-
-  bool StrVec(std::vector<std::string>* out) {
-    uint32_t count;
-    if (!U32(&count)) return false;
-    // Each entry needs at least its 4-byte length prefix.
-    if (static_cast<uint64_t>(count) * 4 > data_.size()) return false;
-    out->clear();
-    out->reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      std::string s;
-      if (!Str(&s)) return false;
-      out->push_back(std::move(s));
-    }
     return true;
   }
 
@@ -89,18 +81,7 @@ class Reader {
   std::size_t remaining() const { return data_.size(); }
 
  private:
-  bool Fixed(void* p, std::size_t n) {
-    if (data_.size() < n) return false;
-    std::memcpy(p, data_.data(), n);
-    data_.remove_prefix(n);
-    return true;
-  }
   std::string_view data_;
 };
-
-/// Standard malformed-message status.
-inline rlscommon::Status TruncatedMessage(std::string_view what) {
-  return rlscommon::Status::Protocol("truncated message: " + std::string(what));
-}
 
 }  // namespace net

@@ -16,22 +16,6 @@ bool MessageQueue::Push(Message msg) {
   return true;
 }
 
-MessageQueue::PushResult MessageQueue::TryPush(Message msg) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) return PushResult::kClosed;
-    if (max_depth_ > 0 && queue_.size() >= max_depth_) return PushResult::kFull;
-    queue_.push_back(std::move(msg));
-  }
-  cv_.notify_one();
-  return PushResult::kOk;
-}
-
-std::size_t MessageQueue::depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 Status MessageQueue::Pop(Message* out) {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] { return closed_ || !queue_.empty(); });
@@ -47,17 +31,6 @@ Status MessageQueue::PopFor(Message* out, rlscommon::Duration timeout) {
     return Status::Timeout("recv deadline exceeded");
   }
   if (queue_.empty()) return Status::Unavailable("connection closed");
-  *out = std::move(queue_.front());
-  queue_.pop_front();
-  return Status::Ok();
-}
-
-Status MessageQueue::TryPop(Message* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (queue_.empty()) {
-    return closed_ ? Status::Unavailable("connection closed")
-                   : Status::NotFound("queue empty");
-  }
   *out = std::move(queue_.front());
   queue_.pop_front();
   return Status::Ok();

@@ -103,24 +103,14 @@ class RateLimiter {
   rlscommon::TimePoint next_free_{};
 };
 
-/// MPSC-ish message queue with shutdown and an optional depth bound.
-///
-/// Unbounded by default (the pre-overload behavior). With `max_depth`
-/// set, TryPush reports kFull instead of queueing past the bound — the
-/// transport-level primitive behind load shedding: a full inbound queue
-/// turns into an UNAVAILABLE + retry-after response instead of latency.
+/// Unbounded MPSC-ish message queue with shutdown: one direction of an
+/// in-process connection, and the TCP transport's per-connection inbox.
+/// It never sheds; load shedding is RpcServer's bounded two-lane run
+/// queue (DESIGN.md §9).
 class MessageQueue {
  public:
-  explicit MessageQueue(std::size_t max_depth = 0) : max_depth_(max_depth) {}
-
-  enum class PushResult { kOk, kClosed, kFull };
-
-  /// Enqueues; returns false after Close(). Ignores the depth bound
-  /// (close/teardown control messages must never be dropped).
+  /// Enqueues; returns false after Close().
   bool Push(Message msg);
-
-  /// Bound-respecting enqueue: kFull once `max_depth` messages wait.
-  PushResult TryPush(Message msg);
 
   /// Blocks for the next message. Returns Unavailable after Close() once
   /// drained.
@@ -130,21 +120,13 @@ class MessageQueue {
   /// status. Backs RPC deadlines.
   rlscommon::Status PopFor(Message* out, rlscommon::Duration timeout);
 
-  /// Non-blocking variant; NotFound when empty.
-  rlscommon::Status TryPop(Message* out);
-
   void Close();
   bool closed() const;
-
-  /// Messages currently waiting (monitoring; racy by nature).
-  std::size_t depth() const;
-  std::size_t max_depth() const { return max_depth_; }
 
  private:
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Message> queue_;
-  std::size_t max_depth_;  // 0 = unbounded
   bool closed_ = false;
 };
 

@@ -18,6 +18,23 @@ net::ClientOptions ToRpcOptions(const ClientConfig& config) {
   return options;
 }
 
+/// The request and reply of operations that carry no body.
+struct NoBody {
+  NET_WIRE_MESSAGE(NoBody)
+};
+
+/// Every client operation: encodes `request`, calls `opcode` and decodes
+/// the reply into `reply` (a null `reply` ignores the reply body).
+template <typename Request, typename Reply = NoBody>
+Status Invoke(net::RpcClient& rpc, uint16_t opcode, const Request& request,
+              Reply* reply = nullptr) {
+  std::string payload, response;
+  request.Encode(&payload);
+  Status s = rpc.Call(opcode, payload, &response);
+  if (!s.ok() || reply == nullptr) return s;
+  return Reply::Decode(response, reply);
+}
+
 }  // namespace
 
 Status LrcClient::Connect(net::Transport* network, const std::string& address,
@@ -29,280 +46,158 @@ Status LrcClient::Connect(net::Transport* network, const std::string& address,
   return Status::Ok();
 }
 
-Status LrcClient::MappingOp(uint16_t opcode, const std::string& logical,
-                            const std::string& target) {
-  MappingRequest req;
-  req.mappings.push_back(Mapping{logical, target});
-  std::string payload, response;
-  req.Encode(&payload);
-  return rpc_->Call(opcode, payload, &response);
-}
-
 Status LrcClient::Create(const std::string& logical, const std::string& target) {
-  return MappingOp(kLrcCreate, logical, target);
+  return Invoke(*rpc_, kLrcCreate, MappingRequest{{Mapping{logical, target}}});
 }
 
 Status LrcClient::Add(const std::string& logical, const std::string& target) {
-  return MappingOp(kLrcAdd, logical, target);
+  return Invoke(*rpc_, kLrcAdd, MappingRequest{{Mapping{logical, target}}});
 }
 
 Status LrcClient::Delete(const std::string& logical, const std::string& target) {
-  return MappingOp(kLrcDelete, logical, target);
-}
-
-Status LrcClient::BulkMappingOp(uint16_t opcode, const std::vector<Mapping>& mappings,
-                                BulkStatusResponse* result) {
-  MappingRequest req;
-  req.mappings = mappings;
-  std::string payload, response;
-  req.Encode(&payload);
-  Status s = rpc_->Call(opcode, payload, &response);
-  if (!s.ok()) return s;
-  return BulkStatusResponse::Decode(response, result);
+  return Invoke(*rpc_, kLrcDelete, MappingRequest{{Mapping{logical, target}}});
 }
 
 Status LrcClient::BulkCreate(const std::vector<Mapping>& mappings,
                              BulkStatusResponse* result) {
-  return BulkMappingOp(kLrcBulkCreate, mappings, result);
+  return Invoke(*rpc_, kLrcBulkCreate, MappingRequest{mappings}, result);
 }
 
 Status LrcClient::BulkAdd(const std::vector<Mapping>& mappings,
                           BulkStatusResponse* result) {
-  return BulkMappingOp(kLrcBulkAdd, mappings, result);
+  return Invoke(*rpc_, kLrcBulkAdd, MappingRequest{mappings}, result);
 }
 
 Status LrcClient::BulkDelete(const std::vector<Mapping>& mappings,
                              BulkStatusResponse* result) {
-  return BulkMappingOp(kLrcBulkDelete, mappings, result);
+  return Invoke(*rpc_, kLrcBulkDelete, MappingRequest{mappings}, result);
 }
 
 Status LrcClient::Query(const std::string& logical, std::vector<std::string>* targets,
                         uint32_t offset, uint32_t limit) {
-  NameQueryRequest req;
-  req.name = logical;
-  req.offset = offset;
-  req.limit = limit;
-  std::string payload, response;
-  req.Encode(&payload);
-  Status s = rpc_->Call(kLrcQueryLfn, payload, &response);
-  if (!s.ok()) return s;
-  StringListResponse result;
-  s = StringListResponse::Decode(response, &result);
-  if (!s.ok()) return s;
-  *targets = std::move(result.values);
-  return Status::Ok();
+  StringListResponse reply;
+  Status s = Invoke(*rpc_, kLrcQueryLfn, NameQueryRequest{logical, offset, limit},
+                    &reply);
+  if (s.ok()) *targets = std::move(reply.values);
+  return s;
 }
 
 Status LrcClient::QueryTarget(const std::string& target,
                               std::vector<std::string>* logicals, uint32_t offset,
                               uint32_t limit) {
-  NameQueryRequest req;
-  req.name = target;
-  req.offset = offset;
-  req.limit = limit;
-  std::string payload, response;
-  req.Encode(&payload);
-  Status s = rpc_->Call(kLrcQueryPfn, payload, &response);
-  if (!s.ok()) return s;
-  StringListResponse result;
-  s = StringListResponse::Decode(response, &result);
-  if (!s.ok()) return s;
-  *logicals = std::move(result.values);
-  return Status::Ok();
+  StringListResponse reply;
+  Status s = Invoke(*rpc_, kLrcQueryPfn, NameQueryRequest{target, offset, limit},
+                    &reply);
+  if (s.ok()) *logicals = std::move(reply.values);
+  return s;
 }
 
 Status LrcClient::BulkQuery(const std::vector<std::string>& logicals,
                             std::vector<Mapping>* mappings) {
-  BulkQueryRequest req;
-  req.names = logicals;
-  std::string payload, response;
-  req.Encode(&payload);
-  Status s = rpc_->Call(kLrcBulkQueryLfn, payload, &response);
-  if (!s.ok()) return s;
-  MappingListResponse result;
-  s = MappingListResponse::Decode(response, &result);
-  if (!s.ok()) return s;
-  *mappings = std::move(result.mappings);
-  return Status::Ok();
+  MappingListResponse reply;
+  Status s = Invoke(*rpc_, kLrcBulkQueryLfn, BulkQueryRequest{logicals}, &reply);
+  if (s.ok()) *mappings = std::move(reply.mappings);
+  return s;
 }
 
 Status LrcClient::WildcardQuery(const std::string& pattern, uint32_t limit,
                                 std::vector<Mapping>* mappings, uint32_t offset) {
-  NameQueryRequest req;
-  req.name = pattern;
-  req.offset = offset;
-  req.limit = limit;
-  std::string payload, response;
-  req.Encode(&payload);
-  Status s = rpc_->Call(kLrcWildcardQueryLfn, payload, &response);
-  if (!s.ok()) return s;
-  MappingListResponse result;
-  s = MappingListResponse::Decode(response, &result);
-  if (!s.ok()) return s;
-  *mappings = std::move(result.mappings);
-  return Status::Ok();
+  MappingListResponse reply;
+  Status s = Invoke(*rpc_, kLrcWildcardQueryLfn,
+                    NameQueryRequest{pattern, offset, limit}, &reply);
+  if (s.ok()) *mappings = std::move(reply.mappings);
+  return s;
 }
 
 Status LrcClient::Exists(const std::string& logical) {
-  NameQueryRequest req;
-  req.name = logical;
-  std::string payload, response;
-  req.Encode(&payload);
-  return rpc_->Call(kLrcExists, payload, &response);
+  return Invoke(*rpc_, kLrcExists, NameQueryRequest{logical, 0, 0});
 }
 
 Status LrcClient::AttributeDefine(const std::string& name, AttrObject object,
                                   AttrType type) {
-  AttrDefineRequest req{name, object, type};
-  std::string payload, response;
-  req.Encode(&payload);
-  return rpc_->Call(kLrcAttrDefine, payload, &response);
+  return Invoke(*rpc_, kLrcAttrDefine, AttrDefineRequest{name, object, type});
 }
 
 Status LrcClient::AttributeUndefine(const std::string& name, AttrObject object) {
-  AttrDefineRequest req{name, object, AttrType::kString};
-  std::string payload, response;
-  req.Encode(&payload);
-  return rpc_->Call(kLrcAttrUndefine, payload, &response);
-}
-
-Status LrcClient::AttrValueOp(uint16_t opcode, const std::string& object_name,
-                              const std::string& attr_name, AttrObject object,
-                              const AttrValue& value) {
-  AttrValueRequest req;
-  req.object_name = object_name;
-  req.attr_name = attr_name;
-  req.object = object;
-  req.value = value;
-  std::string payload, response;
-  req.Encode(&payload);
-  return rpc_->Call(opcode, payload, &response);
+  return Invoke(*rpc_, kLrcAttrUndefine,
+                AttrDefineRequest{name, object, AttrType::kString});
 }
 
 Status LrcClient::AttributeAdd(const std::string& object_name,
                                const std::string& attr_name, AttrObject object,
                                const AttrValue& value) {
-  return AttrValueOp(kLrcAttrAdd, object_name, attr_name, object, value);
+  return Invoke(*rpc_, kLrcAttrAdd,
+                AttrValueRequest{object_name, attr_name, object, value});
 }
 
 Status LrcClient::AttributeModify(const std::string& object_name,
                                   const std::string& attr_name, AttrObject object,
                                   const AttrValue& value) {
-  return AttrValueOp(kLrcAttrModify, object_name, attr_name, object, value);
+  return Invoke(*rpc_, kLrcAttrModify,
+                AttrValueRequest{object_name, attr_name, object, value});
 }
 
 Status LrcClient::AttributeDelete(const std::string& object_name,
                                   const std::string& attr_name, AttrObject object) {
-  return AttrValueOp(kLrcAttrDelete, object_name, attr_name, object, AttrValue());
+  return Invoke(*rpc_, kLrcAttrDelete,
+                AttrValueRequest{object_name, attr_name, object, AttrValue()});
 }
 
 Status LrcClient::AttributeQuery(const std::string& object_name, AttrObject object,
                                  std::vector<Attribute>* attributes) {
-  AttrValueRequest req;
-  req.object_name = object_name;
-  req.object = object;
-  std::string payload, response;
-  req.Encode(&payload);
-  Status s = rpc_->Call(kLrcAttrQueryObj, payload, &response);
-  if (!s.ok()) return s;
-  AttrListResponse result;
-  s = AttrListResponse::Decode(response, &result);
-  if (!s.ok()) return s;
-  *attributes = std::move(result.attributes);
-  return Status::Ok();
+  AttrListResponse reply;
+  Status s = Invoke(*rpc_, kLrcAttrQueryObj,
+                    AttrValueRequest{object_name, "", object, AttrValue()}, &reply);
+  if (s.ok()) *attributes = std::move(reply.attributes);
+  return s;
 }
 
 Status LrcClient::AttributeSearch(const std::string& attr_name, AttrObject object,
                                   AttrCmp cmp, const AttrValue& value,
                                   std::vector<Attribute>* results) {
-  AttrSearchRequest req;
-  req.attr_name = attr_name;
-  req.object = object;
-  req.cmp = cmp;
-  req.value = value;
-  std::string payload, response;
-  req.Encode(&payload);
-  Status s = rpc_->Call(kLrcAttrSearch, payload, &response);
-  if (!s.ok()) return s;
-  AttrListResponse result;
-  s = AttrListResponse::Decode(response, &result);
-  if (!s.ok()) return s;
-  *results = std::move(result.attributes);
-  return Status::Ok();
-}
-
-Status LrcClient::BulkAttrOp(uint16_t opcode, const std::vector<AttrValueRequest>& items,
-                             BulkStatusResponse* result) {
-  BulkAttrRequest req;
-  req.items = items;
-  std::string payload, response;
-  req.Encode(&payload);
-  Status s = rpc_->Call(opcode, payload, &response);
-  if (!s.ok()) return s;
-  return BulkStatusResponse::Decode(response, result);
+  AttrListResponse reply;
+  Status s = Invoke(*rpc_, kLrcAttrSearch,
+                    AttrSearchRequest{attr_name, object, cmp, value}, &reply);
+  if (s.ok()) *results = std::move(reply.attributes);
+  return s;
 }
 
 Status LrcClient::BulkAttributeAdd(const std::vector<AttrValueRequest>& items,
                                    BulkStatusResponse* result) {
-  return BulkAttrOp(kLrcBulkAttrAdd, items, result);
+  return Invoke(*rpc_, kLrcBulkAttrAdd, BulkAttrRequest{items}, result);
 }
 
 Status LrcClient::BulkAttributeDelete(const std::vector<AttrValueRequest>& items,
                                       BulkStatusResponse* result) {
-  return BulkAttrOp(kLrcBulkAttrDelete, items, result);
+  return Invoke(*rpc_, kLrcBulkAttrDelete, BulkAttrRequest{items}, result);
 }
 
 Status LrcClient::RliList(std::vector<std::string>* rlis) {
-  std::string response;
-  Status s = rpc_->Call(kLrcRliList, "", &response);
-  if (!s.ok()) return s;
-  StringListResponse result;
-  s = StringListResponse::Decode(response, &result);
-  if (!s.ok()) return s;
-  *rlis = std::move(result.values);
-  return Status::Ok();
+  StringListResponse reply;
+  Status s = Invoke(*rpc_, kLrcRliList, NoBody{}, &reply);
+  if (s.ok()) *rlis = std::move(reply.values);
+  return s;
 }
 
 Status LrcClient::RliAdd(const std::string& rli_address) {
-  NameQueryRequest req;
-  req.name = rli_address;
-  std::string payload, response;
-  req.Encode(&payload);
-  return rpc_->Call(kLrcRliAdd, payload, &response);
+  return Invoke(*rpc_, kLrcRliAdd, NameQueryRequest{rli_address, 0, 0});
 }
 
 Status LrcClient::RliRemove(const std::string& rli_address) {
-  NameQueryRequest req;
-  req.name = rli_address;
-  std::string payload, response;
-  req.Encode(&payload);
-  return rpc_->Call(kLrcRliRemove, payload, &response);
+  return Invoke(*rpc_, kLrcRliRemove, NameQueryRequest{rli_address, 0, 0});
 }
 
-Status LrcClient::ForceUpdate() {
-  std::string response;
-  return rpc_->Call(kLrcForceUpdate, "", &response);
-}
+Status LrcClient::ForceUpdate() { return Invoke(*rpc_, kLrcForceUpdate, NoBody{}); }
 
-Status LrcClient::Ping() {
-  std::string response;
-  return rpc_->Call(kPing, "", &response);
-}
+Status LrcClient::Ping() { return Invoke(*rpc_, kPing, NoBody{}); }
 
 Status LrcClient::GetStats(GetStatsResponse* stats) {
-  std::string response;
-  Status s = rpc_->Call(kServerGetStats, "", &response);
-  if (!s.ok()) return s;
-  return GetStatsResponse::Decode(response, stats);
+  return Invoke(*rpc_, kServerGetStats, NoBody{}, stats);
 }
 
 Status LrcClient::GetTraces(const GetTracesRequest& filter,
                             GetTracesResponse* traces) {
-  std::string request, response;
-  filter.Encode(&request);
-  Status s = rpc_->Call(kServerGetTraces, request, &response);
-  if (!s.ok()) return s;
-  return GetTracesResponse::Decode(response, traces);
+  return Invoke(*rpc_, kServerGetTraces, filter, traces);
 }
 
 Status RliClient::Connect(net::Transport* network, const std::string& address,
@@ -315,80 +210,45 @@ Status RliClient::Connect(net::Transport* network, const std::string& address,
 }
 
 Status RliClient::Query(const std::string& logical, std::vector<std::string>* lrcs) {
-  NameQueryRequest req;
-  req.name = logical;
-  std::string payload, response;
-  req.Encode(&payload);
-  Status s = rpc_->Call(kRliQueryLfn, payload, &response);
-  if (!s.ok()) return s;
-  StringListResponse result;
-  s = StringListResponse::Decode(response, &result);
-  if (!s.ok()) return s;
-  *lrcs = std::move(result.values);
-  return Status::Ok();
+  StringListResponse reply;
+  Status s = Invoke(*rpc_, kRliQueryLfn, NameQueryRequest{logical, 0, 0}, &reply);
+  if (s.ok()) *lrcs = std::move(reply.values);
+  return s;
 }
 
 Status RliClient::BulkQuery(const std::vector<std::string>& logicals,
                             std::vector<Mapping>* results) {
-  BulkQueryRequest req;
-  req.names = logicals;
-  std::string payload, response;
-  req.Encode(&payload);
-  Status s = rpc_->Call(kRliBulkQuery, payload, &response);
-  if (!s.ok()) return s;
-  MappingListResponse result;
-  s = MappingListResponse::Decode(response, &result);
-  if (!s.ok()) return s;
-  *results = std::move(result.mappings);
-  return Status::Ok();
+  MappingListResponse reply;
+  Status s = Invoke(*rpc_, kRliBulkQuery, BulkQueryRequest{logicals}, &reply);
+  if (s.ok()) *results = std::move(reply.mappings);
+  return s;
 }
 
 Status RliClient::WildcardQuery(const std::string& pattern, uint32_t limit,
                                 std::vector<Mapping>* results) {
-  NameQueryRequest req;
-  req.name = pattern;
-  req.limit = limit;
-  std::string payload, response;
-  req.Encode(&payload);
-  Status s = rpc_->Call(kRliWildcardQuery, payload, &response);
-  if (!s.ok()) return s;
-  MappingListResponse result;
-  s = MappingListResponse::Decode(response, &result);
-  if (!s.ok()) return s;
-  *results = std::move(result.mappings);
-  return Status::Ok();
+  MappingListResponse reply;
+  Status s = Invoke(*rpc_, kRliWildcardQuery, NameQueryRequest{pattern, 0, limit},
+                    &reply);
+  if (s.ok()) *results = std::move(reply.mappings);
+  return s;
 }
 
 Status RliClient::LrcList(std::vector<std::string>* lrcs) {
-  std::string response;
-  Status s = rpc_->Call(kRliLrcList, "", &response);
-  if (!s.ok()) return s;
-  StringListResponse result;
-  s = StringListResponse::Decode(response, &result);
-  if (!s.ok()) return s;
-  *lrcs = std::move(result.values);
-  return Status::Ok();
+  StringListResponse reply;
+  Status s = Invoke(*rpc_, kRliLrcList, NoBody{}, &reply);
+  if (s.ok()) *lrcs = std::move(reply.values);
+  return s;
 }
 
-Status RliClient::Ping() {
-  std::string response;
-  return rpc_->Call(kPing, "", &response);
-}
+Status RliClient::Ping() { return Invoke(*rpc_, kPing, NoBody{}); }
 
 Status RliClient::GetStats(GetStatsResponse* stats) {
-  std::string response;
-  Status s = rpc_->Call(kServerGetStats, "", &response);
-  if (!s.ok()) return s;
-  return GetStatsResponse::Decode(response, stats);
+  return Invoke(*rpc_, kServerGetStats, NoBody{}, stats);
 }
 
 Status RliClient::GetTraces(const GetTracesRequest& filter,
                             GetTracesResponse* traces) {
-  std::string request, response;
-  filter.Encode(&request);
-  Status s = rpc_->Call(kServerGetTraces, request, &response);
-  if (!s.ok()) return s;
-  return GetTracesResponse::Decode(response, traces);
+  return Invoke(*rpc_, kServerGetTraces, filter, traces);
 }
 
 }  // namespace rls

@@ -111,16 +111,6 @@ class LrcClient {
  private:
   explicit LrcClient(std::unique_ptr<net::RpcClient> rpc) : rpc_(std::move(rpc)) {}
 
-  rlscommon::Status MappingOp(uint16_t opcode, const std::string& logical,
-                              const std::string& target);
-  rlscommon::Status BulkMappingOp(uint16_t opcode, const std::vector<Mapping>& mappings,
-                                  BulkStatusResponse* result);
-  rlscommon::Status AttrValueOp(uint16_t opcode, const std::string& object_name,
-                                const std::string& attr_name, AttrObject object,
-                                const AttrValue& value);
-  rlscommon::Status BulkAttrOp(uint16_t opcode, const std::vector<AttrValueRequest>& items,
-                               BulkStatusResponse* result);
-
   std::unique_ptr<net::RpcClient> rpc_;
 };
 

@@ -15,7 +15,7 @@
 
 #include "common/error.h"
 #include "gsi/gsi.h"
-#include "net/serialize.h"
+#include "net/codec.h"
 #include "rls/types.h"
 
 namespace rls {
@@ -170,8 +170,9 @@ constexpr const OpSpec* FindOp(uint16_t opcode) {
 std::string OpName(uint16_t opcode);
 
 // ---------------------------------------------------------------------
-// Request/response structs. Encode appends to a payload string; Decode
-// returns a Protocol status on malformed input.
+// Request/response structs. Each lists its fields once, in wire order;
+// net/codec.h derives Encode (append to a payload string) and Decode
+// (PROTOCOL on malformed input) from that list.
 // ---------------------------------------------------------------------
 
 /// {lfn, target} pair list — used by create/add/delete and their bulk
@@ -179,8 +180,7 @@ std::string OpName(uint16_t opcode);
 struct MappingRequest {
   std::vector<Mapping> mappings;
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, MappingRequest* out);
+  NET_WIRE_MESSAGE(MappingRequest, mappings)
 };
 
 /// Name + flags — queries by logical or target name.
@@ -189,32 +189,28 @@ struct NameQueryRequest {
   uint32_t offset = 0;  // paging for large result sets
   uint32_t limit = 0;   // 0 = unlimited
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, NameQueryRequest* out);
+  NET_WIRE_MESSAGE(NameQueryRequest, name, offset, limit)
 };
 
 /// Bulk query: many names at once.
 struct BulkQueryRequest {
   std::vector<std::string> names;
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, BulkQueryRequest* out);
+  NET_WIRE_MESSAGE(BulkQueryRequest, names)
 };
 
 /// List of strings (targets, LRC urls, lfns...).
 struct StringListResponse {
   std::vector<std::string> values;
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, StringListResponse* out);
+  NET_WIRE_MESSAGE(StringListResponse, values)
 };
 
 /// Mapping list (bulk query results, wildcard results).
 struct MappingListResponse {
   std::vector<Mapping> mappings;
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, MappingListResponse* out);
+  NET_WIRE_MESSAGE(MappingListResponse, mappings)
 };
 
 /// Per-item outcomes of a bulk mutation.
@@ -222,8 +218,8 @@ struct BulkStatusResponse {
   std::vector<BulkResult> failures;  // items not listed succeeded
   uint32_t succeeded = 0;
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, BulkStatusResponse* out);
+  // The count goes first on the wire.
+  NET_WIRE_MESSAGE(BulkStatusResponse, succeeded, failures)
 };
 
 /// Attribute definition (kLrcAttrDefine / kLrcAttrUndefine).
@@ -232,8 +228,7 @@ struct AttrDefineRequest {
   AttrObject object = AttrObject::kLogical;
   AttrType type = AttrType::kString;
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, AttrDefineRequest* out);
+  NET_WIRE_MESSAGE(AttrDefineRequest, name, object, type)
 };
 
 /// Attribute value ops: attach/modify/delete a value on an object.
@@ -243,16 +238,14 @@ struct AttrValueRequest {
   AttrObject object = AttrObject::kLogical;
   AttrValue value;          // ignored for delete
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, AttrValueRequest* out);
+  NET_WIRE_MESSAGE(AttrValueRequest, object_name, attr_name, object, value)
 };
 
 /// Bulk attribute add/delete.
 struct BulkAttrRequest {
   std::vector<AttrValueRequest> items;
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, BulkAttrRequest* out);
+  NET_WIRE_MESSAGE(BulkAttrRequest, items)
 };
 
 /// Attribute search: objects where attr <cmp> value.
@@ -262,16 +255,14 @@ struct AttrSearchRequest {
   AttrCmp cmp = AttrCmp::kEq;
   AttrValue value;
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, AttrSearchRequest* out);
+  NET_WIRE_MESSAGE(AttrSearchRequest, attr_name, object, cmp, value)
 };
 
 /// Attributes of one object (kLrcAttrQueryObj response).
 struct AttrListResponse {
   std::vector<Attribute> attributes;
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, AttrListResponse* out);
+  NET_WIRE_MESSAGE(AttrListResponse, attributes)
 };
 
 /// Soft-state full update framing. `sent_micros` is the sender's
@@ -283,8 +274,7 @@ struct FullUpdateBegin {
   uint64_t total_names = 0;
   int64_t sent_micros = 0;
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, FullUpdateBegin* out);
+  NET_WIRE_MESSAGE(FullUpdateBegin, lrc_url, update_id, total_names, sent_micros)
 };
 
 struct FullUpdateChunk {
@@ -292,16 +282,14 @@ struct FullUpdateChunk {
   uint64_t update_id = 0;
   std::vector<std::string> names;
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, FullUpdateChunk* out);
+  NET_WIRE_MESSAGE(FullUpdateChunk, lrc_url, update_id, names)
 };
 
 struct FullUpdateEnd {
   std::string lrc_url;
   uint64_t update_id = 0;
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, FullUpdateEnd* out);
+  NET_WIRE_MESSAGE(FullUpdateEnd, lrc_url, update_id)
 };
 
 /// Immediate-mode incremental update: recent adds and deletes.
@@ -311,8 +299,7 @@ struct IncrementalUpdate {
   std::vector<std::string> removed;
   int64_t sent_micros = 0;
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, IncrementalUpdate* out);
+  NET_WIRE_MESSAGE(IncrementalUpdate, lrc_url, added, removed, sent_micros)
 };
 
 /// Bloom-compressed update: the serialized filter summarizing the LRC.
@@ -321,8 +308,7 @@ struct BloomUpdate {
   std::string filter_bytes;  // bloom::BloomFilter::Serialize output
   int64_t sent_micros = 0;
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, BloomUpdate* out);
+  NET_WIRE_MESSAGE(BloomUpdate, lrc_url, filter_bytes, sent_micros)
 };
 
 // ---------------------------------------------------------------------
@@ -348,6 +334,9 @@ struct MetricSample {
   // feed it to GetTraces to pull the matching span from the recorder.
   uint64_t exemplar_us = 0;
   uint64_t exemplar_trace = 0;
+
+  NET_WIRE_FIELDS(name, labels, kind, value, count, mean_us, p50_us, p95_us,
+                  p99_us, p999_us, max_us, exemplar_us, exemplar_trace)
 };
 
 /// Per-RLI-target soft-state freshness (LRC/combined servers only).
@@ -359,12 +348,10 @@ struct TargetStatus {
   uint32_t consecutive_failures = 0;
   uint64_t full_resends = 0;  // recovery resends after failures
 
-  void Encode(net::Writer* w) const;
-  static bool Decode(net::Reader* r, TargetStatus* out);
+  NET_WIRE_FIELDS(address, updates_sent, seconds_since_last, healthy,
+                  consecutive_failures, full_resends)
 };
 
-/// Full introspection snapshot: vitals + per-target freshness + every
-/// registry instrument.
 /// What open-time WAL replay did on the server's LRC database. All-zero
 /// with enabled=0 when the server's LRC log is a scratch log.
 struct WalRecoveryStatus {
@@ -383,8 +370,14 @@ struct WalRecoveryStatus {
   uint64_t commits = 0;          // transactions committed since open
   uint64_t syncs = 0;            // fdatasyncs issued
   uint64_t group_commits = 0;    // batches written by group leaders
+
+  NET_WIRE_FIELDS(enabled, recovered_txns, records_applied, snapshot_rows,
+                  torn_tail_bytes, checksum_failures, last_lsn, recover_micros,
+                  group_commit, commits, syncs, group_commits)
 };
 
+/// Full introspection snapshot: vitals + per-target freshness + every
+/// registry instrument. The nested vitals and WAL status go inline.
 struct GetStatsResponse {
   std::string role;  // "lrc", "rli", "lrc+rli"
   double uptime_seconds = 0;
@@ -402,8 +395,9 @@ struct GetStatsResponse {
   std::vector<TargetStatus> targets;
   std::vector<MetricSample> metrics;
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, GetStatsResponse* out);
+  NET_WIRE_MESSAGE(GetStatsResponse, role, uptime_seconds, build_flags, vitals,
+                   last_update_trace_id, trace_depth, trace_dropped,
+                   trace_capacity, wal, targets, metrics)
 };
 
 // ---------------------------------------------------------------------
@@ -424,14 +418,16 @@ struct GetTracesRequest {
   uint32_t limit = 0;           // 0 = unlimited
   uint8_t source = 0;           // 0 = ring buffer, 1 = top-K slow log
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, GetTracesRequest* out);
+  NET_WIRE_MESSAGE(GetTracesRequest, trace_id, method, component, min_duration_us,
+                   limit, source)
 };
 
 /// One named hop: offset from the span start, microseconds.
 struct TraceHop {
   std::string name;
   uint64_t offset_us = 0;
+
+  NET_WIRE_FIELDS(name, offset_us)
 };
 
 /// One recorded span with its stage decomposition.
@@ -444,6 +440,9 @@ struct TraceSpan {
   int64_t start_us = 0;
   uint64_t duration_us = 0;
   std::vector<TraceHop> hops;
+
+  NET_WIRE_FIELDS(component, name, trace_id, span_id, tid, start_us, duration_us,
+                  hops)
 };
 
 struct GetTracesResponse {
@@ -452,8 +451,7 @@ struct GetTracesResponse {
   uint64_t capacity = 0;  // 0 = recorder never enabled
   std::vector<TraceSpan> spans;  // newest first (slowest first for slow log)
 
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, GetTracesResponse* out);
+  NET_WIRE_MESSAGE(GetTracesResponse, depth, dropped, capacity, spans)
 };
 
 }  // namespace rls

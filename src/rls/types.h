@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/error.h"
-#include "net/serialize.h"
+#include "net/codec.h"
 
 namespace rls {
 
@@ -17,15 +17,22 @@ struct Mapping {
   std::string logical;
   std::string target;
 
+  NET_WIRE_FIELDS(logical, target)
   bool operator==(const Mapping&) const = default;
 };
 
 /// Whether an attribute attaches to logical or target names (the
 /// t_attribute.objtype column of Fig. 3).
-enum class AttrObject : uint8_t { kLogical = 0, kTarget = 1 };
+enum class AttrObject : uint8_t { kLogical = 0, kTarget = 1, kLast = kTarget };
 
 /// Attribute value types — one relational table per type in Fig. 3.
-enum class AttrType : uint8_t { kString = 0, kInt = 1, kFloat = 2, kDate = 3 };
+enum class AttrType : uint8_t {
+  kString = 0,
+  kInt = 1,
+  kFloat = 2,
+  kDate = 3,
+  kLast = kDate,
+};
 
 /// A typed attribute value ("typically ... such values as size with a
 /// physical name", paper §3.1).
@@ -60,8 +67,10 @@ struct AttrValue {
     return a;
   }
 
+  /// Tagged union on the wire: the type byte, then that type's value.
   void Encode(net::Writer* w) const;
   static bool Decode(net::Reader* r, AttrValue* out);
+  static constexpr std::size_t kMinWireBytes = 5;  // type + empty string
 
   std::string ToString() const;
   bool operator==(const AttrValue&) const = default;
@@ -72,16 +81,28 @@ struct Attribute {
   std::string name;
   AttrObject object = AttrObject::kLogical;
   AttrValue value;
+
+  NET_WIRE_FIELDS(name, object, value)
 };
 
 /// Comparison operators for attribute searches (Table 1 "query based on
 /// attribute names or values").
-enum class AttrCmp : uint8_t { kEq = 0, kNe = 1, kLt = 2, kLe = 3, kGt = 4, kGe = 5 };
+enum class AttrCmp : uint8_t {
+  kEq = 0,
+  kNe = 1,
+  kLt = 2,
+  kLe = 3,
+  kGt = 4,
+  kGe = 5,
+  kLast = kGe,
+};
 
 /// Per-item outcome of a bulk operation.
 struct BulkResult {
   uint32_t index = 0;                 // position in the request
   rlscommon::ErrorCode code = rlscommon::ErrorCode::kOk;
+
+  NET_WIRE_FIELDS(index, code)
 };
 
 /// Summary statistics a server reports (admin/monitoring).
@@ -93,6 +114,9 @@ struct ServerStats {
   uint64_t updates_sent = 0;       // LRC: soft-state updates
   uint64_t bloom_filters = 0;      // RLI: resident compressed summaries
   uint64_t requests_shed = 0;      // overload: admission/queue rejections
+
+  NET_WIRE_FIELDS(lfn_count, mapping_count, requests_served, updates_received,
+                  updates_sent, bloom_filters, requests_shed)
 };
 
 }  // namespace rls

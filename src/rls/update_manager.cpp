@@ -583,7 +583,9 @@ void UpdateManager::SchedulerLoop() {
     if (config_.full_interval.count() > 0 && now - last_full >= config_.full_interval) {
       last_full = now;
       Status s = ForceFullUpdate();
-      if (!s.ok()) RLS_WARN("update") << lrc_url_ << " full update failed: " << s.ToString();
+      if (!s.ok()) {
+        RLS_WARN("update") << lrc_url_ << " full update failed: " << s.ToString();
+      }
     }
 
     if (config_.mode == UpdateMode::kImmediate) {

@@ -43,7 +43,7 @@ std::string_view UpdateModeName(UpdateMode mode);
 struct UpdateTarget {
   std::string address;                        // transport listen address
   net::LinkModel link = net::LinkModel::Loopback();
-  std::vector<std::string> patterns;          // partitioned mode: globs
+  std::vector<std::string> patterns = {};     // partitioned mode: globs
 };
 
 struct UpdateConfig {

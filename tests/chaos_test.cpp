@@ -268,7 +268,9 @@ void RunLossyWorkload(uint64_t seed, int calls,
     std::string response;
     const Status s = client->Call(1, "ping" + std::to_string(i), &response);
     outcomes->push_back(s.code());
-    if (s.ok()) EXPECT_EQ(response, "ping" + std::to_string(i));
+    if (s.ok()) {
+      EXPECT_EQ(response, "ping" + std::to_string(i));
+    }
   }
   *retries = client->retries();
   *events = fx.faults->Events();

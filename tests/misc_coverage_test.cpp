@@ -1,6 +1,6 @@
 // Coverage for paths the focused suites skip: error rendering, wire
-// reader utilities, TryPop, auth handshake cost, bloom math, and server
-// bulk partial-failure semantics.
+// reader utilities, auth handshake cost, bloom math, and server bulk
+// partial-failure semantics.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -50,19 +50,6 @@ TEST(ReaderTest, SkipAndRest) {
   EXPECT_EQ(r.Rest(), "bytes");
   r.Skip(1000);  // clamps
   EXPECT_TRUE(r.AtEnd());
-}
-
-TEST(MessageQueueTest, TryPopNonBlocking) {
-  net::MessageQueue queue;
-  net::Message out;
-  EXPECT_EQ(queue.TryPop(&out).code(), ErrorCode::kNotFound);
-  net::Message m;
-  m.opcode = 9;
-  ASSERT_TRUE(queue.Push(m));
-  ASSERT_TRUE(queue.TryPop(&out).ok());
-  EXPECT_EQ(out.opcode, 9);
-  queue.Close();
-  EXPECT_EQ(queue.TryPop(&out).code(), ErrorCode::kUnavailable);
 }
 
 TEST(AuthTest, HandshakeCostIsCharged) {

@@ -1,15 +1,20 @@
 // Robustness: hostile/malformed wire payloads must produce PROTOCOL
 // errors, never crashes or hangs; requests before AUTH are rejected;
-// unknown opcodes are rejected.
+// unknown opcodes are rejected; error frames must carry a real error
+// code. Per-message decoder coverage (truncation, garbage, round trip)
+// lives in wire_codec_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "net/rpc.h"
+#include "net/serialize.h"
+#include "rls/client.h"
 #include "rls/protocol.h"
 #include "rls/rls_server.h"
 
@@ -172,55 +177,70 @@ TEST_F(RobustnessTest, ErrorCodecRoundTrip) {
   EXPECT_EQ(net::DecodeError("junk").code(), ErrorCode::kProtocol);
 }
 
-TEST_F(RobustnessTest, ProtocolDecodersRejectGarbageDirectly) {
-  // Exercise every Decode function against random bytes (no server).
-  rlscommon::Xoshiro256 rng(99);
-  for (int i = 0; i < 200; ++i) {
-    std::string junk;
-    const std::size_t len = rng.Below(40);
-    for (std::size_t b = 0; b < len; ++b) {
-      junk.push_back(static_cast<char>(rng.Below(256)));
-    }
-    MappingRequest m;
-    (void)MappingRequest::Decode(junk, &m);
-    BulkQueryRequest bq;
-    (void)BulkQueryRequest::Decode(junk, &bq);
-    AttrValueRequest av;
-    (void)AttrValueRequest::Decode(junk, &av);
-    AttrSearchRequest as;
-    (void)AttrSearchRequest::Decode(junk, &as);
-    BulkAttrRequest ba;
-    (void)BulkAttrRequest::Decode(junk, &ba);
-    FullUpdateChunk fc;
-    (void)FullUpdateChunk::Decode(junk, &fc);
-    IncrementalUpdate iu;
-    (void)IncrementalUpdate::Decode(junk, &iu);
-    BloomUpdate bu;
-    (void)BloomUpdate::Decode(junk, &bu);
-    NameQueryRequest nq;
-    (void)NameQueryRequest::Decode(junk, &nq);
-    StringListResponse sl;
-    (void)StringListResponse::Decode(junk, &sl);
-    MappingListResponse ml;
-    (void)MappingListResponse::Decode(junk, &ml);
-    BulkStatusResponse bs;
-    (void)BulkStatusResponse::Decode(junk, &bs);
-    AttrDefineRequest ad;
-    (void)AttrDefineRequest::Decode(junk, &ad);
-    AttrListResponse al;
-    (void)AttrListResponse::Decode(junk, &al);
-    FullUpdateBegin fb;
-    (void)FullUpdateBegin::Decode(junk, &fb);
-    FullUpdateEnd fe;
-    (void)FullUpdateEnd::Decode(junk, &fe);
-    GetStatsResponse gs;
-    (void)GetStatsResponse::Decode(junk, &gs);
-    GetTracesRequest gtq;
-    (void)GetTracesRequest::Decode(junk, &gtq);
-    GetTracesResponse gtr;
-    (void)GetTracesResponse::Decode(junk, &gtr);
+// An error frame must carry an error. Code 0 would report success for a
+// write no server acknowledged; a code past ErrorCode::kLast has no
+// meaning in this build (and would not be retried even if it meant
+// UNAVAILABLE).
+TEST(ErrorFrameCodeTest, DecodeErrorRejectsOkAndUnknownCodes) {
+  for (int code : {0, 200}) {
+    std::string payload;
+    net::Writer w(&payload);
+    w.U8(static_cast<uint8_t>(code));
+    w.Str("not an error");
+    EXPECT_EQ(net::DecodeError(payload).code(), ErrorCode::kProtocol) << "code " << code;
   }
-  SUCCEED();  // no crash, no UB (run under sanitizers in CI)
+  std::string last;
+  net::EncodeError(rlscommon::Status::DataLoss("disk"), &last);
+  EXPECT_EQ(net::DecodeError(last).code(), ErrorCode::kDataLoss);
+}
+
+TEST(ErrorFrameCodeTest, ErrorFrameWithCodeZeroFailsTheCall) {
+  // A listener that completes the AUTH handshake, then answers every
+  // request with an error-flagged frame whose code byte is 0.
+  net::InProcTransport network;
+  std::vector<std::thread> servers;
+  ASSERT_TRUE(network
+                  .Listen("zero-code",
+                          [&servers](net::ConnectionPtr conn) {
+                            servers.emplace_back(
+                                [c = std::shared_ptr<net::Connection>(
+                                     conn.release())] {
+                                  net::Message msg;
+                                  while (c->Recv(&msg).ok()) {
+                                    net::Message reply;
+                                    reply.request_id = msg.request_id;
+                                    reply.opcode = msg.opcode;
+                                    reply.flags = net::Message::kFlagResponse;
+                                    if (msg.opcode != net::kOpcodeAuth) {
+                                      reply.flags |= net::Message::kFlagError;
+                                      net::Writer w(&reply.payload);
+                                      w.U8(0);
+                                      w.Str("stored");
+                                    }
+                                    if (!c->Send(std::move(reply)).ok()) break;
+                                  }
+                                });
+                          })
+                  .ok());
+  std::unique_ptr<LrcClient> client;
+  EXPECT_TRUE(LrcClient::Connect(&network, "zero-code", {}, &client).ok());
+  if (client) {
+    EXPECT_EQ(client->Create("lfn", "pfn").code(), ErrorCode::kProtocol);
+  }
+  client.reset();  // closes the connection; the listener thread exits
+  for (std::thread& t : servers) t.join();
+}
+
+TEST(ErrorFrameCodeTest, BulkStatusRejectsUnknownErrorCode) {
+  std::string payload;
+  net::Writer w(&payload);
+  w.U32(1);    // succeeded
+  w.U32(1);    // one failure
+  w.U32(0);    // at index 0
+  w.U8(250);   // with a code past ErrorCode::kLast
+  BulkStatusResponse decoded;
+  EXPECT_EQ(BulkStatusResponse::Decode(payload, &decoded).code(),
+            ErrorCode::kProtocol);
 }
 
 }  // namespace

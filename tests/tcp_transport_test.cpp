@@ -380,6 +380,13 @@ TEST(TcpTransportTest, OversizedFrameRejected) {
   Message msg;
   msg.payload = std::string(4096, 'z');
   EXPECT_EQ(conn->Send(std::move(msg)).code(), ErrorCode::kProtocol);
+  // The connection survives the rejected frame. Waiting for a normal one
+  // also keeps the inbox alive until the listener has accepted: the loop
+  // thread runs the accept handler asynchronously.
+  Message small;
+  small.payload = "ok";
+  ASSERT_TRUE(conn->Send(std::move(small)).ok());
+  EXPECT_TRUE(inbox.WaitForMessages(1, 5s));
 }
 
 // --- async RPC client over TCP ---
