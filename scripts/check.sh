@@ -49,7 +49,7 @@ run_bench_gate() {  # $1 = output mode: "compare" or "rebaseline"
   local dir=build-check
   echo "=== [bench] configure + build ($dir)"
   cmake -B "$dir" -S . -DRLS_SANITIZE= >/dev/null
-  cmake --build "$dir" -j --target "${BENCH_GATE_BENCHES[@]}"
+  cmake --build "$dir" -j"$(nproc)" --target "${BENCH_GATE_BENCHES[@]}"
   mkdir -p bench/baselines
   local bench fig json
   for bench in "${BENCH_GATE_BENCHES[@]}"; do
@@ -113,7 +113,7 @@ run_crash_gate() {
   local dir=build-check-asan
   echo "=== [crash] configure + build ($dir, ASan+UBSan)"
   cmake -B "$dir" -S . -DRLS_SANITIZE=address,undefined >/dev/null
-  cmake --build "$dir" -j --target crash_recovery_test rdb_wal_test \
+  cmake --build "$dir" -j"$(nproc)" --target crash_recovery_test rdb_wal_test \
     rdb_property_test
   scripts/crash_matrix.sh "$dir" "${RLS_CRASH_TXNS:-1000}" \
     "${RLS_CRASH_SEED:-42}"
@@ -123,7 +123,7 @@ run_trace_gate() {
   local dir=build-check
   echo "=== [trace] configure + build ($dir)"
   cmake -B "$dir" -S . -DRLS_SANITIZE= >/dev/null
-  cmake --build "$dir" -j --target bench_fig06_lrc_ops_multiclient
+  cmake --build "$dir" -j"$(nproc)" --target bench_fig06_lrc_ops_multiclient
   local off="$dir/TRACE_fig06_off.json" on="$dir/TRACE_fig06_on.json"
   local trace="$dir/trace_fig06.json"
   rm -f "$off" "$on" "$trace"
@@ -189,7 +189,7 @@ for config in "${configs[@]}"; do
 
   echo "=== [$config] configure + build ($dir)"
   cmake -B "$dir" -S . "${flags[@]}" >/dev/null
-  cmake --build "$dir" -j
+  cmake --build "$dir" -j"$(nproc)"
   echo "=== [$config] ctest"
   ctest --test-dir "$dir" --output-on-failure -j"$(nproc)"
   if [ "$config" = thread ]; then

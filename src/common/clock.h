@@ -26,6 +26,12 @@ class Clock {
   /// Current monotonic time.
   virtual TimePoint Now() const = 0;
 
+  /// Now() in microseconds since the clock's epoch (soft-state stamps).
+  int64_t NowMicros() const {
+    return std::chrono::duration_cast<std::chrono::microseconds>(Now().time_since_epoch())
+        .count();
+  }
+
   /// Blocks the calling thread for `d` (or until the clock is advanced
   /// past it, for manual clocks).
   virtual void SleepFor(Duration d) = 0;

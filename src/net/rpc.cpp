@@ -352,8 +352,7 @@ void RpcServer::ServeConnection(std::shared_ptr<Connection> conn) {
       status = Status::Unauthenticated("handshake required before requests");
     } else {
       if (options_.admission) {
-        AdmitDecision decision =
-            options_.admission(context, msg.opcode, msg.payload);
+        AdmitDecision decision = options_.admission(context, msg.opcode);
         status = std::move(decision.status);
         priority = decision.priority;
       }

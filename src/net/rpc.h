@@ -69,8 +69,8 @@ struct AdmitDecision {
 
 /// Policy hook deciding admission per request. Runs on the connection
 /// thread; must be cheap and thread-safe.
-using AdmissionHook = std::function<AdmitDecision(
-    const gsi::AuthContext&, uint16_t opcode, const std::string& request)>;
+using AdmissionHook =
+    std::function<AdmitDecision(const gsi::AuthContext&, uint16_t opcode)>;
 
 struct ServerOptions {
   std::string name = "rls-server";

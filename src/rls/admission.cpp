@@ -24,8 +24,7 @@ AdmissionController::AdmissionController(const ServerLimits& limits,
 }
 
 net::AdmitDecision AdmissionController::Admit(const gsi::AuthContext& context,
-                                              uint16_t opcode,
-                                              const std::string& /*request*/) {
+                                              uint16_t opcode) {
   const OpSpec* op = FindOp(opcode);
   if (op && op->priority()) {
     if (admitted_priority_) admitted_priority_->Increment();

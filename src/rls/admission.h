@@ -84,8 +84,7 @@ class AdmissionController {
   AdmissionController& operator=(const AdmissionController&) = delete;
 
   /// The admission decision for one authenticated request.
-  net::AdmitDecision Admit(const gsi::AuthContext& context, uint16_t opcode,
-                           const std::string& request);
+  net::AdmitDecision Admit(const gsi::AuthContext& context, uint16_t opcode);
 
   /// Requests this controller rejected (rate-limit sheds).
   uint64_t shed_total() const { return shed_.load(std::memory_order_relaxed); }

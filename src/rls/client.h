@@ -2,7 +2,8 @@
 //
 // LrcClient and RliClient wrap one RPC connection each; like the original
 // C client, a client object is not thread-safe — the multi-threaded load
-// drivers in bench/ create one client per thread.
+// drivers in bench/ create one client per thread. Every RLS call in
+// src/rls, clients and servers alike, goes through Invoke<Op>.
 #pragma once
 
 #include <memory>
@@ -16,34 +17,49 @@
 
 namespace rls {
 
-/// Options shared by both clients.
-struct ClientConfig {
-  gsi::Credential credential;                      // empty = anonymous
-  net::LinkModel link = net::LinkModel::Loopback();
+/// Options shared by both clients: those of their one RPC connection
+/// (credential, link, identity, deadline, retry policy, metrics sink).
+using ClientConfig = net::ClientOptions;
 
-  /// Endpoint identity on the fabric (fault-injection targeting).
-  std::string identity = "client";
+/// Issues one RLS call: encodes `request`, calls `Code` and decodes the
+/// reply into `reply` (a null `reply` ignores the reply body). Both types
+/// come from Code's row of the operation table, so a mismatched request
+/// or reply does not compile.
+template <Op Code>
+rlscommon::Status Invoke(net::RpcClient& rpc, const RequestOf<Code>& request,
+                         ReplyOf<Code>* reply = nullptr) {
+  std::string payload, response;
+  net::EncodeMessage(request, &payload);
+  rlscommon::Status s = rpc.Call(Code, payload, &response);
+  if (!s.ok() || reply == nullptr) return s;
+  return net::DecodeMessage(response, reply);
+}
 
-  /// Per-call deadline; zero = wait forever.
-  std::chrono::milliseconds call_timeout{0};
-
-  /// Retry policy for UNAVAILABLE/TIMEOUT failures (default: no retry).
-  net::RetryPolicy retry;
-
-  /// Seed for retry-backoff jitter (deterministic chaos tests).
-  uint64_t retry_seed = 0x5ca1ab1e;
-
-  /// Optional client-side metrics sink (retries/timeouts/reconnects).
-  obs::Registry* metrics = nullptr;
-};
-
-/// Client for a server's LRC role — every LRC operation of Table 1.
-class LrcClient {
+/// What both clients share: the connection, liveness and introspection.
+/// `Client` is the class Connect builds.
+template <typename Client>
+class ClientBase {
  public:
   static rlscommon::Status Connect(net::Transport* network, const std::string& address,
                                    const ClientConfig& config,
-                                   std::unique_ptr<LrcClient>* out);
+                                   std::unique_ptr<Client>* out);
 
+  rlscommon::Status Ping();
+  /// Full introspection snapshot: vitals plus every registry instrument.
+  rlscommon::Status GetStats(GetStatsResponse* stats);
+  /// Flight-recorder dump.
+  rlscommon::Status GetTraces(const GetTracesRequest& filter,
+                              GetTracesResponse* traces);
+
+ protected:
+  ClientBase() = default;
+
+  std::unique_ptr<net::RpcClient> rpc_;
+};
+
+/// Client for a server's LRC role — every LRC operation of Table 1.
+class LrcClient : public ClientBase<LrcClient> {
+ public:
   // --- mapping management ---
   rlscommon::Status Create(const std::string& logical, const std::string& target);
   rlscommon::Status Add(const std::string& logical, const std::string& target);
@@ -101,26 +117,14 @@ class LrcClient {
   /// Triggers an immediate soft-state update round.
   rlscommon::Status ForceUpdate();
 
-  rlscommon::Status Ping();
-  /// Full introspection snapshot: vitals plus every registry instrument.
-  rlscommon::Status GetStats(GetStatsResponse* stats);
-  /// Flight-recorder dump.
-  rlscommon::Status GetTraces(const GetTracesRequest& filter,
-                              GetTracesResponse* traces);
-
  private:
-  explicit LrcClient(std::unique_ptr<net::RpcClient> rpc) : rpc_(std::move(rpc)) {}
-
-  std::unique_ptr<net::RpcClient> rpc_;
+  friend class ClientBase<LrcClient>;
+  LrcClient() = default;
 };
 
 /// Client for a server's RLI role.
-class RliClient {
+class RliClient : public ClientBase<RliClient> {
  public:
-  static rlscommon::Status Connect(net::Transport* network, const std::string& address,
-                                   const ClientConfig& config,
-                                   std::unique_ptr<RliClient>* out);
-
   /// LRC urls that (may) hold mappings for this logical name. Bloom-mode
   /// RLIs answer with ~1% false positives (paper §3.4).
   rlscommon::Status Query(const std::string& logical, std::vector<std::string>* lrcs);
@@ -132,17 +136,9 @@ class RliClient {
   /// LRCs that update this RLI.
   rlscommon::Status LrcList(std::vector<std::string>* lrcs);
 
-  rlscommon::Status Ping();
-  /// Full introspection snapshot: vitals plus every registry instrument.
-  rlscommon::Status GetStats(GetStatsResponse* stats);
-  /// Flight-recorder dump.
-  rlscommon::Status GetTraces(const GetTracesRequest& filter,
-                              GetTracesResponse* traces);
-
  private:
-  explicit RliClient(std::unique_ptr<net::RpcClient> rpc) : rpc_(std::move(rpc)) {}
-
-  std::unique_ptr<net::RpcClient> rpc_;
+  friend class ClientBase<RliClient>;
+  RliClient() = default;
 };
 
 }  // namespace rls

@@ -1,4 +1,5 @@
-// RLS wire protocol: opcodes and request/response codecs.
+// RLS wire protocol: opcodes, request/response messages and the
+// operation table that ties them together.
 //
 // Every client operation of Table 1 has an opcode; soft-state updates
 // (uncompressed full, incremental/immediate, Bloom-compressed) have their
@@ -11,6 +12,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -74,9 +77,9 @@ enum Op : uint16_t {
 /// Server role an operation needs enabled.
 enum class OpRole : uint8_t { kAny, kLrc, kRli };
 
-/// One row per opcode: the method name (the `method` metric label) and
-/// the ACL privilege it requires (paper §3.1). Everything else about an
-/// operation follows from the privilege (DESIGN.md §9).
+/// An operation's opcode, method name (the `method` metric label) and
+/// the ACL privilege it requires (paper §3.1). Its role and admission
+/// lane follow from the privilege (DESIGN.md §9).
 struct OpSpec {
   Op opcode;
   std::string_view name;
@@ -104,76 +107,16 @@ struct OpSpec {
   }
 };
 
-inline constexpr OpSpec kOpTable[] = {
-    {kPing, "ping", std::nullopt},
-    {kServerGetStats, "server_get_stats", gsi::Privilege::kStats},
-    {kServerGetTraces, "server_get_traces", gsi::Privilege::kStats},
-    {kLrcCreate, "lrc_create", gsi::Privilege::kLrcWrite},
-    {kLrcAdd, "lrc_add", gsi::Privilege::kLrcWrite},
-    {kLrcDelete, "lrc_delete", gsi::Privilege::kLrcWrite},
-    {kLrcBulkCreate, "lrc_bulk_create", gsi::Privilege::kLrcWrite},
-    {kLrcBulkAdd, "lrc_bulk_add", gsi::Privilege::kLrcWrite},
-    {kLrcBulkDelete, "lrc_bulk_delete", gsi::Privilege::kLrcWrite},
-    {kLrcQueryLfn, "lrc_query_lfn", gsi::Privilege::kLrcRead},
-    {kLrcQueryPfn, "lrc_query_pfn", gsi::Privilege::kLrcRead},
-    {kLrcBulkQueryLfn, "lrc_bulk_query_lfn", gsi::Privilege::kLrcRead},
-    {kLrcWildcardQueryLfn, "lrc_wildcard_query_lfn", gsi::Privilege::kLrcRead},
-    {kLrcExists, "lrc_exists", gsi::Privilege::kLrcRead},
-    {kLrcAttrDefine, "lrc_attr_define", gsi::Privilege::kLrcWrite},
-    {kLrcAttrAdd, "lrc_attr_add", gsi::Privilege::kLrcWrite},
-    {kLrcAttrModify, "lrc_attr_modify", gsi::Privilege::kLrcWrite},
-    {kLrcAttrDelete, "lrc_attr_delete", gsi::Privilege::kLrcWrite},
-    {kLrcAttrQueryObj, "lrc_attr_query_obj", gsi::Privilege::kLrcRead},
-    {kLrcAttrSearch, "lrc_attr_search", gsi::Privilege::kLrcRead},
-    {kLrcBulkAttrAdd, "lrc_bulk_attr_add", gsi::Privilege::kLrcWrite},
-    {kLrcBulkAttrDelete, "lrc_bulk_attr_delete", gsi::Privilege::kLrcWrite},
-    {kLrcAttrUndefine, "lrc_attr_undefine", gsi::Privilege::kLrcWrite},
-    {kLrcRliList, "lrc_rli_list", gsi::Privilege::kAdmin},
-    {kLrcRliAdd, "lrc_rli_add", gsi::Privilege::kAdmin},
-    {kLrcRliRemove, "lrc_rli_remove", gsi::Privilege::kAdmin},
-    {kLrcForceUpdate, "lrc_force_update", gsi::Privilege::kAdmin},
-    {kRliQueryLfn, "rli_query_lfn", gsi::Privilege::kRliRead},
-    {kRliBulkQuery, "rli_bulk_query", gsi::Privilege::kRliRead},
-    {kRliWildcardQuery, "rli_wildcard_query", gsi::Privilege::kRliRead},
-    {kRliLrcList, "rli_lrc_list", gsi::Privilege::kRliRead},
-    {kSsFullBegin, "ss_full_begin", gsi::Privilege::kRliWrite},
-    {kSsFullChunk, "ss_full_chunk", gsi::Privilege::kRliWrite},
-    {kSsFullEnd, "ss_full_end", gsi::Privilege::kRliWrite},
-    {kSsIncremental, "ss_incremental", gsi::Privilege::kRliWrite},
-    {kSsBloom, "ss_bloom", gsi::Privilege::kRliWrite},
-};
-
-namespace detail {
-
-/// kOpTable indexed by opcode, so a lookup is one bounds check and one
-/// load. kSsBloom is the largest opcode; a row past it or a duplicate
-/// row fails the build.
-inline constexpr auto kOpIndex = [] {
-  std::array<const OpSpec*, kSsBloom + 1> index{};
-  for (const OpSpec& op : kOpTable) {
-    if (op.opcode >= index.size() || index[op.opcode]) throw "bad kOpTable row";
-    index[op.opcode] = &op;
-  }
-  return index;
-}();
-
-}  // namespace detail
-
-/// The table row for an opcode; nullptr for an unknown opcode.
-constexpr const OpSpec* FindOp(uint16_t opcode) {
-  return opcode < detail::kOpIndex.size() ? detail::kOpIndex[opcode] : nullptr;
-}
-
-/// Human-readable opcode name ("lrc_add", "rli_query_lfn"...); used as
-/// the `method` metric label. Every unknown opcode renders as "unknown",
-/// so hostile opcodes cannot mint new metric series.
-std::string OpName(uint16_t opcode);
-
 // ---------------------------------------------------------------------
 // Request/response structs. Each lists its fields once, in wire order;
 // net/codec.h derives Encode (append to a payload string) and Decode
 // (PROTOCOL on malformed input) from that list.
 // ---------------------------------------------------------------------
+
+/// The request or reply of an operation that carries no body.
+struct NoBody {
+  NET_WIRE_MESSAGE(NoBody)
+};
 
 /// {lfn, target} pair list — used by create/add/delete and their bulk
 /// forms (single ops send one pair).
@@ -405,9 +348,8 @@ struct GetStatsResponse {
 // query interface.
 // ---------------------------------------------------------------------
 
-/// GetTracesRequest::source values.
-inline constexpr uint8_t kTraceSourceRing = 0;
-inline constexpr uint8_t kTraceSourceSlowLog = 1;
+/// Where GetTraces reads spans from: the ring buffer or the top-K slow log.
+enum class TraceSource : uint8_t { kRing, kSlowLog, kLast = kSlowLog };
 
 /// Filter for the flight-recorder dump; zero/empty fields match all.
 struct GetTracesRequest {
@@ -416,7 +358,7 @@ struct GetTracesRequest {
   std::string component;        // exact component, e.g. "rpc", "update"
   uint64_t min_duration_us = 0;
   uint32_t limit = 0;           // 0 = unlimited
-  uint8_t source = 0;           // 0 = ring buffer, 1 = top-K slow log
+  TraceSource source = TraceSource::kRing;
 
   NET_WIRE_MESSAGE(GetTracesRequest, trace_id, method, component, min_duration_us,
                    limit, source)
@@ -453,5 +395,120 @@ struct GetTracesResponse {
 
   NET_WIRE_MESSAGE(GetTracesResponse, depth, dropped, capacity, spans)
 };
+
+// ---------------------------------------------------------------------
+// The operation table. Each operation is one row: opcode, method name,
+// ACL privilege (none: ping), request type and reply type. Everything
+// else is derived from the rows: kOpTable and FindOp (dispatch,
+// authorization, admission), OpName, and RequestOf/ReplyOf (the server's
+// adapter and the client's Invoke<Op>).
+// ---------------------------------------------------------------------
+
+/// One row of the operation table.
+template <Op Code, typename Req, typename Rep>
+struct OpRow : OpSpec {
+  static constexpr Op kOpcode = Code;
+  using Request = Req;
+  using Reply = Rep;
+
+  constexpr OpRow(std::string_view method,
+                  std::optional<gsi::Privilege> privilege = std::nullopt)
+      : OpSpec{Code, method, privilege} {}
+};
+
+inline constexpr auto kOpRows = [] {
+  using enum gsi::Privilege;
+  return std::tuple{
+      OpRow<kPing, NoBody, NoBody>{"ping"},
+      OpRow<kServerGetStats, NoBody, GetStatsResponse>{"server_get_stats", kStats},
+      OpRow<kServerGetTraces, GetTracesRequest, GetTracesResponse>{"server_get_traces",
+                                                                   kStats},
+      OpRow<kLrcCreate, MappingRequest, NoBody>{"lrc_create", kLrcWrite},
+      OpRow<kLrcAdd, MappingRequest, NoBody>{"lrc_add", kLrcWrite},
+      OpRow<kLrcDelete, MappingRequest, NoBody>{"lrc_delete", kLrcWrite},
+      OpRow<kLrcBulkCreate, MappingRequest, BulkStatusResponse>{"lrc_bulk_create",
+                                                                kLrcWrite},
+      OpRow<kLrcBulkAdd, MappingRequest, BulkStatusResponse>{"lrc_bulk_add", kLrcWrite},
+      OpRow<kLrcBulkDelete, MappingRequest, BulkStatusResponse>{"lrc_bulk_delete",
+                                                                kLrcWrite},
+      OpRow<kLrcQueryLfn, NameQueryRequest, StringListResponse>{"lrc_query_lfn", kLrcRead},
+      OpRow<kLrcQueryPfn, NameQueryRequest, StringListResponse>{"lrc_query_pfn", kLrcRead},
+      OpRow<kLrcBulkQueryLfn, BulkQueryRequest, MappingListResponse>{"lrc_bulk_query_lfn",
+                                                                     kLrcRead},
+      OpRow<kLrcWildcardQueryLfn, NameQueryRequest, MappingListResponse>{
+          "lrc_wildcard_query_lfn", kLrcRead},
+      OpRow<kLrcExists, NameQueryRequest, NoBody>{"lrc_exists", kLrcRead},
+      OpRow<kLrcAttrDefine, AttrDefineRequest, NoBody>{"lrc_attr_define", kLrcWrite},
+      OpRow<kLrcAttrAdd, AttrValueRequest, NoBody>{"lrc_attr_add", kLrcWrite},
+      OpRow<kLrcAttrModify, AttrValueRequest, NoBody>{"lrc_attr_modify", kLrcWrite},
+      OpRow<kLrcAttrDelete, AttrValueRequest, NoBody>{"lrc_attr_delete", kLrcWrite},
+      OpRow<kLrcAttrQueryObj, AttrValueRequest, AttrListResponse>{"lrc_attr_query_obj",
+                                                                  kLrcRead},
+      OpRow<kLrcAttrSearch, AttrSearchRequest, AttrListResponse>{"lrc_attr_search",
+                                                                 kLrcRead},
+      OpRow<kLrcBulkAttrAdd, BulkAttrRequest, BulkStatusResponse>{"lrc_bulk_attr_add",
+                                                                  kLrcWrite},
+      OpRow<kLrcBulkAttrDelete, BulkAttrRequest, BulkStatusResponse>{
+          "lrc_bulk_attr_delete", kLrcWrite},
+      OpRow<kLrcAttrUndefine, AttrDefineRequest, NoBody>{"lrc_attr_undefine", kLrcWrite},
+      OpRow<kLrcRliList, NoBody, StringListResponse>{"lrc_rli_list", kAdmin},
+      OpRow<kLrcRliAdd, NameQueryRequest, NoBody>{"lrc_rli_add", kAdmin},
+      OpRow<kLrcRliRemove, NameQueryRequest, NoBody>{"lrc_rli_remove", kAdmin},
+      OpRow<kLrcForceUpdate, NoBody, NoBody>{"lrc_force_update", kAdmin},
+      OpRow<kRliQueryLfn, NameQueryRequest, StringListResponse>{"rli_query_lfn", kRliRead},
+      OpRow<kRliBulkQuery, BulkQueryRequest, MappingListResponse>{"rli_bulk_query",
+                                                                  kRliRead},
+      OpRow<kRliWildcardQuery, NameQueryRequest, MappingListResponse>{
+          "rli_wildcard_query", kRliRead},
+      OpRow<kRliLrcList, NoBody, StringListResponse>{"rli_lrc_list", kRliRead},
+      OpRow<kSsFullBegin, FullUpdateBegin, NoBody>{"ss_full_begin", kRliWrite},
+      OpRow<kSsFullChunk, FullUpdateChunk, NoBody>{"ss_full_chunk", kRliWrite},
+      OpRow<kSsFullEnd, FullUpdateEnd, NoBody>{"ss_full_end", kRliWrite},
+      OpRow<kSsIncremental, IncrementalUpdate, NoBody>{"ss_incremental", kRliWrite},
+      OpRow<kSsBloom, BloomUpdate, NoBody>{"ss_bloom", kRliWrite},
+  };
+}();
+
+/// The rows without their types, in row order.
+inline constexpr auto kOpTable = std::apply(
+    [](const auto&... row) { return std::array<OpSpec, sizeof...(row)>{row...}; },
+    kOpRows);
+
+namespace detail {
+
+/// kOpTable indexed by opcode, so a lookup is one bounds check and one
+/// load. kSsBloom is the largest opcode; a row past it or a duplicate
+/// row fails the build.
+inline constexpr auto kOpIndex = [] {
+  std::array<const OpSpec*, kSsBloom + 1> index{};
+  for (const OpSpec& op : kOpTable) {
+    if (op.opcode >= index.size() || index[op.opcode]) throw "bad kOpTable row";
+    index[op.opcode] = &op;
+  }
+  return index;
+}();
+
+/// The kOpRows row of `Code`; an opcode without a row fails the build.
+template <Op Code>
+using RowOf = std::tuple_element_t<kOpIndex[Code] - kOpTable.data(),
+                                   std::remove_const_t<decltype(kOpRows)>>;
+
+}  // namespace detail
+
+/// The table row for an opcode; nullptr for an unknown opcode.
+constexpr const OpSpec* FindOp(uint16_t opcode) {
+  return opcode < detail::kOpIndex.size() ? detail::kOpIndex[opcode] : nullptr;
+}
+
+/// Human-readable opcode name ("lrc_add", "rli_query_lfn"...); used as
+/// the `method` metric label. Every unknown opcode renders as "unknown",
+/// so hostile opcodes cannot mint new metric series.
+std::string OpName(uint16_t opcode);
+
+/// The message types an operation's row names.
+template <Op Code>
+using RequestOf = typename detail::RowOf<Code>::Request;
+template <Op Code>
+using ReplyOf = typename detail::RowOf<Code>::Reply;
 
 }  // namespace rls

@@ -7,6 +7,7 @@
 #include "common/trace_context.h"
 #include "obs/span_recorder.h"
 #include "obs/trace.h"
+#include "rls/client.h"
 
 namespace rls {
 
@@ -14,16 +15,33 @@ using rlscommon::Status;
 
 namespace {
 
-/// Single-mapping decode helper for kLrcCreate/kLrcAdd/kLrcDelete.
-Status DecodeOneMapping(const std::string& request, Mapping* out) {
-  MappingRequest req;
-  Status s = MappingRequest::Decode(request, &req);
-  if (!s.ok()) return s;
-  if (req.mappings.size() != 1) {
+/// Runs a create, add or delete on the one mapping the request carries.
+Status ApplyToOneMapping(LrcStore* store, const MappingRequest& request,
+                         Status (LrcStore::*op)(const std::string&, const std::string&)) {
+  if (request.mappings.size() != 1) {
     return Status::Protocol("expected exactly one mapping");
   }
-  *out = std::move(req.mappings[0]);
+  return (store->*op)(request.mappings[0].logical, request.mappings[0].target);
+}
+
+/// Runs `op` on every item of a bulk attribute request; the reply lists
+/// the items that failed.
+template <typename Fn>
+Status ApplyToEachItem(const BulkAttrRequest& request, BulkStatusResponse* reply, Fn op) {
+  for (uint32_t i = 0; i < request.items.size(); ++i) {
+    const Status s = op(request.items[i]);
+    if (s.ok()) {
+      ++reply->succeeded;
+    } else {
+      reply->failures.push_back({i, s.code()});
+    }
+  }
   return Status::Ok();
+}
+
+/// An uncompressed update sent to an RLI without a relational store.
+Status BloomOnly() {
+  return Status::Unsupported("RLI accepts only Bloom updates (no database)");
 }
 
 /// Merges `extra` into `base`, dropping duplicates, preserving order.
@@ -33,6 +51,20 @@ void MergeUnique(std::vector<std::string>* base, const std::vector<std::string>&
       base->push_back(value);
     }
   }
+}
+
+/// The LRCs an RLI's stores name for `lfn`, the relational store's
+/// first; false when neither store knows the name.
+bool QueryRliStores(const RliRelationalStore* relational, const RliBloomStore* bloom,
+                    const std::string& lfn, std::vector<std::string>* lrcs) {
+  lrcs->clear();
+  bool found = relational && relational->Query(lfn, lrcs).ok();
+  std::vector<std::string> from_bloom;
+  if (bloom && bloom->Query(lfn, &from_bloom).ok()) {
+    MergeUnique(lrcs, from_bloom);
+    found = true;
+  }
+  return found;
 }
 
 }  // namespace
@@ -129,9 +161,8 @@ Status RlsServer::Start() {
     options.queue_depth = config_.limits.queue_depth;
     options.priority_queue_depth = config_.limits.priority_queue_depth;
     options.shed_retry_after = config_.limits.retry_after;
-    options.admission = [this](const gsi::AuthContext& auth, uint16_t opcode,
-                               const std::string& request) {
-      return admission_->Admit(auth, opcode, request);
+    options.admission = [this](const gsi::AuthContext& auth, uint16_t opcode) {
+      return admission_->Admit(auth, opcode);
     };
   }
   rpc_server_ = std::make_unique<net::RpcServer>(
@@ -355,11 +386,8 @@ void RlsServer::ExpireNow() {
   const auto timeout = config_.rli.timeout;
   if (timeout.count() <= 0) return;
   if (rli_relational_) {
-    const int64_t now_micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                                   clock_->Now().time_since_epoch())
-                                   .count();
     const int64_t cutoff =
-        now_micros -
+        clock_->NowMicros() -
         std::chrono::duration_cast<std::chrono::microseconds>(timeout).count();
     uint64_t removed = 0;
     if (rli_relational_->ExpireOlderThan(cutoff, &removed).ok()) {
@@ -382,6 +410,392 @@ void RlsServer::ExpireLoop() {
   }
 }
 
+// ---------------------------------------------------------------------
+// Handlers: one Handle<Op> per kOpTable row. Each gets its decoded
+// request and fills its reply; Serve<Op> does the wire work around it.
+// ---------------------------------------------------------------------
+
+// --- any role ---
+
+template <>
+Status RlsServer::Handle<kPing>(const NoBody&, NoBody*) {
+  return Status::Ok();
+}
+
+template <>
+Status RlsServer::Handle<kServerGetStats>(const NoBody&, GetStatsResponse* reply) {
+  *reply = GetStatsSnapshot();
+  return Status::Ok();
+}
+
+template <>
+Status RlsServer::Handle<kServerGetTraces>(const GetTracesRequest& request,
+                                           GetTracesResponse* reply) {
+  obs::TraceFilter filter;
+  filter.trace_id = request.trace_id;
+  filter.name = request.method;
+  filter.component = request.component;
+  filter.min_duration_us = request.min_duration_us;
+  filter.limit = request.limit;
+  filter.slow_log = request.source == TraceSource::kSlowLog;
+  obs::SpanRecorder& recorder = obs::SpanRecorder::Global();
+  const obs::SpanRecorder::Stats rstats = recorder.GetStats();
+  reply->depth = rstats.depth;
+  reply->dropped = rstats.dropped;
+  reply->capacity = rstats.capacity;
+  for (obs::CompletedSpan& span : recorder.Query(filter)) {
+    TraceSpan out;
+    out.component = std::move(span.component);
+    out.name = std::move(span.name);
+    out.trace_id = span.trace_id;
+    out.span_id = span.span_id;
+    out.tid = span.tid;
+    out.start_us = span.start_us;
+    out.duration_us = span.duration_us;
+    out.hops.reserve(span.hops.size());
+    for (auto& [hop_name, offset_us] : span.hops) {
+      out.hops.push_back(TraceHop{std::move(hop_name), offset_us});
+    }
+    reply->spans.push_back(std::move(out));
+  }
+  return Status::Ok();
+}
+
+// --- LRC role ---
+
+template <>
+Status RlsServer::Handle<kLrcCreate>(const MappingRequest& request, NoBody*) {
+  return ApplyToOneMapping(lrc_store_.get(), request, &LrcStore::CreateMapping);
+}
+
+template <>
+Status RlsServer::Handle<kLrcAdd>(const MappingRequest& request, NoBody*) {
+  return ApplyToOneMapping(lrc_store_.get(), request, &LrcStore::AddMapping);
+}
+
+template <>
+Status RlsServer::Handle<kLrcDelete>(const MappingRequest& request, NoBody*) {
+  return ApplyToOneMapping(lrc_store_.get(), request, &LrcStore::DeleteMapping);
+}
+
+// The bulk forms run one multi-row WAL transaction for the whole batch
+// (single log append + single sync) instead of a commit per item.
+template <>
+Status RlsServer::Handle<kLrcBulkCreate>(const MappingRequest& request,
+                                         BulkStatusResponse* reply) {
+  return lrc_store_->CreateMappings(request.mappings, reply);
+}
+
+template <>
+Status RlsServer::Handle<kLrcBulkAdd>(const MappingRequest& request,
+                                      BulkStatusResponse* reply) {
+  return lrc_store_->AddMappings(request.mappings, reply);
+}
+
+template <>
+Status RlsServer::Handle<kLrcBulkDelete>(const MappingRequest& request,
+                                         BulkStatusResponse* reply) {
+  return lrc_store_->DeleteMappings(request.mappings, reply);
+}
+
+template <>
+Status RlsServer::Handle<kLrcQueryLfn>(const NameQueryRequest& request,
+                                       StringListResponse* reply) {
+  return lrc_store_->QueryLogical(request.name, &reply->values, request.offset,
+                                  request.limit);
+}
+
+template <>
+Status RlsServer::Handle<kLrcQueryPfn>(const NameQueryRequest& request,
+                                       StringListResponse* reply) {
+  return lrc_store_->QueryTarget(request.name, &reply->values, request.offset,
+                                 request.limit);
+}
+
+template <>
+Status RlsServer::Handle<kLrcBulkQueryLfn>(const BulkQueryRequest& request,
+                                           MappingListResponse* reply) {
+  std::vector<std::string> targets;
+  for (const std::string& lfn : request.names) {
+    if (lrc_store_->QueryLogical(lfn, &targets).ok()) {
+      for (std::string& target : targets) {
+        reply->mappings.push_back(Mapping{lfn, std::move(target)});
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+template <>
+Status RlsServer::Handle<kLrcWildcardQueryLfn>(const NameQueryRequest& request,
+                                               MappingListResponse* reply) {
+  return lrc_store_->WildcardQuery(request.name, request.limit, &reply->mappings,
+                                   request.offset);
+}
+
+template <>
+Status RlsServer::Handle<kLrcExists>(const NameQueryRequest& request, NoBody*) {
+  return lrc_store_->LogicalExists(request.name)
+             ? Status::Ok()
+             : Status::NotFound("not registered: " + request.name);
+}
+
+template <>
+Status RlsServer::Handle<kLrcAttrDefine>(const AttrDefineRequest& request, NoBody*) {
+  return lrc_store_->DefineAttribute(request.name, request.object, request.type);
+}
+
+template <>
+Status RlsServer::Handle<kLrcAttrUndefine>(const AttrDefineRequest& request, NoBody*) {
+  return lrc_store_->UndefineAttribute(request.name, request.object);
+}
+
+template <>
+Status RlsServer::Handle<kLrcAttrAdd>(const AttrValueRequest& request, NoBody*) {
+  return lrc_store_->AddAttribute(request);
+}
+
+template <>
+Status RlsServer::Handle<kLrcAttrModify>(const AttrValueRequest& request, NoBody*) {
+  return lrc_store_->ModifyAttribute(request);
+}
+
+template <>
+Status RlsServer::Handle<kLrcAttrDelete>(const AttrValueRequest& request, NoBody*) {
+  return lrc_store_->DeleteAttribute(request.object_name, request.attr_name,
+                                     request.object);
+}
+
+template <>
+Status RlsServer::Handle<kLrcBulkAttrAdd>(const BulkAttrRequest& request,
+                                          BulkStatusResponse* reply) {
+  return ApplyToEachItem(request, reply, [this](const AttrValueRequest& item) {
+    return lrc_store_->AddAttribute(item);
+  });
+}
+
+template <>
+Status RlsServer::Handle<kLrcBulkAttrDelete>(const BulkAttrRequest& request,
+                                             BulkStatusResponse* reply) {
+  return ApplyToEachItem(request, reply, [this](const AttrValueRequest& item) {
+    return lrc_store_->DeleteAttribute(item.object_name, item.attr_name, item.object);
+  });
+}
+
+template <>
+Status RlsServer::Handle<kLrcAttrQueryObj>(const AttrValueRequest& request,
+                                           AttrListResponse* reply) {
+  // The request's attribute name and value are ignored.
+  return lrc_store_->QueryObjectAttributes(request.object_name, request.object,
+                                           &reply->attributes);
+}
+
+template <>
+Status RlsServer::Handle<kLrcAttrSearch>(const AttrSearchRequest& request,
+                                         AttrListResponse* reply) {
+  std::vector<std::pair<std::string, AttrValue>> found;
+  Status s = lrc_store_->SearchAttribute(request, &found);
+  if (!s.ok()) return s;
+  for (auto& [object_name, value] : found) {
+    Attribute a;
+    a.name = object_name;  // object names keyed by attribute value
+    a.object = request.object;
+    a.value = value;
+    reply->attributes.push_back(std::move(a));
+  }
+  return Status::Ok();
+}
+
+template <>
+Status RlsServer::Handle<kLrcRliList>(const NoBody&, StringListResponse* reply) {
+  return lrc_store_->ListRlis(&reply->values);
+}
+
+template <>
+Status RlsServer::Handle<kLrcRliAdd>(const NameQueryRequest& request, NoBody*) {
+  Status s = lrc_store_->AddRli(request.name);
+  if (s.ok() && update_manager_) {
+    update_manager_->AddTarget(UpdateTarget{request.name, net::LinkModel::Loopback(), {}});
+  }
+  return s;
+}
+
+template <>
+Status RlsServer::Handle<kLrcRliRemove>(const NameQueryRequest& request, NoBody*) {
+  Status s = lrc_store_->RemoveRli(request.name);
+  if (s.ok() && update_manager_) update_manager_->RemoveTarget(request.name);
+  return s;
+}
+
+template <>
+Status RlsServer::Handle<kLrcForceUpdate>(const NoBody&, NoBody*) {
+  if (!update_manager_) return Status::Unsupported("no update manager");
+  Status s = update_manager_->FlushImmediate();
+  if (!s.ok()) return s;
+  return update_manager_->ForceFullUpdate();
+}
+
+// --- RLI role: queries ---
+
+template <>
+Status RlsServer::Handle<kRliQueryLfn>(const NameQueryRequest& request,
+                                       StringListResponse* reply) {
+  if (!QueryRliStores(rli_relational_.get(), rli_bloom_.get(), request.name,
+                      &reply->values)) {
+    return Status::NotFound("no LRC holds mappings for: " + request.name);
+  }
+  return Status::Ok();
+}
+
+template <>
+Status RlsServer::Handle<kRliBulkQuery>(const BulkQueryRequest& request,
+                                        MappingListResponse* reply) {
+  std::vector<std::string> lrcs;
+  for (const std::string& lfn : request.names) {
+    QueryRliStores(rli_relational_.get(), rli_bloom_.get(), lfn, &lrcs);
+    for (std::string& lrc : lrcs) {
+      reply->mappings.push_back(Mapping{lfn, std::move(lrc)});
+    }
+  }
+  return Status::Ok();
+}
+
+template <>
+Status RlsServer::Handle<kRliWildcardQuery>(const NameQueryRequest& request,
+                                            MappingListResponse* reply) {
+  if (!rli_relational_) {
+    // Paper §5.4: wildcard searches on RLI contents "are not possible
+    // when using Bloom filter compression".
+    return Status::Unsupported("wildcard queries unsupported on a Bloom-filter RLI");
+  }
+  return rli_relational_->WildcardQuery(request.name, request.limit, &reply->mappings);
+}
+
+template <>
+Status RlsServer::Handle<kRliLrcList>(const NoBody&, StringListResponse* reply) {
+  if (rli_relational_) {
+    Status s = rli_relational_->ListLrcs(&reply->values);
+    if (!s.ok()) return s;
+  }
+  if (rli_bloom_) {
+    std::vector<std::string> from_bloom;
+    Status s = rli_bloom_->ListLrcs(&from_bloom);
+    if (!s.ok()) return s;
+    MergeUnique(&reply->values, from_bloom);
+  }
+  return Status::Ok();
+}
+
+// --- RLI role: soft-state updates. Uncompressed ones (full, incremental)
+// need the relational store; every stored update goes on to the parents.
+
+void RlsServer::NoteUpdate(bool count, int64_t sent_micros, int64_t received_micros) {
+  if (count) rli_updates_received_->Increment();
+  // Summarize->receive lag of this hop, and the trace that produced it
+  // (the sender re-stamps the originating client's trace id).
+  if (sent_micros > 0 && received_micros >= sent_micros) {
+    ss_receive_lag_->RecordMicros(static_cast<uint64_t>(received_micros - sent_micros));
+  }
+  const rlscommon::TraceContext trace = rlscommon::CurrentTrace();
+  if (trace.valid()) {
+    last_update_trace_id_.store(trace.trace_id, std::memory_order_relaxed);
+  }
+  // Stage stamp: everything since the last hop was soft-state ingest.
+  rlscommon::StampHop("rli_ingest");
+}
+
+template <Op Code>
+void RlsServer::ForwardToParents(const RequestOf<Code>& request) {
+  std::lock_guard<std::mutex> lock(parents_mu_);
+  for (auto& [target, client] : parents_) {
+    if (!client) {
+      net::ClientOptions options;
+      options.link = target.link;
+      if (!net::RpcClient::Connect(network_, target.address, options, &client).ok()) {
+        RLS_WARN("rli") << config_.url << ": cannot reach parent RLI " << target.address;
+        continue;
+      }
+    }
+    Status s = Invoke<Code>(*client, request);
+    if (!s.ok()) {
+      RLS_WARN("rli") << config_.url << ": forward to " << target.address
+                      << " failed: " << s.ToString();
+      client.reset();  // reconnect next time
+    }
+  }
+}
+
+template <>
+Status RlsServer::Handle<kSsFullBegin>(const FullUpdateBegin& request, NoBody*) {
+  if (!rli_relational_) return BloomOnly();
+  NoteUpdate(/*count=*/false, request.sent_micros, clock_->NowMicros());
+  ForwardToParents<kSsFullBegin>(request);
+  return Status::Ok();
+}
+
+template <>
+Status RlsServer::Handle<kSsFullChunk>(const FullUpdateChunk& request, NoBody*) {
+  if (!rli_relational_) return BloomOnly();
+  Status s = rli_relational_->UpsertBatch(request.names, request.lrc_url,
+                                          clock_->NowMicros());
+  if (!s.ok()) return s;
+  rlscommon::StampHop("rli_ingest");
+  ForwardToParents<kSsFullChunk>(request);
+  return Status::Ok();
+}
+
+template <>
+Status RlsServer::Handle<kSsFullEnd>(const FullUpdateEnd& request, NoBody*) {
+  if (!rli_relational_) return BloomOnly();
+  NoteUpdate(/*count=*/true);
+  ForwardToParents<kSsFullEnd>(request);
+  return Status::Ok();
+}
+
+template <>
+Status RlsServer::Handle<kSsIncremental>(const IncrementalUpdate& request, NoBody*) {
+  if (!rli_relational_) return BloomOnly();
+  const int64_t now_micros = clock_->NowMicros();
+  Status s = rli_relational_->UpsertBatch(request.added, request.lrc_url, now_micros);
+  if (!s.ok()) return s;
+  for (const std::string& lfn : request.removed) {
+    s = rli_relational_->Remove(lfn, request.lrc_url);
+    if (!s.ok()) return s;
+  }
+  NoteUpdate(/*count=*/true, request.sent_micros, now_micros);
+  ForwardToParents<kSsIncremental>(request);
+  return Status::Ok();
+}
+
+template <>
+Status RlsServer::Handle<kSsBloom>(const BloomUpdate& request, NoBody*) {
+  if (!rli_bloom_) return Status::Unsupported("RLI does not accept Bloom updates");
+  const int64_t now_micros = clock_->NowMicros();
+  bloom::BloomFilter filter;
+  Status s = bloom::BloomFilter::Deserialize(request.filter_bytes, &filter);
+  if (!s.ok()) return s;
+  rli_bloom_->StoreFilter(request.lrc_url, std::move(filter));
+  NoteUpdate(/*count=*/true, request.sent_micros, now_micros);
+  ForwardToParents<kSsBloom>(request);
+  return Status::Ok();
+}
+
+// ---------------------------------------------------------------------
+// Dispatch. It comes after every Handle<Op> above, so that each Serve<Op>
+// it instantiates sees its handler.
+// ---------------------------------------------------------------------
+
+template <Op Code>
+Status RlsServer::Serve(const std::string& request, std::string* response) {
+  RequestOf<Code> decoded;
+  Status s = net::DecodeMessage(request, &decoded);
+  if (!s.ok()) return s;
+  ReplyOf<Code> reply;
+  s = Handle<Code>(decoded, &reply);
+  if (s.ok()) net::EncodeMessage(reply, response);
+  return s;
+}
+
 Status RlsServer::Dispatch(const gsi::AuthContext& auth, uint16_t opcode,
                            const std::string& request, std::string* response) {
   const OpSpec* op = FindOp(opcode);
@@ -398,452 +812,14 @@ Status RlsServer::Dispatch(const gsi::AuthContext& auth, uint16_t opcode,
     rlscommon::StampHop("auth");
     if (!s.ok()) return s;
   }
-  switch (role) {
-    case OpRole::kLrc:
-      return HandleLrc(opcode, request, response);
-    case OpRole::kRli:
-      return *op->privilege == gsi::Privilege::kRliWrite
-                 ? HandleSoftState(opcode, request)
-                 : HandleRli(opcode, request, response);
-    case OpRole::kAny:
-      break;
-  }
-  return HandleServer(opcode, request, response);
-}
-
-Status RlsServer::HandleServer(uint16_t opcode, const std::string& request,
-                               std::string* response) {
-  switch (opcode) {
-    case kPing:
-      *response = "pong";
-      return Status::Ok();
-    case kServerGetStats:
-      GetStatsSnapshot().Encode(response);
-      return Status::Ok();
-    case kServerGetTraces: {
-      GetTracesRequest req;
-      Status s = GetTracesRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      obs::TraceFilter filter;
-      filter.trace_id = req.trace_id;
-      filter.name = req.method;
-      filter.component = req.component;
-      filter.min_duration_us = req.min_duration_us;
-      filter.limit = req.limit;
-      filter.slow_log = req.source == kTraceSourceSlowLog;
-      obs::SpanRecorder& recorder = obs::SpanRecorder::Global();
-      const obs::SpanRecorder::Stats rstats = recorder.GetStats();
-      GetTracesResponse resp;
-      resp.depth = rstats.depth;
-      resp.dropped = rstats.dropped;
-      resp.capacity = rstats.capacity;
-      for (obs::CompletedSpan& span : recorder.Query(filter)) {
-        TraceSpan out;
-        out.component = std::move(span.component);
-        out.name = std::move(span.name);
-        out.trace_id = span.trace_id;
-        out.span_id = span.span_id;
-        out.tid = span.tid;
-        out.start_us = span.start_us;
-        out.duration_us = span.duration_us;
-        out.hops.reserve(span.hops.size());
-        for (auto& [hop_name, offset_us] : span.hops) {
-          out.hops.push_back(TraceHop{std::move(hop_name), offset_us});
-        }
-        resp.spans.push_back(std::move(out));
-      }
-      resp.Encode(response);
-      return Status::Ok();
-    }
-    default:
-      return Status::Protocol("unhandled server opcode " + std::to_string(opcode));
-  }
-}
-
-Status RlsServer::HandleLrc(uint16_t opcode, const std::string& request,
-                            std::string* response) {
-  LrcStore& store = *lrc_store_;
-  Status s;
-  switch (opcode) {
-    case kLrcCreate:
-    case kLrcAdd:
-    case kLrcDelete: {
-      Mapping m;
-      s = DecodeOneMapping(request, &m);
-      if (!s.ok()) return s;
-      if (opcode == kLrcCreate) return store.CreateMapping(m.logical, m.target);
-      if (opcode == kLrcAdd) return store.AddMapping(m.logical, m.target);
-      return store.DeleteMapping(m.logical, m.target);
-    }
-    case kLrcBulkCreate:
-    case kLrcBulkAdd:
-    case kLrcBulkDelete: {
-      MappingRequest req;
-      s = MappingRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      // One multi-row WAL transaction for the whole batch (single log
-      // append + single sync) instead of a commit per item.
-      BulkStatusResponse result;
-      if (opcode == kLrcBulkCreate) {
-        s = store.CreateMappings(req.mappings, &result);
-      } else if (opcode == kLrcBulkAdd) {
-        s = store.AddMappings(req.mappings, &result);
-      } else {
-        s = store.DeleteMappings(req.mappings, &result);
-      }
-      if (!s.ok()) return s;
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kLrcQueryLfn:
-    case kLrcQueryPfn: {
-      NameQueryRequest req;
-      s = NameQueryRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      StringListResponse result;
-      s = opcode == kLrcQueryLfn
-              ? store.QueryLogical(req.name, &result.values, req.offset, req.limit)
-              : store.QueryTarget(req.name, &result.values, req.offset, req.limit);
-      if (!s.ok()) return s;
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kLrcBulkQueryLfn: {
-      BulkQueryRequest req;
-      s = BulkQueryRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      MappingListResponse result;
-      std::vector<std::string> targets;
-      for (const std::string& lfn : req.names) {
-        if (store.QueryLogical(lfn, &targets).ok()) {
-          for (std::string& target : targets) {
-            result.mappings.push_back(Mapping{lfn, std::move(target)});
-          }
-        }
-      }
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kLrcWildcardQueryLfn: {
-      NameQueryRequest req;
-      s = NameQueryRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      MappingListResponse result;
-      s = store.WildcardQuery(req.name, req.limit, &result.mappings, req.offset);
-      if (!s.ok()) return s;
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kLrcExists: {
-      NameQueryRequest req;
-      s = NameQueryRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      return store.LogicalExists(req.name)
-                 ? Status::Ok()
-                 : Status::NotFound("not registered: " + req.name);
-    }
-    case kLrcAttrDefine: {
-      AttrDefineRequest req;
-      s = AttrDefineRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      return store.DefineAttribute(req.name, req.object, req.type);
-    }
-    case kLrcAttrUndefine: {
-      AttrDefineRequest req;
-      s = AttrDefineRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      return store.UndefineAttribute(req.name, req.object);
-    }
-    case kLrcAttrAdd:
-    case kLrcAttrModify: {
-      AttrValueRequest req;
-      s = AttrValueRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      return opcode == kLrcAttrAdd ? store.AddAttribute(req)
-                                   : store.ModifyAttribute(req);
-    }
-    case kLrcAttrDelete: {
-      AttrValueRequest req;
-      s = AttrValueRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      return store.DeleteAttribute(req.object_name, req.attr_name, req.object);
-    }
-    case kLrcBulkAttrAdd:
-    case kLrcBulkAttrDelete: {
-      BulkAttrRequest req;
-      s = BulkAttrRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      BulkStatusResponse result;
-      for (uint32_t i = 0; i < req.items.size(); ++i) {
-        const AttrValueRequest& item = req.items[i];
-        Status st = opcode == kLrcBulkAttrAdd
-                        ? store.AddAttribute(item)
-                        : store.DeleteAttribute(item.object_name, item.attr_name,
-                                                item.object);
-        if (st.ok()) {
-          ++result.succeeded;
-        } else {
-          result.failures.push_back({i, st.code()});
-        }
-      }
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kLrcAttrQueryObj: {
-      AttrValueRequest req;  // value ignored
-      s = AttrValueRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      AttrListResponse result;
-      s = store.QueryObjectAttributes(req.object_name, req.object, &result.attributes);
-      if (!s.ok()) return s;
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kLrcAttrSearch: {
-      AttrSearchRequest req;
-      s = AttrSearchRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      std::vector<std::pair<std::string, AttrValue>> found;
-      s = store.SearchAttribute(req, &found);
-      if (!s.ok()) return s;
-      AttrListResponse result;
-      for (auto& [object_name, value] : found) {
-        Attribute a;
-        a.name = object_name;  // object names keyed by attribute value
-        a.object = req.object;
-        a.value = value;
-        result.attributes.push_back(std::move(a));
-      }
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kLrcRliList: {
-      StringListResponse result;
-      s = store.ListRlis(&result.values);
-      if (!s.ok()) return s;
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kLrcRliAdd:
-    case kLrcRliRemove: {
-      NameQueryRequest req;
-      s = NameQueryRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      if (opcode == kLrcRliAdd) {
-        s = store.AddRli(req.name);
-        if (s.ok() && update_manager_) {
-          update_manager_->AddTarget(UpdateTarget{req.name, net::LinkModel::Loopback(), {}});
-        }
-        return s;
-      }
-      s = store.RemoveRli(req.name);
-      if (s.ok() && update_manager_) update_manager_->RemoveTarget(req.name);
-      return s;
-    }
-    case kLrcForceUpdate: {
-      if (!update_manager_) return Status::Unsupported("no update manager");
-      s = update_manager_->FlushImmediate();
-      if (!s.ok()) return s;
-      return update_manager_->ForceFullUpdate();
-    }
-    default:
-      return Status::Protocol("unhandled LRC opcode " + std::to_string(opcode));
-  }
-}
-
-Status RlsServer::HandleRli(uint16_t opcode, const std::string& request,
-                            std::string* response) {
-  Status s;
-  switch (opcode) {
-    case kRliQueryLfn: {
-      NameQueryRequest req;
-      s = NameQueryRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      StringListResponse result;
-      bool found = false;
-      if (rli_relational_ &&
-          rli_relational_->Query(req.name, &result.values).ok()) {
-        found = true;
-      }
-      if (rli_bloom_) {
-        std::vector<std::string> from_bloom;
-        if (rli_bloom_->Query(req.name, &from_bloom).ok()) {
-          MergeUnique(&result.values, from_bloom);
-          found = true;
-        }
-      }
-      if (!found) return Status::NotFound("no LRC holds mappings for: " + req.name);
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kRliBulkQuery: {
-      BulkQueryRequest req;
-      s = BulkQueryRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      MappingListResponse result;
-      std::vector<std::string> lrcs;
-      for (const std::string& lfn : req.names) {
-        lrcs.clear();
-        if (rli_relational_) {
-          std::vector<std::string> found;
-          if (rli_relational_->Query(lfn, &found).ok()) MergeUnique(&lrcs, found);
-        }
-        if (rli_bloom_) {
-          std::vector<std::string> found;
-          if (rli_bloom_->Query(lfn, &found).ok()) MergeUnique(&lrcs, found);
-        }
-        for (std::string& lrc : lrcs) {
-          result.mappings.push_back(Mapping{lfn, std::move(lrc)});
-        }
-      }
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kRliWildcardQuery: {
-      NameQueryRequest req;
-      s = NameQueryRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      if (!rli_relational_) {
-        // Paper §5.4: wildcard searches on RLI contents "are not possible
-        // when using Bloom filter compression".
-        return Status::Unsupported("wildcard queries unsupported on a Bloom-filter RLI");
-      }
-      MappingListResponse result;
-      s = rli_relational_->WildcardQuery(req.name, req.limit, &result.mappings);
-      if (!s.ok()) return s;
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kRliLrcList: {
-      StringListResponse result;
-      if (rli_relational_) {
-        s = rli_relational_->ListLrcs(&result.values);
-        if (!s.ok()) return s;
-      }
-      if (rli_bloom_) {
-        std::vector<std::string> from_bloom;
-        s = rli_bloom_->ListLrcs(&from_bloom);
-        if (!s.ok()) return s;
-        MergeUnique(&result.values, from_bloom);
-      }
-      result.Encode(response);
-      return Status::Ok();
-    }
-    default:
-      return Status::Protocol("unhandled RLI opcode " + std::to_string(opcode));
-  }
-}
-
-Status RlsServer::HandleSoftState(uint16_t opcode, const std::string& request) {
-  Status s;
-  const int64_t now_micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                                 clock_->Now().time_since_epoch())
-                                 .count();
-
-  // Summarize->receive lag of this hop, and the trace that produced it
-  // (the sender re-stamps the originating client's trace id).
-  auto note_update = [&](int64_t sent_micros, bool count) {
-    if (count) rli_updates_received_->Increment();
-    if (sent_micros > 0 && now_micros >= sent_micros) {
-      ss_receive_lag_->RecordMicros(static_cast<uint64_t>(now_micros - sent_micros));
-    }
-    const rlscommon::TraceContext trace = rlscommon::CurrentTrace();
-    if (trace.valid()) {
-      last_update_trace_id_.store(trace.trace_id, std::memory_order_relaxed);
-    }
-    // Stage stamp: everything since the last hop was soft-state ingest.
-    rlscommon::StampHop("rli_ingest");
-  };
-
-  switch (opcode) {
-    case kSsFullBegin: {
-      FullUpdateBegin req;
-      s = FullUpdateBegin::Decode(request, &req);
-      if (!s.ok()) return s;
-      if (!rli_relational_) {
-        return Status::Unsupported("RLI accepts only Bloom updates (no database)");
-      }
-      note_update(req.sent_micros, /*count=*/false);
-      ForwardToParents(opcode, request);
-      return Status::Ok();
-    }
-    case kSsFullChunk: {
-      FullUpdateChunk req;
-      s = FullUpdateChunk::Decode(request, &req);
-      if (!s.ok()) return s;
-      if (!rli_relational_) {
-        return Status::Unsupported("RLI accepts only Bloom updates (no database)");
-      }
-      s = rli_relational_->UpsertBatch(req.names, req.lrc_url, now_micros);
-      if (!s.ok()) return s;
-      rlscommon::StampHop("rli_ingest");
-      ForwardToParents(opcode, request);
-      return Status::Ok();
-    }
-    case kSsFullEnd: {
-      FullUpdateEnd req;
-      s = FullUpdateEnd::Decode(request, &req);
-      if (!s.ok()) return s;
-      note_update(0, /*count=*/true);
-      ForwardToParents(opcode, request);
-      return Status::Ok();
-    }
-    case kSsIncremental: {
-      IncrementalUpdate req;
-      s = IncrementalUpdate::Decode(request, &req);
-      if (!s.ok()) return s;
-      if (!rli_relational_) {
-        return Status::Unsupported("RLI accepts only Bloom updates (no database)");
-      }
-      s = rli_relational_->UpsertBatch(req.added, req.lrc_url, now_micros);
-      if (!s.ok()) return s;
-      for (const std::string& lfn : req.removed) {
-        s = rli_relational_->Remove(lfn, req.lrc_url);
-        if (!s.ok()) return s;
-      }
-      note_update(req.sent_micros, /*count=*/true);
-      ForwardToParents(opcode, request);
-      return Status::Ok();
-    }
-    case kSsBloom: {
-      BloomUpdate req;
-      s = BloomUpdate::Decode(request, &req);
-      if (!s.ok()) return s;
-      if (!rli_bloom_) {
-        return Status::Unsupported("RLI does not accept Bloom updates");
-      }
-      bloom::BloomFilter filter;
-      s = bloom::BloomFilter::Deserialize(req.filter_bytes, &filter);
-      if (!s.ok()) return s;
-      rli_bloom_->StoreFilter(req.lrc_url, std::move(filter));
-      note_update(req.sent_micros, /*count=*/true);
-      ForwardToParents(opcode, request);
-      return Status::Ok();
-    }
-    default:
-      return Status::Protocol("unhandled soft-state opcode " + std::to_string(opcode));
-  }
-}
-
-void RlsServer::ForwardToParents(uint16_t opcode, const std::string& request) {
-  std::lock_guard<std::mutex> lock(parents_mu_);
-  for (auto& [target, client] : parents_) {
-    if (!client) {
-      net::ClientOptions options;
-      options.link = target.link;
-      if (!net::RpcClient::Connect(network_, target.address, options, &client).ok()) {
-        RLS_WARN("rli") << config_.url << ": cannot reach parent RLI " << target.address;
-        continue;
-      }
-    }
-    std::string response;
-    Status s = client->Call(opcode, request, &response);
-    if (!s.ok()) {
-      RLS_WARN("rli") << config_.url << ": forward to " << target.address
-                      << " failed: " << s.ToString();
-      client.reset();  // reconnect next time
-    }
-  }
+  // Serve<Op> of every row, in kOpTable order.
+  static constexpr auto kAdapters = std::apply(
+      [](const auto&... row) {
+        return std::array{
+            &RlsServer::Serve<std::remove_cvref_t<decltype(row)>::kOpcode>...};
+      },
+      kOpRows);
+  return (this->*kAdapters[op - kOpTable.data()])(request, response);
 }
 
 }  // namespace rls

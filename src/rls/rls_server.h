@@ -140,19 +140,26 @@ class RlsServer {
 
  private:
   /// Looks the opcode up in kOpTable, checks the role and the ACL, then
-  /// runs the matching Handle* switch.
+  /// runs the row's Serve<Op>.
   rlscommon::Status Dispatch(const gsi::AuthContext& auth, uint16_t opcode,
                              const std::string& request, std::string* response);
 
-  rlscommon::Status HandleServer(uint16_t opcode, const std::string& request,
-                                 std::string* response);
-  rlscommon::Status HandleLrc(uint16_t opcode, const std::string& request,
-                              std::string* response);
-  rlscommon::Status HandleRli(uint16_t opcode, const std::string& request,
-                              std::string* response);
-  rlscommon::Status HandleSoftState(uint16_t opcode, const std::string& request);
+  /// The adapter of one operation: decodes RequestOf<Code>, runs
+  /// Handle<Code> and encodes the reply on OK.
+  template <Op Code>
+  rlscommon::Status Serve(const std::string& request, std::string* response);
 
-  void ForwardToParents(uint16_t opcode, const std::string& request);
+  /// The handler of one operation. Every row of the operation table has
+  /// exactly one (rls_server.cpp); a row without one fails the build.
+  template <Op Code>
+  rlscommon::Status Handle(const RequestOf<Code>& request, ReplyOf<Code>* reply) = delete;
+
+  /// Counts a received soft-state update (`count`), records its
+  /// send-to-receive lag and remembers its trace.
+  void NoteUpdate(bool count, int64_t sent_micros = 0, int64_t received_micros = 0);
+  /// Sends a soft-state update this RLI stored on to its parent RLIs.
+  template <Op Code>
+  void ForwardToParents(const RequestOf<Code>& request);
   void ExpireLoop();
   std::string RenderStatsJson() const;
   void RegisterGauges();

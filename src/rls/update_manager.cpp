@@ -6,19 +6,11 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "obs/trace.h"
-#include "rls/protocol.h"
+#include "rls/client.h"
 
 namespace rls {
 
 using rlscommon::Status;
-
-namespace {
-int64_t MonoMicros(rlscommon::Clock* clock) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             clock->Now().time_since_epoch())
-      .count();
-}
-}  // namespace
 
 std::string_view UpdateModeName(UpdateMode mode) {
   switch (mode) {
@@ -414,10 +406,7 @@ Status UpdateManager::SendFullUncompressed(TargetState* state,
   const uint64_t bytes_before = client->bytes_sent();
 
   obs::Span span("update", "full_update");
-  std::string payload, response;
-  FullUpdateBegin begin{lrc_url_, update_id, total, MonoMicros(clock_)};
-  begin.Encode(&payload);
-  s = client->Call(kSsFullBegin, payload, &response);
+  s = Invoke<kSsFullBegin>(*client, {lrc_url_, update_id, total, clock_->NowMicros()});
   if (!s.ok()) return s;
   span.Hop("begin");
 
@@ -442,19 +431,14 @@ Status UpdateManager::SendFullUncompressed(TargetState* state,
         } else {
           chunk.names = names;
         }
-        std::string chunk_payload, chunk_response;
-        chunk.Encode(&chunk_payload);
-        send_status = client->Call(kSsFullChunk, chunk_payload, &chunk_response);
+        send_status = Invoke<kSsFullChunk>(*client, chunk);
         names_sent += chunk.names.size();
       });
   if (!s.ok()) return s;
   if (!send_status.ok()) return send_status;
   span.Hop("chunks");
 
-  payload.clear();
-  FullUpdateEnd end{lrc_url_, update_id};
-  end.Encode(&payload);
-  s = client->Call(kSsFullEnd, payload, &response);
+  s = Invoke<kSsFullEnd>(*client, {lrc_url_, update_id});
   if (!s.ok()) return s;
 
   if (metric_full_sent_) metric_full_sent_->Increment();
@@ -485,7 +469,7 @@ Status UpdateManager::SendBloom(TargetState* state) {
   obs::Span span("update", "bloom_update");
   BloomUpdate update;
   update.lrc_url = lrc_url_;
-  update.sent_micros = MonoMicros(clock_);
+  update.sent_micros = clock_->NowMicros();
   {
     std::lock_guard<std::mutex> lock(bloom_mu_);
     bloom::BloomFilter snapshot = counting_.ToBloomFilter();
@@ -501,9 +485,7 @@ Status UpdateManager::SendBloom(TargetState* state) {
   if (!s.ok()) return s;
   span.Hop("serialize");
   const uint64_t bytes_before = client->bytes_sent();
-  std::string payload, response;
-  update.Encode(&payload);
-  s = client->Call(kSsBloom, payload, &response);
+  s = Invoke<kSsBloom>(*client, update);
   if (!s.ok()) return s;
 
   if (metric_bloom_sent_) metric_bloom_sent_->Increment();
@@ -527,11 +509,9 @@ Status UpdateManager::SendIncremental(TargetState* state,
   update.lrc_url = lrc_url_;
   update.added = added;
   update.removed = removed;
-  update.sent_micros = MonoMicros(clock_);
+  update.sent_micros = clock_->NowMicros();
   const uint64_t bytes_before = client->bytes_sent();
-  std::string payload, response;
-  update.Encode(&payload);
-  s = client->Call(kSsIncremental, payload, &response);
+  s = Invoke<kSsIncremental>(*client, update);
   if (!s.ok()) return s;
   if (metric_incremental_sent_) metric_incremental_sent_->Increment();
   if (metric_names_sent_) {

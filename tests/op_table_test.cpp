@@ -13,6 +13,7 @@
 #include "common/clock.h"
 #include "net/rpc.h"
 #include "rls/admission.h"
+#include "rls/client.h"
 #include "rls/protocol.h"
 #include "rls/rls_server.h"
 
@@ -29,6 +30,21 @@ constexpr Privilege kPrivileges[] = {Privilege::kLrcRead,  Privilege::kLrcWrite,
 std::string Dn(const std::string& who, Privilege p) {
   return "/CN=" + who + "-" + std::string(gsi::PrivilegeName(p));
 }
+
+// Invoke<Op> takes its request and reply types from Op's row: the row's
+// types compile, any other type does not.
+template <Op Code, typename Request>
+concept InvokeTakes = requires(net::RpcClient& rpc, const Request& request) {
+  Invoke<Code>(rpc, request);
+};
+template <Op Code, typename Reply>
+concept InvokeFills = requires(net::RpcClient& rpc, Reply* reply) {
+  Invoke<Code>(rpc, RequestOf<Code>{}, reply);
+};
+static_assert(InvokeTakes<kLrcQueryLfn, NameQueryRequest>);
+static_assert(!InvokeTakes<kLrcQueryLfn, MappingRequest>);
+static_assert(InvokeFills<kLrcQueryLfn, StringListResponse>);
+static_assert(!InvokeFills<kLrcQueryLfn, MappingListResponse>);
 
 TEST(OpTableTest, RowsNameTheirOpcodes) {
   std::set<std::string_view> names;
@@ -110,7 +126,6 @@ TEST(OpTableTest, AdmissionMatrix) {
     return limits.privilege_cost[static_cast<std::size_t>(p)];
   };
   const gsi::AuthContext tenant{true, "/CN=tenant", ""};
-  const std::string no_body;
 
   for (const OpSpec& op : kOpTable) {
     const bool protected_row =
@@ -121,19 +136,19 @@ TEST(OpTableTest, AdmissionMatrix) {
       // Drain the bucket with one read, and check that it is empty.
       row_limits.per_dn_burst = cost_of(Privilege::kLrcRead);
       AdmissionController admission(row_limits, &clock, nullptr);
-      ASSERT_TRUE(admission.Admit(tenant, kLrcQueryLfn, no_body).status.ok());
-      ASSERT_FALSE(admission.Admit(tenant, kLrcQueryLfn, no_body).status.ok());
-      const net::AdmitDecision decision = admission.Admit(tenant, op.opcode, no_body);
+      ASSERT_TRUE(admission.Admit(tenant, kLrcQueryLfn).status.ok());
+      ASSERT_FALSE(admission.Admit(tenant, kLrcQueryLfn).status.ok());
+      const net::AdmitDecision decision = admission.Admit(tenant, op.opcode);
       EXPECT_TRUE(decision.status.ok()) << op.name;
       EXPECT_TRUE(decision.priority) << op.name;
       continue;
     }
     row_limits.per_dn_burst = cost_of(*op.privilege);
     AdmissionController admission(row_limits, &clock, nullptr);
-    const net::AdmitDecision first = admission.Admit(tenant, op.opcode, no_body);
+    const net::AdmitDecision first = admission.Admit(tenant, op.opcode);
     EXPECT_TRUE(first.status.ok()) << op.name;
     EXPECT_FALSE(first.priority) << op.name;
-    const net::AdmitDecision second = admission.Admit(tenant, op.opcode, no_body);
+    const net::AdmitDecision second = admission.Admit(tenant, op.opcode);
     EXPECT_EQ(second.status.code(), ErrorCode::kUnavailable) << op.name;
     EXPECT_EQ(admission.shed_total(), 1u) << op.name;
   }
@@ -142,10 +157,10 @@ TEST(OpTableTest, AdmissionMatrix) {
   ServerLimits unknown_limits = limits;
   unknown_limits.per_dn_burst = cost_of(Privilege::kLrcRead);
   AdmissionController admission(unknown_limits, &clock, nullptr);
-  const net::AdmitDecision first = admission.Admit(tenant, 2, no_body);
+  const net::AdmitDecision first = admission.Admit(tenant, 2);
   EXPECT_TRUE(first.status.ok());
   EXPECT_FALSE(first.priority);
-  EXPECT_FALSE(admission.Admit(tenant, 2, no_body).status.ok());
+  EXPECT_FALSE(admission.Admit(tenant, 2).status.ok());
 }
 
 }  // namespace

@@ -326,7 +326,7 @@ TEST(OverloadTest, FlightRecorderShowsQueueWaitDominatingUnderStorm) {
       LrcClient::Connect(&network, config.address, {}, &admin).ok());
   GetTracesRequest filter;
   filter.method = "lrc_exists";
-  filter.source = kTraceSourceSlowLog;
+  filter.source = TraceSource::kSlowLog;
   GetTracesResponse traces;
   ASSERT_TRUE(admin->GetTraces(filter, &traces).ok());
   ASSERT_FALSE(traces.spans.empty());

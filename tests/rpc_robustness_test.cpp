@@ -9,6 +9,8 @@
 #include <map>
 #include <set>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -51,8 +53,13 @@ class RobustnessTest : public ::testing::Test {
 
 TEST_F(RobustnessTest, TruncatedPayloadsRejectedOnEveryOpcode) {
   // The rows that take no request body.
-  const std::set<uint16_t> bodyless = {kPing, kServerGetStats, kLrcRliList,
-                                       kLrcForceUpdate, kRliLrcList};
+  std::set<uint16_t> bodyless;
+  auto note = [&bodyless](const auto& row) {
+    using Row = std::remove_cvref_t<decltype(row)>;
+    if (std::is_same_v<typename Row::Request, NoBody>) bodyless.insert(Row::kOpcode);
+  };
+  std::apply([&note](const auto&... row) { (note(row), ...); }, kOpRows);
+  ASSERT_TRUE(bodyless.count(kPing));
   for (const OpSpec& op : kOpTable) {
     if (bodyless.count(op.opcode)) continue;
     std::string response;
@@ -166,6 +173,17 @@ TEST_F(RobustnessTest, OversizedNameRejectedCleanly) {
   EXPECT_FALSE(s.ok());
   EXPECT_TRUE(rpc_->Call(kPing, "", nullptr).ok());
   EXPECT_EQ(server_->lrc_store()->LogicalNameCount(), 0u);
+}
+
+// A GetTraces source past the slow log is malformed, not the ring buffer.
+TEST_F(RobustnessTest, UnknownTraceSourceRejected) {
+  std::string payload;
+  GetTracesRequest().Encode(&payload);
+  payload.back() = 2;  // the source byte, last on the wire
+  std::string response;
+  EXPECT_EQ(rpc_->Call(kServerGetTraces, payload, &response).code(),
+            ErrorCode::kProtocol);
+  EXPECT_TRUE(rpc_->Call(kPing, "", nullptr).ok());
 }
 
 TEST_F(RobustnessTest, ErrorCodecRoundTrip) {

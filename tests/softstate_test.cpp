@@ -291,5 +291,29 @@ TEST_F(SoftStateTest, UpdateToBloomOnlyRliRejectsUncompressed) {
   EXPECT_EQ(lrc->update_manager()->ForceFullUpdate().code(), ErrorCode::kUnsupported);
 }
 
+// The end of a full update is as unsupported on a Bloom-only RLI as its
+// begin and chunks: nothing is counted, traced or forwarded.
+TEST_F(SoftStateTest, FullUpdateEndOnBloomOnlyRliIsUnsupported) {
+  auto root = StartRli("rli:bloomonly-root");
+  RlsServerConfig config;
+  config.address = "rli:bloomonly-mid";
+  config.rli.enabled = true;
+  config.rli.dsn = "";  // no database: Bloom-only (paper §3.4)
+  config.rli.parents.push_back(UpdateTarget{"rli:bloomonly-root"});
+  auto rli = std::make_unique<RlsServer>(&network_, config, &env_);
+  ASSERT_TRUE(rli->Start().ok());
+
+  std::unique_ptr<net::RpcClient> rpc;
+  ASSERT_TRUE(net::RpcClient::Connect(&network_, config.address, {}, &rpc).ok());
+  std::string payload, response;
+  FullUpdateEnd{"lrc:ghost", 1}.Encode(&payload);
+  EXPECT_EQ(rpc->Call(kSsFullEnd, payload, &response).code(), ErrorCode::kUnsupported);
+
+  const GetStatsResponse stats = rli->GetStatsSnapshot();
+  EXPECT_EQ(stats.vitals.updates_received, 0u);
+  EXPECT_EQ(stats.last_update_trace_id, 0u);
+  EXPECT_EQ(root->GetStatsSnapshot().vitals.updates_received, 0u);
+}
+
 }  // namespace
 }  // namespace rls

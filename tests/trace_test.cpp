@@ -391,7 +391,7 @@ TEST(GetTracesRpcTest, FlightRecorderIsQueryableOverTheWire) {
 
   // The slow log answers too, slowest first.
   rls::GetTracesRequest slow;
-  slow.source = rls::kTraceSourceSlowLog;
+  slow.source = rls::TraceSource::kSlowLog;
   rls::GetTracesResponse slowest;
   ASSERT_TRUE(client->GetTraces(slow, &slowest).ok());
   ASSERT_GE(slowest.spans.size(), 2u);
