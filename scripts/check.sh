@@ -89,7 +89,7 @@ run_bench_gate() {  # $1 = output mode: "compare" or "rebaseline"
   done
   # The socket hot path: the same fig06 binary over the TCP transport
   # (RLS_TRANSPORT selects the fabric at run time), so the bench
-  # trajectory tracks the epoll/frame-codec stack alongside the
+  # trajectory tracks the socket/frame-codec stack alongside the
   # in-process numbers.
   json="$dir/BENCH_fig06_tcp.json"
   rm -f "$json"
@@ -193,11 +193,14 @@ for config in "${configs[@]}"; do
   echo "=== [$config] ctest"
   ctest --test-dir "$dir" --output-on-failure -j"$(nproc)"
   if [ "$config" = thread ]; then
-    # The TCP event loop and async client multiplexer are the raciest
-    # code in the tree; make their TSan pass an explicit gate (these
-    # also ran in the full suite above — this re-run is the named gate
-    # so a filter typo can't silently drop them).
-    echo "=== [$config] TCP transport gate (tcp_transport_test + chaos Tcp)"
+    # The TCP connections (a reader thread and any number of writers per
+    # socket, with the reader's reply batching) and the async client
+    # multiplexer are the raciest code in the tree; make their TSan pass
+    # an explicit gate. The overload tests' /Tcp cases race worker-pool
+    # replies against that batching. (These also ran in the full suite
+    # above — this re-run is the named gate so a filter typo can't
+    # silently drop them.)
+    echo "=== [$config] TCP transport gate (tcp_transport_test + chaos/overload Tcp)"
     ctest --test-dir "$dir" --output-on-failure -R 'Tcp'
   fi
 done

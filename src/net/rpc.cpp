@@ -51,11 +51,35 @@ RpcServer::~RpcServer() { Stop(); }
 
 Status RpcServer::Start() {
   if (options_.metrics) {
+    shed_queue_full_ = options_.metrics->GetCounter(
+        "rpc_shed_total", obs::Label("reason", "queue_full"));
+  }
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    queue_closed_ = false;
+  }
+  // Listen first, so a failed start leaves no worker thread and no
+  // callback capturing `this` behind. A request admitted before the
+  // workers below exist waits in the run queue.
+  Status s = network_->Listen(address_, [this](ConnectionPtr conn) {
+    std::shared_ptr<Connection> shared(conn.release());
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stopping_.load()) {
+      shared->Close();
+      return;
+    }
+    connections_.emplace(next_conn_id_++, shared);
+    threads_.emplace_back([this, shared] { ServeConnection(shared); });
+  });
+  if (!s.ok()) return s;
+  started_ = true;
+  for (int i = 0; i < options_.workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
+  if (options_.metrics) {
     options_.metrics->RegisterCallback(
         "rpc_active_connections", "",
         [this] { return static_cast<double>(active_connections()); });
-    shed_queue_full_ = options_.metrics->GetCounter(
-        "rpc_shed_total", obs::Label("reason", "queue_full"));
     if (options_.workers > 0) {
       options_.metrics->RegisterCallback(
           "rpc_queue_depth", obs::Label("lane", "normal"), [this] {
@@ -69,25 +93,7 @@ Status RpcServer::Start() {
           });
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    queue_closed_ = false;
-  }
-  for (int i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-  Status s = network_->Listen(address_, [this](ConnectionPtr conn) {
-    std::shared_ptr<Connection> shared(conn.release());
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_.load()) {
-      shared->Close();
-      return;
-    }
-    connections_.emplace(next_conn_id_++, shared);
-    threads_.emplace_back([this, shared] { ServeConnection(shared); });
-  });
-  if (s.ok()) started_ = true;
-  return s;
+  return Status::Ok();
 }
 
 void RpcServer::Stop() {

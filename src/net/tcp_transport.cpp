@@ -1,19 +1,18 @@
 #include "net/tcp_transport.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include <climits>
 #include <cstring>
+#include <thread>
 
 #include "net/serialize.h"
 
@@ -58,9 +57,30 @@ Status FillSockaddr(const std::string& host, uint16_t port, sockaddr_in* sa) {
   return Status::Ok();
 }
 
-void SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+/// Per-socket settings shared by both ends: no Nagle delay for small
+/// frames, and the kernel send buffer is the write backpressure bound.
+void ConfigureSocket(int fd, std::size_t write_buffer_limit) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  const int sndbuf =
+      static_cast<int>(std::min<std::size_t>(write_buffer_limit, INT_MAX));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
+}
+
+/// Writes all of `data`; false on a socket error (or EAGAIN under
+/// MSG_DONTWAIT).
+bool SendAll(int fd, std::string_view data, int flags) {
+  while (!data.empty()) {
+    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL | flags);
+    if (n > 0) {
+      data.remove_prefix(static_cast<std::size_t>(n));
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -116,108 +136,45 @@ bool DecodeHelloBody(std::string_view body, std::string* identity,
   return r.AtEnd();
 }
 
-/// Cross-thread command for the event loop.
-struct TcpTransport::Cmd {
-  enum Kind {
-    kRegisterConn,
-    kWrite,
-    kCloseConn,
-    kRegisterListener,
-    kCloseListener,
-    kStop,
-  };
-  Kind kind;
-  std::shared_ptr<Conn> conn;
-  std::shared_ptr<ListenerState> listener;
-};
-
-/// State shared by the transport, its event loop, and every connection
-/// wrapper (wrappers may outlive the transport object).
-struct TcpTransport::Core {
-  TcpOptions options;
-  rlscommon::Clock* clock = nullptr;
-  std::atomic<FaultInjector*> faults{nullptr};
-  std::atomic<uint64_t> next_id{1};  // 0 = the wakeup eventfd
-  int epfd = -1;
-  int wakefd = -1;
-
-  std::mutex cmd_mu;
-  std::vector<Cmd> cmds;
-  bool stopped = false;  // guarded by cmd_mu; set after the loop joins
-
-  void PushCmd(Cmd cmd) {
-    std::lock_guard<std::mutex> lock(cmd_mu);
-    if (stopped) return;
-    cmds.push_back(std::move(cmd));
-    const uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wakefd, &one, sizeof(one));
-  }
-};
-
-struct TcpTransport::ListenerState {
-  uint64_t id = 0;
-  int fd = -1;
-  std::string address;  // the logical (or tcp://) listen name
-  std::string ip_port;  // resolved "ip:port" from getsockname
-  AcceptHandler handler;
-};
-
-/// Per-socket state. The write side (wbuf and friends) is shared with
-/// user threads under wmu; everything else belongs to the loop thread.
-struct TcpTransport::Conn {
-  uint64_t id = 0;
-  int fd = -1;
-
-  std::shared_ptr<MessageQueue> incoming = std::make_shared<MessageQueue>();
-
-  std::mutex wmu;
-  std::condition_variable wcv;
-  std::string wbuf;
-  bool user_closed = false;  // Close() called: flush queued bytes, then drop
-  bool dead = false;         // fd closed: Send fails immediately
-  std::atomic<bool> write_requested{false};
-
-  // Loop-thread-only.
-  std::string rbuf;
-  bool hello_done = false;
-  bool read_eof = false;
-  bool want_read = true;
-  bool want_write = false;
-  bool lingering = false;
-  std::chrono::steady_clock::time_point linger_deadline{};
-  std::shared_ptr<ListenerState> listener;  // server side: owning acceptor
-};
-
-/// User-facing endpoint over one socket. Send() runs the same
-/// fault-injection and LinkModel pacing decision points as the
-/// in-process connection, then hands the encoded frame to the event
-/// loop via the write buffer (blocking on backpressure).
+/// One connected socket. Recv runs on the connection's one reading
+/// thread, which owns the read buffer; Send runs on any thread and
+/// writes under `write_mu_`. Send() keeps the same fault-injection and
+/// LinkModel pacing decision points as the in-process connection.
 class TcpConnection final : public Connection {
  public:
-  TcpConnection(std::shared_ptr<TcpTransport::Core> core,
-                std::shared_ptr<TcpTransport::Conn> conn, LinkModel link,
-                std::string peer, std::string local)
+  /// `server_side`: the first frame to arrive is the peer's HELLO, which
+  /// sets peer() and link().
+  TcpConnection(int fd, LinkModel link, std::string peer, std::string local,
+                bool server_side, std::size_t max_frame_bytes,
+                rlscommon::Clock* clock, FaultInjector* faults)
       : Connection(link, std::move(peer), std::move(local)),
-        core_(std::move(core)),
-        conn_(std::move(conn)) {}
-  ~TcpConnection() override { Close(); }
+        fd_(fd),
+        max_frame_bytes_(max_frame_bytes),
+        clock_(clock),
+        faults_(faults),
+        hello_pending_(server_side) {}
+
+  ~TcpConnection() override {
+    Close();
+    ::close(fd_);
+  }
 
   Status Send(Message msg) override {
     const std::size_t bytes = msg.WireBytes();
-    if (kFrameHeaderBytes + msg.payload.size() > core_->options.max_frame_bytes) {
+    if (kFrameHeaderBytes + msg.payload.size() > max_frame_bytes_) {
       return Status::Protocol("frame exceeds max_frame_bytes");
     }
     rlscommon::Duration delay = link_.DelayFor(bytes);
     SendVerdict verdict = SendVerdict::kDeliver;
-    if (FaultInjector* faults = core_->faults.load(std::memory_order_acquire)) {
+    if (faults_) {
       const uint64_t index = messages_sent_.load(std::memory_order_relaxed) + 1;
-      verdict = faults->OnSend(local_, peer_, index, &delay);
+      verdict = faults_->OnSend(local_, peer_, index, &delay);
     }
     if (verdict == SendVerdict::kDisconnect) {
       Close();
       return Status::Unavailable("fault: forced disconnect from " + peer_);
     }
-    if (delay > rlscommon::Duration::zero()) core_->clock->SleepFor(delay);
+    if (delay > rlscommon::Duration::zero()) clock_->SleepFor(delay);
     bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
     messages_sent_.fetch_add(1, std::memory_order_relaxed);
     // A dropped message still charged the link and counts as sent — the
@@ -225,77 +182,190 @@ class TcpConnection final : public Connection {
     if (verdict == SendVerdict::kDrop) return Status::Ok();
     std::string frame;
     EncodeFrame(msg, &frame);
-    {
-      std::unique_lock<std::mutex> lock(conn_->wmu);
-      conn_->wcv.wait(lock, [&] {
-        return conn_->user_closed || conn_->dead ||
-               conn_->wbuf.size() < core_->options.write_buffer_limit;
-      });
-      if (conn_->user_closed || conn_->dead) {
-        return Status::Unavailable("connection closed to " + peer_);
-      }
-      conn_->wbuf.append(frame);
+    std::lock_guard<std::mutex> lock(write_mu_);
+    if (shut_) return Status::Unavailable("connection closed to " + peer_);
+    if (batching_) {
+      pending_.append(frame);  // the reader writes it with the burst
+      return Status::Ok();
     }
-    if (!conn_->write_requested.exchange(true, std::memory_order_acq_rel)) {
-      core_->PushCmd({TcpTransport::Cmd::kWrite, conn_, nullptr});
+    if (!SendAll(fd_, frame, 0)) {
+      const std::string why = LastErrno();
+      Shut();
+      return Status::Unavailable("connection to " + peer_ + " lost: " + why);
     }
     return Status::Ok();
   }
 
-  Status Recv(Message* out) override { return conn_->incoming->Pop(out); }
+  Status Recv(Message* out) override { return Read(out, nullptr); }
 
   Status RecvFor(Message* out, rlscommon::Duration timeout) override {
-    return conn_->incoming->PopFor(out, timeout);
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    return Read(out, &deadline);
   }
 
+  /// Writes what the batch deferred (best effort: a writer blocked on a
+  /// peer that stopped reading holds the lock, and is woken instead),
+  /// then shuts both directions down, which wakes a blocked recv or
+  /// send. The fd itself closes in the destructor, so no other thread
+  /// can reach a reused descriptor.
   void Close() override {
-    bool first = false;
     {
-      std::lock_guard<std::mutex> lock(conn_->wmu);
-      if (!conn_->user_closed) {
-        conn_->user_closed = true;
-        first = true;
+      std::unique_lock<std::mutex> lock(write_mu_, std::try_to_lock);
+      if (lock.owns_lock() && !shut_) {
+        SendAll(fd_, pending_, MSG_DONTWAIT);
+        pending_.clear();
       }
     }
-    if (!first) return;
-    conn_->incoming->Close();
-    conn_->wcv.notify_all();
-    core_->PushCmd({TcpTransport::Cmd::kCloseConn, conn_, nullptr});
+    Shut();
   }
 
-  bool closed() const override { return conn_->incoming->closed(); }
+  bool closed() const override { return shut_ || read_closed_; }
 
  private:
-  std::shared_ptr<TcpTransport::Core> core_;
-  std::shared_ptr<TcpTransport::Conn> conn_;
+  /// Makes Send fail from now on and wakes the blocked reader and
+  /// writer. Safe under write_mu_.
+  void Shut() {
+    if (!shut_.exchange(true)) ::shutdown(fd_, SHUT_RDWR);
+  }
+
+  /// True if the frame starting at rpos_ is all buffered; `len` gets its
+  /// body length once the 4-byte prefix is.
+  bool WholeFrameBuffered(uint32_t* len) const {
+    if (rbuf_.size() - rpos_ < 4) return false;
+    std::memcpy(len, rbuf_.data() + rpos_, 4);
+    return rbuf_.size() - rpos_ - 4 >= *len;
+  }
+
+  /// The reader's half of the batching rule: while more whole frames
+  /// wait in the read buffer, Send defers; once none do, the deferred
+  /// frames go out in one write.
+  void SetBatching(bool more) {
+    if (more == batching_seen_) return;  // only the reader changes it
+    batching_seen_ = more;
+    std::lock_guard<std::mutex> lock(write_mu_);
+    batching_ = more;
+    if (more || pending_.empty()) return;
+    if (!shut_ && !SendAll(fd_, pending_, 0)) Shut();
+    pending_.clear();
+  }
+
+  /// Drops a peer that broke the framing; nothing it sent after the
+  /// violation is ever returned.
+  Status Violation(const char* what) {
+    rbuf_.clear();
+    rpos_ = 0;
+    read_closed_ = true;
+    Shut();
+    return Status::Unavailable(std::string("dropped ") + peer_ + ": " + what);
+  }
+
+  Status Read(Message* out, const std::chrono::steady_clock::time_point* deadline) {
+    for (;;) {
+      uint32_t len = 0;
+      const bool whole = WholeFrameBuffered(&len);
+      if (len > max_frame_bytes_) return Violation("frame exceeds max_frame_bytes");
+      if (whole) {
+        const std::string_view body(rbuf_.data() + rpos_ + 4, len);
+        rpos_ += 4 + static_cast<std::size_t>(len);
+        if (hello_pending_) {
+          // The HELLO names the peer and its link model, so the server
+          // side gets the same fault identities and reply-direction
+          // pacing the in-process fabric builds in.
+          if (!DecodeHelloBody(body, &peer_, &link_)) return Violation("bad hello");
+          hello_pending_ = false;
+          continue;
+        }
+        if (len < kFrameHeaderBytes || !DecodeFrameBody(body, out)) {
+          return Violation("malformed frame");
+        }
+        SetBatching(WholeFrameBuffered(&len));
+        return Status::Ok();
+      }
+      // No whole frame left: flush the burst's replies before blocking.
+      SetBatching(false);
+      rbuf_.erase(0, rpos_);
+      rpos_ = 0;
+      if (read_closed_) return Status::Unavailable("connection closed by " + peer_);
+      if (deadline) {
+        const int64_t ms = std::clamp<int64_t>(
+            std::chrono::ceil<std::chrono::milliseconds>(
+                *deadline - std::chrono::steady_clock::now())
+                .count(),
+            0, INT_MAX);
+        pollfd pfd{fd_, POLLIN, 0};
+        const int ready = ::poll(&pfd, 1, static_cast<int>(ms));
+        if (ready < 0 && errno == EINTR) continue;
+        if (ready == 0) return Status::Timeout("recv timed out on " + peer_);
+      }
+      char chunk[64 * 1024];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n > 0) {
+        rbuf_.append(chunk, static_cast<std::size_t>(n));
+      } else if (n < 0 && errno == EINTR) {
+        continue;
+      } else {
+        // EOF (the peer's half-close, or our own Close) or a reset. The
+        // write side stays up until Close(): replies still owed to a
+        // half-closed peer go out.
+        read_closed_ = true;
+      }
+    }
+  }
+
+  const int fd_;
+  const std::size_t max_frame_bytes_;
+  rlscommon::Clock* const clock_;
+  FaultInjector* const faults_;  // nullable; owned by the transport
+
+  // Reader-thread-only state.
+  std::string rbuf_;
+  std::size_t rpos_ = 0;  // start of the first unreturned frame
+  bool hello_pending_;
+  bool batching_seen_ = false;  // the reader's copy of batching_
+
+  std::mutex write_mu_;
+  bool batching_ = false;  // guarded by write_mu_; set only by the reader
+  std::string pending_;    // guarded by write_mu_; empty unless batching_
+
+  std::atomic<bool> shut_{false};         // Close() or a failed write
+  std::atomic<bool> read_closed_{false};  // EOF, reset or a framing violation
+};
+
+/// A listening socket and its accept thread.
+struct TcpTransport::Listener {
+  Listener(int listen_fd, std::string name, std::string endpoint,
+           AcceptHandler on_accept)
+      : fd(listen_fd),
+        address(std::move(name)),
+        ip_port(std::move(endpoint)),
+        handler(std::move(on_accept)) {}
+
+  ~Listener() {
+    if (thread.joinable()) {
+      // On Linux, shutting a listening socket down fails its blocked
+      // accept.
+      ::shutdown(fd, SHUT_RDWR);
+      thread.join();
+    }
+    ::close(fd);
+  }
+
+  const int fd;
+  const std::string address;  // the logical (or tcp://) listen name
+  const std::string ip_port;  // resolved "ip:port" from getsockname
+  const AcceptHandler handler;
+  std::thread thread;
 };
 
 TcpTransport::TcpTransport(TcpOptions options, rlscommon::Clock* clock)
-    : core_(std::make_shared<Core>()) {
-  core_->options = std::move(options);
-  core_->clock = clock;
-  core_->epfd = ::epoll_create1(EPOLL_CLOEXEC);
-  core_->wakefd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (core_->epfd < 0 || core_->wakefd < 0) {
-    std::perror("tcp transport: epoll_create1/eventfd");
-    std::abort();
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = 0;
-  ::epoll_ctl(core_->epfd, EPOLL_CTL_ADD, core_->wakefd, &ev);
-  loop_ = std::thread([this] { LoopMain(); });
-}
+    : options_(std::move(options)), clock_(clock) {}
 
 TcpTransport::~TcpTransport() {
-  core_->PushCmd({Cmd::kStop, nullptr, nullptr});
-  loop_.join();
-  {
-    std::lock_guard<std::mutex> lock(core_->cmd_mu);
-    core_->stopped = true;
-  }
-  ::close(core_->epfd);
-  ::close(core_->wakefd);
+  // Declared before the lock, so the accept threads join after it is
+  // released (they take it for faults()).
+  std::map<std::string, std::unique_ptr<Listener>> listeners;
+  std::lock_guard<std::mutex> lock(mu_);
+  listeners.swap(listeners_);
 }
 
 Status TcpTransport::Listen(const std::string& address, AcceptHandler on_accept) {
@@ -305,7 +375,7 @@ Status TcpTransport::Listen(const std::string& address, AcceptHandler on_accept)
       return Status::AlreadyExists("address already in use: " + address);
     }
   }
-  std::string host = core_->options.bind_host;
+  std::string host = options_.bind_host;
   uint16_t port = 0;  // logical names take an ephemeral port
   if (address.rfind("tcp://", 0) == 0) {
     if (!ParseHostPort(address.substr(6), &host, &port)) {
@@ -315,8 +385,7 @@ Status TcpTransport::Listen(const std::string& address, AcceptHandler on_accept)
   sockaddr_in sa;
   Status filled = FillSockaddr(host, port, &sa);
   if (!filled.ok()) return filled;
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return Status::Unavailable("socket: " + LastErrno());
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -339,40 +408,52 @@ Status TcpTransport::Listen(const std::string& address, AcceptHandler on_accept)
   ::getsockname(fd, reinterpret_cast<sockaddr*>(&actual), &len);
   char ip[INET_ADDRSTRLEN] = "0.0.0.0";
   ::inet_ntop(AF_INET, &actual.sin_addr, ip, sizeof(ip));
-  auto listener = std::make_shared<ListenerState>();
-  listener->id = core_->next_id.fetch_add(1, std::memory_order_relaxed);
-  listener->fd = fd;
-  listener->address = address;
-  listener->ip_port = std::string(ip) + ":" + std::to_string(ntohs(actual.sin_port));
-  listener->handler = std::move(on_accept);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!listeners_.emplace(address, listener).second) {
-      ::close(fd);
-      return Status::AlreadyExists("address already in use: " + address);
-    }
-  }
-  core_->PushCmd({Cmd::kRegisterListener, nullptr, listener});
+  auto listener = std::make_unique<Listener>(
+      fd, address, std::string(ip) + ":" + std::to_string(ntohs(actual.sin_port)),
+      std::move(on_accept));
+  std::lock_guard<std::mutex> lock(mu_);
+  auto [it, fresh] = listeners_.try_emplace(address, std::move(listener));
+  if (!fresh) return Status::AlreadyExists("address already in use: " + address);
+  Listener* accepting = it->second.get();
+  accepting->thread = std::thread([this, accepting] { AcceptLoop(accepting); });
   return Status::Ok();
 }
 
-void TcpTransport::StopListening(const std::string& address) {
-  std::shared_ptr<ListenerState> listener;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = listeners_.find(address);
-    if (it == listeners_.end()) return;
-    listener = it->second;
-    listeners_.erase(it);
+void TcpTransport::AcceptLoop(Listener* listener) {
+  for (;;) {
+    const int fd = ::accept4(listener->fd, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EINVAL || errno == EBADF) return;  // shut down
+      // Out of descriptors or buffers: back off rather than spin.
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
+    }
+    ConfigureSocket(fd, options_.write_buffer_limit);
+    // The peer's identity and link model arrive in its HELLO, which the
+    // connection's first Recv parses: a peer that never sends one
+    // stalls only its own connection thread, never this accept loop.
+    listener->handler(std::make_unique<TcpConnection>(
+        fd, LinkModel{}, /*peer=*/"", /*local=*/listener->address,
+        /*server_side=*/true, options_.max_frame_bytes, clock_, faults()));
   }
-  core_->PushCmd({Cmd::kCloseListener, nullptr, listener});
+}
+
+void TcpTransport::StopListening(const std::string& address) {
+  std::unique_ptr<Listener> listener;  // joins its thread outside the lock
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = listeners_.find(address);
+  if (it == listeners_.end()) return;
+  listener = std::move(it->second);
+  listeners_.erase(it);
 }
 
 Status TcpTransport::Connect(const std::string& address, const LinkModel& link,
                              ConnectionPtr* out,
                              const std::string& local_identity) {
-  if (FaultInjector* faults = core_->faults.load(std::memory_order_acquire)) {
-    Status verdict = faults->OnConnect(local_identity, address);
+  FaultInjector* injector = faults();
+  if (injector) {
+    Status verdict = injector->OnConnect(local_identity, address);
     if (!verdict.ok()) return verdict;
   }
   std::string target;
@@ -402,18 +483,20 @@ Status TcpTransport::Connect(const std::string& address, const LinkModel& link,
     ::close(fd);
     return refused;
   }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  SetNonBlocking(fd);
-  auto conn = std::make_shared<Conn>();
-  conn->id = core_->next_id.fetch_add(1, std::memory_order_relaxed);
-  conn->fd = fd;
-  conn->hello_done = true;  // the client sends the hello, never expects one
-  EncodeHello(local_identity, link, &conn->wbuf);
-  conn->write_requested.store(true, std::memory_order_release);
-  core_->PushCmd({Cmd::kRegisterConn, conn, nullptr});
-  *out = std::make_unique<TcpConnection>(core_, conn, link, address,
-                                         local_identity);
+  ConfigureSocket(fd, options_.write_buffer_limit);
+  // The client sends the HELLO and never expects one back.
+  std::string hello;
+  EncodeHello(local_identity, link, &hello);
+  if (!SendAll(fd, hello, 0)) {
+    const Status lost =
+        Status::Unavailable("hello to " + address + " failed: " + LastErrno());
+    ::close(fd);
+    return lost;
+  }
+  *out = std::make_unique<TcpConnection>(fd, link, address, local_identity,
+                                         /*server_side=*/false,
+                                         options_.max_frame_bytes, clock_,
+                                         injector);
   return Status::Ok();
 }
 
@@ -425,307 +508,13 @@ std::string TcpTransport::ListenAddress(const std::string& address) const {
 
 FaultInjector* TcpTransport::EnableFaultInjection(uint64_t seed) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!faults_) {
-    faults_ = std::make_unique<FaultInjector>(seed, core_->clock);
-    core_->faults.store(faults_.get(), std::memory_order_release);
-  }
+  if (!faults_) faults_ = std::make_unique<FaultInjector>(seed, clock_);
   return faults_.get();
 }
 
 FaultInjector* TcpTransport::faults() {
-  return core_->faults.load(std::memory_order_acquire);
-}
-
-rlscommon::Clock* TcpTransport::clock() { return core_->clock; }
-
-void TcpTransport::LoopMain() {
-  std::vector<epoll_event> events(128);
-  bool stop = false;
-  while (!stop) {
-    const int timeout_ms = lingering_.empty() ? -1 : 20;
-    const int n =
-        ::epoll_wait(core_->epfd, events.data(), static_cast<int>(events.size()),
-                     timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;  // epoll fd gone; nothing sane left to do
-    }
-    for (int i = 0; i < n; ++i) {
-      const uint64_t id = events[i].data.u64;
-      if (id == 0) {
-        uint64_t drain;
-        while (::read(core_->wakefd, &drain, sizeof(drain)) > 0) {
-        }
-        continue;
-      }
-      auto listener_it = polling_listeners_.find(id);
-      if (listener_it != polling_listeners_.end()) {
-        HandleAccept(listener_it->second);
-        continue;
-      }
-      auto conn_it = conns_.find(id);
-      if (conn_it == conns_.end()) continue;
-      const std::shared_ptr<Conn> conn = conn_it->second;
-      if (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) HandleRead(conn);
-      if (conn->fd >= 0 && (events[i].events & EPOLLOUT)) HandleWrite(conn);
-    }
-    DrainCommands(&stop);
-    if (!lingering_.empty()) {
-      const auto now = std::chrono::steady_clock::now();
-      auto it = lingering_.begin();
-      while (it != lingering_.end()) {
-        const std::shared_ptr<Conn> conn = *it;
-        bool drained = conn->fd < 0;
-        if (!drained) {
-          std::lock_guard<std::mutex> lock(conn->wmu);
-          drained = conn->wbuf.empty();
-        }
-        if (drained || now >= conn->linger_deadline) {
-          it = lingering_.erase(it);
-          if (conn->fd >= 0) FinishClose(conn);
-        } else {
-          ++it;
-        }
-      }
-    }
-  }
-  // Teardown: one best-effort flush pass, then close everything.
-  std::vector<std::shared_ptr<Conn>> remaining;
-  remaining.reserve(conns_.size());
-  for (auto& entry : conns_) remaining.push_back(entry.second);
-  for (auto& conn : remaining) {
-    if (conn->fd >= 0) HandleWrite(conn);
-  }
-  for (auto& conn : remaining) {
-    if (conn->fd >= 0) FinishClose(conn);
-  }
-  for (auto& entry : polling_listeners_) ::close(entry.second->fd);
-  polling_listeners_.clear();
-  lingering_.clear();
-}
-
-void TcpTransport::DrainCommands(bool* stop_requested) {
-  std::vector<Cmd> cmds;
-  {
-    std::lock_guard<std::mutex> lock(core_->cmd_mu);
-    cmds.swap(core_->cmds);
-  }
-  for (Cmd& cmd : cmds) {
-    switch (cmd.kind) {
-      case Cmd::kRegisterListener: {
-        polling_listeners_[cmd.listener->id] = cmd.listener;
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.u64 = cmd.listener->id;
-        ::epoll_ctl(core_->epfd, EPOLL_CTL_ADD, cmd.listener->fd, &ev);
-        break;
-      }
-      case Cmd::kCloseListener:
-        if (polling_listeners_.erase(cmd.listener->id)) {
-          ::epoll_ctl(core_->epfd, EPOLL_CTL_DEL, cmd.listener->fd, nullptr);
-          ::close(cmd.listener->fd);
-        }
-        break;
-      case Cmd::kRegisterConn: {
-        conns_[cmd.conn->id] = cmd.conn;
-        bool pending;
-        {
-          std::lock_guard<std::mutex> lock(cmd.conn->wmu);
-          pending = !cmd.conn->wbuf.empty();
-        }
-        cmd.conn->want_read = true;
-        cmd.conn->want_write = pending;
-        epoll_event ev{};
-        ev.events = EPOLLIN | (pending ? EPOLLOUT : 0u);
-        ev.data.u64 = cmd.conn->id;
-        ::epoll_ctl(core_->epfd, EPOLL_CTL_ADD, cmd.conn->fd, &ev);
-        break;
-      }
-      case Cmd::kWrite:
-        if (cmd.conn->fd >= 0) HandleWrite(cmd.conn);
-        break;
-      case Cmd::kCloseConn: {
-        const std::shared_ptr<Conn>& conn = cmd.conn;
-        if (conn->fd < 0 || conn->lingering) break;
-        bool drained;
-        {
-          std::lock_guard<std::mutex> lock(conn->wmu);
-          drained = conn->wbuf.empty();
-        }
-        if (drained) {
-          FinishClose(conn);
-        } else {
-          // Flush queued replies for a bounded window before dropping
-          // the socket (so a response sent just before Close() lands).
-          conn->lingering = true;
-          conn->linger_deadline = std::chrono::steady_clock::now() +
-                                  core_->options.close_linger;
-          UpdateInterest(conn, /*want_read=*/false, /*want_write=*/true);
-          lingering_.push_back(conn);
-        }
-        break;
-      }
-      case Cmd::kStop:
-        *stop_requested = true;
-        break;
-    }
-  }
-}
-
-void TcpTransport::HandleAccept(const std::shared_ptr<ListenerState>& listener) {
-  for (;;) {
-    const int fd =
-        ::accept4(listener->fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // EAGAIN or a transient accept error
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Conn>();
-    conn->id = core_->next_id.fetch_add(1, std::memory_order_relaxed);
-    conn->fd = fd;
-    conn->listener = listener;
-    conns_[conn->id] = conn;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = conn->id;
-    ::epoll_ctl(core_->epfd, EPOLL_CTL_ADD, fd, &ev);
-  }
-}
-
-void TcpTransport::HandleRead(const std::shared_ptr<Conn>& conn) {
-  if (conn->fd < 0 || conn->read_eof) return;
-  char buf[65536];
-  for (;;) {
-    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn->rbuf.append(buf, static_cast<std::size_t>(n));
-      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
-      continue;
-    }
-    if (n == 0) {
-      conn->read_eof = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    FinishClose(conn);  // hard error (ECONNRESET and friends)
-    return;
-  }
-  if (!ParseFrames(conn)) {
-    FinishClose(conn);  // framing violation: drop the peer
-    return;
-  }
-  if (conn->read_eof) {
-    // Half-close: buffered messages stay poppable, the inbox reports
-    // closed once drained, and our write side keeps working until the
-    // user calls Close().
-    conn->incoming->Close();
-    UpdateInterest(conn, /*want_read=*/false, conn->want_write);
-  }
-}
-
-bool TcpTransport::ParseFrames(const std::shared_ptr<Conn>& conn) {
-  std::string& rbuf = conn->rbuf;
-  std::size_t off = 0;
-  while (rbuf.size() - off >= 4) {
-    uint32_t frame_len;
-    std::memcpy(&frame_len, rbuf.data() + off, 4);
-    if (frame_len > core_->options.max_frame_bytes) return false;
-    if (rbuf.size() - off - 4 < frame_len) break;  // torn frame: wait
-    const std::string_view body(rbuf.data() + off + 4, frame_len);
-    if (!conn->hello_done) {
-      std::string identity;
-      LinkModel link;
-      if (!DecodeHelloBody(body, &identity, &link)) return false;
-      conn->hello_done = true;
-      if (conn->listener && conn->listener->handler) {
-        // The hello names the peer and its link model, so the server
-        // side gets the same fault identities and reply-direction
-        // pacing the in-process fabric builds in.
-        auto wrapper = std::make_unique<TcpConnection>(
-            core_, conn, link, /*peer=*/identity,
-            /*local=*/conn->listener->address);
-        conn->listener->handler(std::move(wrapper));
-      }
-    } else {
-      Message msg;
-      if (frame_len < kFrameHeaderBytes || !DecodeFrameBody(body, &msg)) {
-        return false;
-      }
-      conn->incoming->Push(std::move(msg));
-    }
-    off += 4 + static_cast<std::size_t>(frame_len);
-  }
-  if (off > 0) rbuf.erase(0, off);
-  return true;
-}
-
-void TcpTransport::HandleWrite(const std::shared_ptr<Conn>& conn) {
-  if (conn->fd < 0) return;
-  bool fatal = false;
-  bool pending;
-  {
-    std::unique_lock<std::mutex> lock(conn->wmu);
-    while (!conn->wbuf.empty()) {
-      const std::size_t chunk =
-          std::min<std::size_t>(conn->wbuf.size(), 256 * 1024);
-      const ssize_t n = ::send(conn->fd, conn->wbuf.data(), chunk, MSG_NOSIGNAL);
-      if (n > 0) {
-        conn->wbuf.erase(0, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      fatal = true;
-      break;
-    }
-    pending = !conn->wbuf.empty();
-    if (!pending) conn->write_requested.store(false, std::memory_order_release);
-  }
-  conn->wcv.notify_all();  // backpressure release
-  if (fatal) {
-    FinishClose(conn);
-    return;
-  }
-  if (pending != conn->want_write) {
-    UpdateInterest(conn, conn->want_read, pending);
-  }
-  if (!pending) {
-    bool user_closed;
-    {
-      std::lock_guard<std::mutex> lock(conn->wmu);
-      user_closed = conn->user_closed;
-    }
-    if (user_closed) FinishClose(conn);
-  }
-}
-
-void TcpTransport::FinishClose(const std::shared_ptr<Conn>& conn) {
-  if (conn->fd < 0) return;
-  {
-    std::lock_guard<std::mutex> lock(conn->wmu);
-    conn->dead = true;
-    conn->wbuf.clear();
-  }
-  conn->wcv.notify_all();
-  conn->incoming->Close();
-  ::epoll_ctl(core_->epfd, EPOLL_CTL_DEL, conn->fd, nullptr);
-  ::close(conn->fd);
-  conn->fd = -1;
-  conns_.erase(conn->id);
-}
-
-void TcpTransport::UpdateInterest(const std::shared_ptr<Conn>& conn,
-                                  bool want_read, bool want_write) {
-  if (conn->fd < 0) return;
-  conn->want_read = want_read;
-  conn->want_write = want_write;
-  epoll_event ev{};
-  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-  ev.data.u64 = conn->id;
-  ::epoll_ctl(core_->epfd, EPOLL_CTL_MOD, conn->fd, &ev);
+  std::lock_guard<std::mutex> lock(mu_);
+  return faults_.get();
 }
 
 }  // namespace net

@@ -1,7 +1,17 @@
-// TCP implementation of the transport seam: a single epoll event-loop
-// thread drives nonblocking sockets through accept/read/write state
-// machines; user threads talk to it through per-connection write
-// buffers (with backpressure) and the MessageQueue inbox.
+// TCP implementation of the transport seam: blocking sockets driven by
+// the threads that already wait on each connection. The one thread that
+// calls Recv reads the socket and reassembles frames; every Send writes
+// its frame on the caller's thread under a per-connection write lock.
+// Each listener has one accept thread. There is no event loop, so a
+// call wakes only the server thread that reads the request and the
+// client thread that reads the reply.
+//
+// Batching: a Send made while the connection's reader still holds whole
+// frames it has not returned (a pipelined burst) is appended to a
+// pending buffer instead of written. The reader writes that buffer in
+// one send before it returns its last buffered frame or blocks, and
+// Close() flushes it, so the replies to a burst of N requests answered
+// in turn go out in two writes, not N.
 //
 // Wire format (little-endian, see EncodeFrame):
 //   u32 frame_length                    -- bytes after this field
@@ -14,7 +24,9 @@
 // server side the same (local, peer) identity pair and reply-direction
 // pacing the in-process fabric gets for free, so FaultInjector
 // scenarios and LinkModel shaping behave identically on both
-// transports.
+// transports. The server side parses the HELLO on its first Recv, so a
+// peer that never sends one holds up only its own connection thread;
+// replies sent before that first Recv carry no identity or pacing.
 //
 // Addresses: "tcp://host:port" binds/connects literally (the
 // multi-process path). Any other string is a *logical* name — the
@@ -25,13 +37,11 @@
 // second process.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "net/transport.h"
 
@@ -40,12 +50,12 @@ namespace net {
 struct TcpOptions {
   /// Interface logical-name listeners bind on.
   std::string bind_host = "127.0.0.1";
-  /// Send() blocks once this many unflushed bytes queue on a connection.
+  /// Each socket's SO_SNDBUF (the kernel caps it at net.core.wmem_max):
+  /// Send() blocks in the kernel once the peer stops reading and this
+  /// much is unsent.
   std::size_t write_buffer_limit = 4 * 1024 * 1024;
   /// Frames beyond this are a protocol violation (connection dropped).
   std::size_t max_frame_bytes = 64 * 1024 * 1024;
-  /// How long a Close()d connection may keep flushing queued replies.
-  std::chrono::milliseconds close_linger{1000};
 };
 
 /// Frame codec, exposed for tests (torn-frame reassembly) and docs.
@@ -72,37 +82,19 @@ class TcpTransport final : public Transport {
   std::string ListenAddress(const std::string& address) const override;
   FaultInjector* EnableFaultInjection(uint64_t seed) override;
   FaultInjector* faults() override;
-  rlscommon::Clock* clock() override;
+  rlscommon::Clock* clock() override { return clock_; }
 
  private:
-  friend class TcpConnection;
-  struct Conn;
-  struct ListenerState;
-  struct Cmd;
-  struct Core;
+  struct Listener;
 
-  void LoopMain();
-  void DrainCommands(bool* stop_requested);
-  void HandleAccept(const std::shared_ptr<ListenerState>& listener);
-  void HandleRead(const std::shared_ptr<Conn>& conn);
-  void HandleWrite(const std::shared_ptr<Conn>& conn);
-  bool ParseFrames(const std::shared_ptr<Conn>& conn);
-  void FinishClose(const std::shared_ptr<Conn>& conn);
-  void UpdateInterest(const std::shared_ptr<Conn>& conn, bool want_read,
-                      bool want_write);
+  void AcceptLoop(Listener* listener);
 
-  std::shared_ptr<Core> core_;  // shared with connection wrappers
-  std::unique_ptr<FaultInjector> faults_;
+  const TcpOptions options_;
+  rlscommon::Clock* const clock_;
 
   mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<ListenerState>> listeners_;  // by name
-
-  // Loop-thread-only state.
-  std::map<uint64_t, std::shared_ptr<Conn>> conns_;
-  std::map<uint64_t, std::shared_ptr<ListenerState>> polling_listeners_;
-  std::vector<std::shared_ptr<Conn>> lingering_;
-
-  std::thread loop_;
+  std::unique_ptr<FaultInjector> faults_;
+  std::map<std::string, std::unique_ptr<Listener>> listeners_;  // by name
 };
 
 }  // namespace net

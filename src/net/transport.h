@@ -8,10 +8,11 @@
 //              effectively would for these request/response protocols
 //              (the paper's 100 Mbit/s LAN and LA<->Chicago WAN with
 //              63.8 ms mean RTT, §5).
-//   tcp://     TcpTransport (tcp_transport.h) — a real epoll socket
-//              stack: nonblocking sockets, length-prefixed frames,
-//              per-connection write buffers with backpressure. The
-//              LinkModel degrades to an egress pacing shim there.
+//   tcp://     TcpTransport (tcp_transport.h) — real sockets read and
+//              written by the threads that already wait on each
+//              connection: length-prefixed frames, kernel send-buffer
+//              backpressure, no event loop. The LinkModel degrades to
+//              an egress pacing shim there.
 //
 // Servers Listen() on string addresses, clients Connect() with a chosen
 // LinkModel; everything above the seam (RpcServer, RpcClient, the rls
@@ -104,9 +105,8 @@ class RateLimiter {
 };
 
 /// Unbounded MPSC-ish message queue with shutdown: one direction of an
-/// in-process connection, and the TCP transport's per-connection inbox.
-/// It never sheds; load shedding is RpcServer's bounded two-lane run
-/// queue (DESIGN.md §9).
+/// in-process connection. It never sheds; load shedding is RpcServer's
+/// bounded two-lane run queue (DESIGN.md §9).
 class MessageQueue {
  public:
   /// Enqueues; returns false after Close().
@@ -143,7 +143,9 @@ class MessageQueue {
 ///   * Recv blocks for the next message and returns Unavailable after
 ///     close once buffered messages are drained (a half-closed TCP peer
 ///     still gets the messages that were in flight);
-///   * Close is idempotent and wakes pending Recv calls.
+///   * Close is idempotent and wakes pending Recv calls;
+///   * at most one thread reads a connection (Recv/RecvFor); any number
+///     of threads may Send on it.
 class Connection {
  public:
   Connection(LinkModel link, std::string peer, std::string local)

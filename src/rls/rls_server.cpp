@@ -91,27 +91,6 @@ Status RlsServer::Start() {
     lrc_store_->SetChangeObserver([this](const std::string& lfn, bool added) {
       update_manager_->OnMappingChange(lfn, added);
     });
-    if (lrc_store_->database()) {
-      rdb::Database* db = lrc_store_->database();
-      // WAL commit-scheduling instruments: batch-size distribution,
-      // time a committer spends parked for its group's sync (exemplar =
-      // slowest waiter's trace, the `wal_sync` stage in its breakdown),
-      // and batches flushed.
-      obs::Histogram* group_size = registry_.GetHistogram("wal_group_size");
-      obs::Histogram* sync_wait = registry_.GetHistogram("wal_sync_wait_us");
-      obs::Counter* group_commits = registry_.GetCounter("wal_group_commits_total");
-      rdb::WalObserver wal_observer;
-      wal_observer.group_commit = [group_size, group_commits](uint64_t frames,
-                                                              uint64_t) {
-        group_size->RecordMicros(frames);  // dimensionless: commits per batch
-        group_commits->Increment();
-      };
-      wal_observer.sync_wait = [sync_wait](uint64_t wait_us, uint64_t trace_id) {
-        sync_wait->RecordMicros(wait_us);
-        sync_wait->OfferExemplar(wait_us, trace_id);
-      };
-      db->wal().SetObserver(std::move(wal_observer));
-    }
   }
   if (config_.rli.enabled) {
     if (!config_.rli.dsn.empty()) {
@@ -172,7 +151,13 @@ Status RlsServer::Start() {
         return Dispatch(auth, opcode, request, response);
       });
   Status s = rpc_server_->Start();
-  if (!s.ok()) return s;
+  if (!s.ok()) {
+    // The stores and the obs worker pool go with this object; only the
+    // instruments reach outside it: the Environment-owned WAL must not
+    // keep an observer into registry_ once this server is gone.
+    UnregisterGauges();
+    return s;
+  }
 
   if (update_manager_) update_manager_->Start();
   {
@@ -205,12 +190,6 @@ void RlsServer::Stop() {
   if (exporter_) exporter_->Stop();
   if (update_manager_) update_manager_->Stop();
   if (rpc_server_) rpc_server_->Stop();
-  // The WAL outlives this server (the Environment owns the database) but
-  // its observer captures registry-owned instruments; detach it.
-  if (lrc_store_ && lrc_store_->database()) {
-    lrc_store_->database()->wal().SetObserver({});
-  }
-  // The gauges capture raw store pointers; drop them before the stores go.
   UnregisterGauges();
 }
 
@@ -236,6 +215,24 @@ void RlsServer::RegisterGauges() {
   }
   if (lrc_store_ && lrc_store_->database()) {
     rdb::Database* db = lrc_store_->database();
+    // WAL commit-scheduling instruments: batch-size distribution, time a
+    // committer spends parked for its group's sync (exemplar = slowest
+    // waiter's trace, the `wal_sync` stage in its breakdown), and
+    // batches flushed.
+    obs::Histogram* group_size = registry_.GetHistogram("wal_group_size");
+    obs::Histogram* sync_wait = registry_.GetHistogram("wal_sync_wait_us");
+    obs::Counter* group_commits = registry_.GetCounter("wal_group_commits_total");
+    rdb::WalObserver wal_observer;
+    wal_observer.group_commit = [group_size, group_commits](uint64_t frames,
+                                                            uint64_t) {
+      group_size->RecordMicros(frames);  // dimensionless: commits per batch
+      group_commits->Increment();
+    };
+    wal_observer.sync_wait = [sync_wait](uint64_t wait_us, uint64_t trace_id) {
+      sync_wait->RecordMicros(wait_us);
+      sync_wait->OfferExemplar(wait_us, trace_id);
+    };
+    db->wal().SetObserver(std::move(wal_observer));
     registry_.RegisterCallback("wal_recovered_txns", "", [db] {
       return static_cast<double>(db->recovery_stats().recovered_txns);
     });
@@ -272,6 +269,12 @@ void RlsServer::RegisterGauges() {
 }
 
 void RlsServer::UnregisterGauges() {
+  // The WAL outlives this server (the Environment owns the database) but
+  // its observer captures registry-owned instruments; detach it. The
+  // gauges capture raw store pointers; drop them before the stores go.
+  if (lrc_store_ && lrc_store_->database()) {
+    lrc_store_->database()->wal().SetObserver({});
+  }
   registry_.UnregisterCallback("server_uptime_seconds", "");
   registry_.UnregisterCallback("threadpool_queue_depth", "");
   registry_.UnregisterCallback("lrc_logical_names", "");

@@ -162,6 +162,8 @@ class RlsServer {
   void ForwardToParents(const RequestOf<Code>& request);
   void ExpireLoop();
   std::string RenderStatsJson() const;
+  /// Registers the registry gauges and installs the WAL observer;
+  /// UnregisterGauges undoes both.
   void RegisterGauges();
   void UnregisterGauges();
 

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,16 +79,21 @@ class ChaosTest : public ::testing::TestWithParam<const char*> {
 
   void TearDown() override {
     for (auto& server : servers_) server->Stop();
-    for (net::ConnectionPtr& conn : held_) conn->Close();
-    for (std::thread& t : garbler_threads_) {
-      if (t.joinable()) t.join();
+    std::vector<std::thread> garblers;
+    {
+      std::lock_guard<std::mutex> lock(accepted_mu_);
+      for (net::ConnectionPtr& conn : held_) conn->Close();
+      garblers.swap(garbler_threads_);
     }
+    for (std::thread& t : garblers) t.join();
   }
 
   std::unique_ptr<net::Transport> transport_;  // destroyed last
   net::Transport& network_;
   dbapi::Environment env_;
   std::vector<std::unique_ptr<RlsServer>> servers_;
+  // Filled by accept handlers, which may run on a transport thread.
+  std::mutex accepted_mu_;
   std::vector<net::ConnectionPtr> held_;       // tarpit connections
   std::vector<std::thread> garbler_threads_;   // garbled-reply servers
 };
@@ -342,6 +348,7 @@ TEST_P(ChaosTest, ErrorTaxonomyDistinguishesFailureModes) {
   ASSERT_TRUE(network_
                   .Listen("tarpit",
                           [this](net::ConnectionPtr conn) {
+                            std::lock_guard<std::mutex> lock(accepted_mu_);
                             held_.push_back(std::move(conn));
                           })
                   .ok());
@@ -354,6 +361,7 @@ TEST_P(ChaosTest, ErrorTaxonomyDistinguishesFailureModes) {
   ASSERT_TRUE(network_
                   .Listen("garbler",
                           [this](net::ConnectionPtr conn) {
+                            std::lock_guard<std::mutex> lock(accepted_mu_);
                             garbler_threads_.emplace_back(
                                 [c = std::shared_ptr<net::Connection>(
                                      conn.release())] {

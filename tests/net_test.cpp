@@ -8,6 +8,7 @@
 #include "net/codec.h"
 #include "net/serialize.h"
 #include "net/transport.h"
+#include "obs/metrics.h"
 
 namespace net {
 namespace {
@@ -200,6 +201,36 @@ TEST(RpcTest, CallRoundTrip) {
   EXPECT_EQ(response, "hello!");
   EXPECT_EQ(server.requests_served(), 1u);
   server.Stop();
+}
+
+// A Start that fails because the address is taken leaves nothing
+// running: the server destructs without joinable worker threads, and no
+// registry callback keeps pointing at it.
+TEST(RpcTest, FailedStartDestructsCleanly) {
+  InProcTransport network;
+  ServerOptions options;
+  options.workers = 2;
+  RpcServer first(&network, "taken:1", options, EchoHandler());
+  ASSERT_TRUE(first.Start().ok());
+
+  obs::Registry registry;
+  {
+    ServerOptions second_options = options;
+    second_options.metrics = &registry;
+    RpcServer second(&network, "taken:1", second_options, EchoHandler());
+    EXPECT_EQ(second.Start().code(), ErrorCode::kAlreadyExists);
+  }
+  const std::string rendered = registry.RenderJson();
+  EXPECT_EQ(rendered.find("rpc_active_connections"), std::string::npos);
+  EXPECT_EQ(rendered.find("rpc_queue_depth"), std::string::npos);
+
+  // The server that owns the address is untouched.
+  std::unique_ptr<RpcClient> client;
+  ASSERT_TRUE(RpcClient::Connect(&network, "taken:1", ClientOptions{}, &client).ok());
+  std::string response;
+  ASSERT_TRUE(client->Call(5, "still here", &response).ok());
+  EXPECT_EQ(response, "still here!");
+  first.Stop();
 }
 
 TEST(RpcTest, ServerErrorsPropagateAsStatus) {

@@ -2,11 +2,13 @@
 // server sheds with UNAVAILABLE + retry-after instead of collapsing its
 // queues, admitted requests keep a bounded tail, per-DN rate limits
 // isolate tenants, and the priority lane keeps soft-state and
-// monitoring traffic flowing through a client storm.
+// monitoring traffic flowing through a client storm. The queue-full and
+// priority-lane tests run on both transports.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -34,8 +36,23 @@ net::ClientOptions NoRetryClient(const std::string& dn = "") {
   return options;
 }
 
-TEST(OverloadTest, QueueFullShedsWithRetryAfter) {
-  net::InProcTransport network;
+/// The worker-pool tests that also run over sockets, where worker
+/// replies race the connection reader's reply batching.
+class OverloadTransportTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  OverloadTransportTest() : transport_(net::MakeTransport(GetParam())) {}
+
+  std::unique_ptr<net::Transport> transport_;
+};
+
+INSTANTIATE_TEST_SUITE_P(Transports, OverloadTransportTest,
+                         ::testing::Values("inproc", "tcp://127.0.0.1"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return info.index == 0 ? "InProc" : "Tcp";
+                         });
+
+TEST_P(OverloadTransportTest, QueueFullShedsWithRetryAfter) {
+  net::Transport& network = *transport_;
   net::ServerOptions options;
   options.workers = 1;
   options.queue_depth = 1;
@@ -208,8 +225,8 @@ TEST(OverloadTest, PerDnRateLimitIsolatesTenants) {
   server.Stop();
 }
 
-TEST(OverloadTest, PriorityLaneSurvivesClientStorm) {
-  net::InProcTransport network;
+TEST_P(OverloadTransportTest, PriorityLaneSurvivesClientStorm) {
+  net::Transport& network = *transport_;
   dbapi::Environment env;
   RlsServerConfig config;
   config.address = "rls:storm";

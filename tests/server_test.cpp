@@ -5,6 +5,7 @@
 #include <atomic>
 
 #include "obs/trace.h"
+#include "rdb/profile.h"
 #include "rls/client.h"
 #include "rls/rls_server.h"
 
@@ -290,6 +291,38 @@ TEST(ServerConfigTest, ServerWithNoRolesRejected) {
   config.address = "none:1";
   RlsServer server(&network, config, &env);
   EXPECT_EQ(server.Start().code(), ErrorCode::kInvalidArgument);
+}
+
+// A server whose Start fails on a taken address unwinds its own set-up:
+// it destructs cleanly although its RPC layer has a worker pool, and it
+// leaves no WAL observer on the database, which the Environment owns and
+// which outlives the server.
+TEST(ServerConfigTest, FailedStartOnTakenAddressUnwinds) {
+  net::InProcTransport network;
+  dbapi::Environment env;
+  ASSERT_TRUE(network.Listen("taken:1", [](net::ConnectionPtr) {}).ok());
+  RlsServerConfig config;
+  config.address = "taken:1";
+  config.lrc.enabled = true;
+  config.lrc.dsn = "mysql://failed_start_lrc";
+  config.limits.workers = 2;
+  // Durable commits run the WAL's batch path, which calls its observer.
+  rdb::BackendProfile profile = rdb::BackendProfile::MySQL();
+  profile.durable_flush = true;
+  profile.durable_flush_penalty = std::chrono::microseconds(0);
+  ASSERT_TRUE(env.CreateDatabaseWithProfile(config.lrc.dsn, profile).ok());
+  {
+    RlsServer server(&network, config, &env);
+    EXPECT_EQ(server.Start().code(), ErrorCode::kAlreadyExists);
+  }
+  // Commits on the surviving database must not reach the destroyed
+  // server's instruments.
+  std::unique_ptr<dbapi::Connection> conn;
+  ASSERT_TRUE(dbapi::Connection::Open(env, config.lrc.dsn, &conn).ok());
+  sql::ResultSet result;
+  EXPECT_TRUE(
+      conn->Execute("INSERT INTO t_lfn (name, ref) VALUES ('after', 0)", &result)
+          .ok());
 }
 
 }  // namespace

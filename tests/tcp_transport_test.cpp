@@ -1,12 +1,16 @@
-// TCP transport tests: the socket stack's state machines exercised at
-// the wire level — torn-frame reassembly, half-close, write
-// backpressure — plus the async client's multiplexing on top of it
-// (pipelined calls, stale-response discard, id wrap, and the pipelined
-// ≥4x throughput acceptance bar from the transport-seam refactor).
+// TCP transport tests: the socket stack exercised at the wire level —
+// torn-frame reassembly, half-close, write backpressure, Close() waking
+// blocked readers and writers, bad HELLOs, and the reply batching of a
+// reader that holds a burst of requests — plus the async client's
+// multiplexing on top of it (pipelined calls, stale-response discard, id
+// wrap, and the pipelined ≥4x throughput acceptance bar from the
+// transport-seam refactor).
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -15,6 +19,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -43,6 +48,8 @@ void SplitHostPort(const std::string& hp, std::string* host, uint16_t* port) {
 }
 
 /// Blocking connect to ip:port; returns the fd (fails the test on error).
+/// Reads on it give up after 10 s, so a frame that never comes fails the
+/// test instead of hanging it.
 int ConnectRaw(const std::string& hp) {
   std::string host;
   uint16_t port = 0;
@@ -55,7 +62,41 @@ int ConnectRaw(const std::string& hp) {
   EXPECT_EQ(inet_pton(AF_INET, host.c_str(), &addr.sin_addr), 1);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
       << strerror(errno);
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   return fd;
+}
+
+/// A raw acceptor on an ephemeral loopback port. Its accepted sockets
+/// read nothing unless the test does.
+struct RawListener {
+  RawListener() {
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    EXPECT_EQ(::listen(fd, 4), 0);
+    socklen_t addr_len = sizeof(addr);
+    EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len), 0);
+    endpoint = "tcp://127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
+  }
+  ~RawListener() { ::close(fd); }
+
+  int Accept() const { return ::accept(fd, nullptr, nullptr); }
+
+  int fd = -1;
+  std::string endpoint;
+};
+
+/// True if the peer closes `fd` (a read returns EOF) within `deadline`.
+bool ReadsEof(int fd, std::chrono::milliseconds deadline) {
+  pollfd pfd{fd, POLLIN, 0};
+  if (::poll(&pfd, 1, static_cast<int>(deadline.count())) != 1) return false;
+  char byte;
+  return ::recv(fd, &byte, 1, MSG_DONTWAIT) == 0;
 }
 
 /// Writes all of `data`, `chunk` bytes at a time (chunk 1 = torn frames).
@@ -301,36 +342,26 @@ TEST(TcpTransportTest, HalfCloseStillDeliversReplies) {
   EXPECT_EQ(decoded.payload, "answer");
 
   server_conn->Close();
-  // Full close follows: the raw peer sees EOF once the linger flush ends.
+  // Full close follows: the raw peer sees EOF.
   EXPECT_FALSE(ReadFrame(fd, &body));
   ::close(fd);
 }
 
-// Send() blocks once the unflushed write buffer hits the configured
-// limit (the peer has stopped reading) and unblocks when the event loop
+// Send() blocks once the socket's send buffer (write_buffer_limit) is
+// full because the peer has stopped reading, and unblocks as the peer
 // drains it — bytes are never dropped or reordered.
 TEST(TcpTransportTest, WriteBackpressureBlocksThenDrains) {
-  // A raw acceptor that does NOT read: the kernel buffers fill, then the
-  // transport's write buffer fills, then Send() must block.
-  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(lfd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(::listen(lfd, 1), 0);
-  socklen_t addr_len = sizeof(addr);
-  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &addr_len), 0);
-  const std::string endpoint =
-      "tcp://127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
-
+  // A raw acceptor that does NOT read: the peer's receive buffer fills,
+  // then the socket's send buffer (write_buffer_limit), then Send() must
+  // block.
+  RawListener listener;
   TcpOptions options;
   options.write_buffer_limit = 256 * 1024;
   TcpTransport transport(options);
   ConnectionPtr conn;
-  ASSERT_TRUE(transport.Connect(endpoint, LinkModel::Loopback(), &conn).ok());
-  const int peer = ::accept(lfd, nullptr, nullptr);
+  ASSERT_TRUE(
+      transport.Connect(listener.endpoint, LinkModel::Loopback(), &conn).ok());
+  const int peer = listener.Accept();
   ASSERT_GE(peer, 0);
 
   constexpr int kMessages = 32;
@@ -365,7 +396,169 @@ TEST(TcpTransportTest, WriteBackpressureBlocksThenDrains) {
   EXPECT_EQ(sent.load(), kMessages);
   conn->Close();
   ::close(peer);
-  ::close(lfd);
+}
+
+// Close() from another thread wakes a Send blocked on a peer that has
+// stopped reading: shutting the socket down fails the kernel write, and
+// Send reports UNAVAILABLE instead of hanging.
+TEST(TcpTransportTest, CloseWakesBlockedSend) {
+  RawListener listener;
+  TcpOptions options;
+  options.write_buffer_limit = 64 * 1024;
+  TcpTransport transport(options);
+  ConnectionPtr conn;
+  ASSERT_TRUE(
+      transport.Connect(listener.endpoint, LinkModel::Loopback(), &conn).ok());
+  const int peer = listener.Accept();
+  ASSERT_GE(peer, 0);
+
+  std::promise<Status> failed;
+  std::future<Status> result = failed.get_future();
+  std::thread sender([&] {
+    const std::string payload(256 * 1024, 's');
+    for (;;) {
+      Message msg;
+      msg.payload = payload;
+      Status s = conn->Send(std::move(msg));
+      if (!s.ok()) {
+        failed.set_value(s);
+        return;
+      }
+    }
+  });
+  // Nobody reads, so the sender soon blocks for good.
+  EXPECT_EQ(result.wait_for(300ms), std::future_status::timeout);
+
+  conn->Close();
+  EXPECT_EQ(result.wait_for(1s), std::future_status::ready)
+      << "Close() left Send blocked";
+  ::close(peer);  // frees a sender that Close() did not wake
+  sender.join();
+  EXPECT_EQ(result.get().code(), ErrorCode::kUnavailable);
+}
+
+// Close() from another thread wakes a Recv waiting on a silent peer.
+TEST(TcpTransportTest, CloseWakesBlockedRecv) {
+  RawListener listener;
+  TcpTransport transport;
+  ConnectionPtr conn;
+  ASSERT_TRUE(
+      transport.Connect(listener.endpoint, LinkModel::Loopback(), &conn).ok());
+  const int peer = listener.Accept();
+  ASSERT_GE(peer, 0);
+
+  std::promise<Status> received;
+  std::future<Status> result = received.get_future();
+  std::thread reader([&] {
+    Message msg;
+    received.set_value(conn->Recv(&msg));
+  });
+  EXPECT_EQ(result.wait_for(200ms), std::future_status::timeout);
+
+  conn->Close();
+  EXPECT_EQ(result.wait_for(1s), std::future_status::ready)
+      << "Close() left Recv blocked";
+  ::close(peer);  // frees a reader that Close() did not wake
+  reader.join();
+  EXPECT_EQ(result.get().code(), ErrorCode::kUnavailable);
+}
+
+// The server side of a connection whose HELLO is corrupt reports
+// UNAVAILABLE from Recv and never yields a message, although a valid
+// frame follows the bad preamble; the peer sees the socket close.
+TEST(TcpTransportTest, GarbledHelloIsDropped) {
+  std::mutex mu;
+  std::condition_variable cv;
+  ConnectionPtr server_conn;
+  TcpTransport transport;
+  ASSERT_TRUE(transport
+                  .Listen("garbled",
+                          [&](ConnectionPtr conn) {
+                            std::lock_guard<std::mutex> lock(mu);
+                            server_conn = std::move(conn);
+                            cv.notify_all();
+                          })
+                  .ok());
+
+  std::string wire;
+  EncodeHello("garbler", LinkModel{}, &wire);
+  wire[4] ^= 0xff;  // the magic's first byte
+  Message msg;
+  msg.request_id = 1;
+  msg.payload = "smuggled";
+  EncodeFrame(msg, &wire);
+  const int fd = ConnectRaw(transport.ListenAddress("garbled"));
+  WriteAll(fd, wire, wire.size());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, 5s, [&] { return server_conn != nullptr; }));
+  }
+
+  Message got;
+  EXPECT_EQ(server_conn->Recv(&got).code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(server_conn->Recv(&got).code(), ErrorCode::kUnavailable);
+  EXPECT_TRUE(server_conn->closed());
+  EXPECT_TRUE(ReadsEof(fd, 1000ms));
+  ::close(fd);
+}
+
+// A reply deferred behind buffered frames still reaches the peer when
+// the server closes right after answering: Close() writes the batch
+// before it shuts the socket down.
+TEST(TcpTransportTest, DeferredReplyFlushedOnClose) {
+  std::mutex mu;
+  std::condition_variable cv;
+  ConnectionPtr server_conn;
+  TcpTransport transport;
+  ASSERT_TRUE(transport
+                  .Listen("defer",
+                          [&](ConnectionPtr conn) {
+                            std::lock_guard<std::mutex> lock(mu);
+                            server_conn = std::move(conn);
+                            cv.notify_all();
+                          })
+                  .ok());
+
+  // The HELLO and three requests in one send: the server's reader gets
+  // them in one read.
+  std::string wire;
+  EncodeHello("defer-client", LinkModel{}, &wire);
+  for (uint32_t id = 1; id <= 3; ++id) {
+    Message msg;
+    msg.request_id = id;
+    msg.payload = "request-" + std::to_string(id);
+    EncodeFrame(msg, &wire);
+  }
+  const int fd = ConnectRaw(transport.ListenAddress("defer"));
+  WriteAll(fd, wire, wire.size());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, 5s, [&] { return server_conn != nullptr; }));
+  }
+
+  Message got;
+  ASSERT_TRUE(server_conn->Recv(&got).ok());
+  EXPECT_EQ(got.request_id, 1u);
+  Message reply;
+  reply.request_id = 1;
+  reply.flags = Message::kFlagResponse;
+  reply.payload = "first answer";
+  ASSERT_TRUE(server_conn->Send(std::move(reply)).ok());
+  // Two requests are still buffered, so the reply waits for the burst.
+  std::this_thread::sleep_for(50ms);
+  char probe;
+  EXPECT_EQ(::recv(fd, &probe, 1, MSG_DONTWAIT | MSG_PEEK), -1)
+      << "a reply sent mid-burst was written at once";
+
+  server_conn->Close();
+  std::string body;
+  ASSERT_TRUE(ReadFrame(fd, &body));
+  Message decoded;
+  ASSERT_TRUE(DecodeFrameBody(body, &decoded));
+  EXPECT_EQ(decoded.request_id, 1u);
+  EXPECT_EQ(decoded.payload, "first answer");
+  EXPECT_TRUE(ReadsEof(fd, 1000ms));
+  ::close(fd);
 }
 
 // An oversized frame is refused at Send() time, before any bytes move.
@@ -381,8 +574,8 @@ TEST(TcpTransportTest, OversizedFrameRejected) {
   msg.payload = std::string(4096, 'z');
   EXPECT_EQ(conn->Send(std::move(msg)).code(), ErrorCode::kProtocol);
   // The connection survives the rejected frame. Waiting for a normal one
-  // also keeps the inbox alive until the listener has accepted: the loop
-  // thread runs the accept handler asynchronously.
+  // also keeps the inbox alive until the listener has accepted: the
+  // accept thread runs the accept handler asynchronously.
   Message small;
   small.payload = "ok";
   ASSERT_TRUE(conn->Send(std::move(small)).ok());
@@ -410,6 +603,74 @@ struct EchoServer {
   }
   std::unique_ptr<RpcServer> server;
 };
+
+// A peer that connects and never sends its HELLO, and one that sends a
+// corrupt HELLO, hold up nobody: while both stay open a normal client
+// connects and completes a call, and the corrupt one is dropped.
+TEST(TcpTransportTest, SilentOrGarbledHelloHoldsUpNobody) {
+  TcpTransport transport;
+  EchoServer echo(&transport);
+  const std::string endpoint = transport.ListenAddress("echo");
+  const int silent = ConnectRaw(endpoint);
+  const int garbled = ConnectRaw(endpoint);
+  std::string wire;
+  EncodeHello("garbler", LinkModel{}, &wire);
+  wire[4] ^= 0xff;  // the magic's first byte
+  WriteAll(garbled, wire, wire.size());
+
+  const auto start = std::chrono::steady_clock::now();
+  std::unique_ptr<RpcClient> client;
+  ASSERT_TRUE(RpcClient::Connect(&transport, "echo", {}, &client).ok());
+  std::string response;
+  ASSERT_TRUE(client->Call(1, "through", &response).ok());
+  EXPECT_EQ(response, "through");
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
+
+  EXPECT_TRUE(ReadsEof(garbled, 1000ms));
+  ::close(garbled);
+  ::close(silent);
+}
+
+// Three requests written in one send reach an echo server as one burst.
+// The replies it defers while it still holds buffered requests come
+// back complete and in order.
+TEST(TcpTransportTest, PipelinedBurstRepliesInOrder) {
+  TcpTransport transport;
+  EchoServer echo(&transport);
+  const int fd = ConnectRaw(transport.ListenAddress("echo"));
+
+  std::string wire;
+  EncodeHello("burst-client", LinkModel{}, &wire);
+  Message auth;
+  auth.request_id = 1;
+  auth.opcode = kOpcodeAuth;  // anonymous
+  EncodeFrame(auth, &wire);
+  WriteAll(fd, wire, wire.size());
+  std::string body;
+  Message decoded;
+  ASSERT_TRUE(ReadFrame(fd, &body));
+  ASSERT_TRUE(DecodeFrameBody(body, &decoded));
+  EXPECT_EQ(decoded.request_id, 1u);
+  EXPECT_FALSE(decoded.is_error());
+
+  std::string burst;
+  for (uint32_t id = 2; id <= 4; ++id) {
+    Message request;
+    request.request_id = id;
+    request.opcode = 1;
+    request.payload = "request-" + std::to_string(id);
+    EncodeFrame(request, &burst);
+  }
+  WriteAll(fd, burst, burst.size());
+  for (uint32_t id = 2; id <= 4; ++id) {
+    ASSERT_TRUE(ReadFrame(fd, &body)) << "reply " << id;
+    ASSERT_TRUE(DecodeFrameBody(body, &decoded));
+    EXPECT_TRUE(decoded.is_response());
+    EXPECT_EQ(decoded.request_id, id);
+    EXPECT_EQ(decoded.payload, "request-" + std::to_string(id));
+  }
+  ::close(fd);
+}
 
 // 1000 calls issued before any response is read back: the multiplexer
 // matches every response to its future by request id over one socket.
