@@ -194,14 +194,17 @@ for config in "${configs[@]}"; do
   ctest --test-dir "$dir" --output-on-failure -j"$(nproc)"
   if [ "$config" = thread ]; then
     # The TCP connections (a reader thread and any number of writers per
-    # socket, with the reader's reply batching) and the async client
-    # multiplexer are the raciest code in the tree; make their TSan pass
-    # an explicit gate. The overload tests' /Tcp cases race worker-pool
-    # replies against that batching. (These also ran in the full suite
-    # above — this re-run is the named gate so a filter typo can't
-    # silently drop them.)
-    echo "=== [$config] TCP transport gate (tcp_transport_test + chaos/overload Tcp)"
-    ctest --test-dir "$dir" --output-on-failure -R 'Tcp'
+    # socket, with the reader's reply batching), the in-process direct
+    # delivery (replies and close notices run the client's callbacks on
+    # the server's threads) and the async client multiplexer over both
+    # are the raciest code in the tree; make their TSan pass an explicit
+    # gate. The overload tests' /Tcp cases race worker-pool replies
+    # against that batching; the /InProc cases of the async-client,
+    # overload and chaos suites race them against the client's
+    # lifecycle. (These also ran in the full suite above — this re-run
+    # is the named gate so a filter typo can't silently drop them.)
+    echo "=== [$config] transport gate (tcp_transport_test + async-client/chaos/overload Tcp and InProc)"
+    ctest --test-dir "$dir" --output-on-failure -R 'Tcp|InProc'
   fi
 done
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -63,13 +64,15 @@ Status RpcServer::Start() {
   // workers below exist waits in the run queue.
   Status s = network_->Listen(address_, [this](ConnectionPtr conn) {
     std::shared_ptr<Connection> shared(conn.release());
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_.load()) {
-      shared->Close();
-      return;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!stopping_.load()) {
+        connections_.emplace(next_conn_id_++, shared);
+        threads_.emplace_back([this, shared] { ServeConnection(shared); });
+        return;
+      }
     }
-    connections_.emplace(next_conn_id_++, shared);
-    threads_.emplace_back([this, shared] { ServeConnection(shared); });
+    shared->Close();
   });
   if (!s.ok()) return s;
   started_ = true;
@@ -109,15 +112,16 @@ void RpcServer::Stop() {
   }
   stopping_.store(true);
   network_->StopListening(address_);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [id, conn] : connections_) conn->Close();
-  }
+  std::vector<std::shared_ptr<Connection>> conns;
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    for (auto& [id, conn] : connections_) conns.push_back(conn);
     threads.swap(threads_);
   }
+  // Closed outside mu_: an in-process close runs the client's close
+  // notice, and with it the client's callbacks, on this thread.
+  for (const auto& conn : conns) conn->Close();
   for (std::thread& t : threads) t.join();
   // Connection threads are gone, so no more enqueues: close the run
   // queue, let workers drain what was already admitted, then join them.
@@ -463,27 +467,90 @@ Status RpcClient::Connect(Transport* network, const std::string& address,
   return Status::Ok();
 }
 
-RpcClient::~RpcClient() { Close(); }
+namespace detail {
+
+/// Admits the deliveries of a client's live epoch and counts the ones
+/// running, so Close() can wait for them. Each receiver holds a share,
+/// so a late delivery that outlives the client is still dropped safely.
+struct DeliveryGate {
+  std::mutex mu;
+  std::condition_variable idle;
+  uint64_t live_epoch = 0;  // 0 = none
+  int running = 0;
+};
+
+}  // namespace detail
+
+RpcClient::RpcClient(Transport* network, std::string address,
+                     ClientOptions options)
+    : network_(network),
+      address_(std::move(address)),
+      options_(std::move(options)),
+      jitter_rng_(options_.retry_seed),
+      gate_(std::make_shared<detail::DeliveryGate>()),
+      next_request_id_(options_.first_request_id) {}
+
+RpcClient::~RpcClient() {
+  {
+    // A callback that Close() runs may issue a follow-up call; it must
+    // not open a connection whose replies would reach a freed client.
+    std::lock_guard<std::mutex> lock(mu_);
+    destroying_ = true;
+  }
+  Close();
+}
 
 void RpcClient::Close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  RetireConnectionLocked();
+  Link link;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    link = DetachLocked();
+  }
+  Retire(std::move(link));
+  // A delivery admitted before the epoch retired may still be running a
+  // callback on another thread (in-process: the server's).
+  {
+    std::unique_lock<std::mutex> lock(gate_->mu);
+    gate_->idle.wait(lock, [this] { return gate_->running == 0; });
+  }
+  // Receivers that retired their own link have left their callbacks by
+  // now; reap them.
+  std::vector<std::thread> parked;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    parked.swap(parked_);
+  }
+  for (std::thread& receiver : parked) receiver.join();
 }
 
 uint64_t RpcClient::bytes_sent() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return bytes_sent_prior_ + (conn_ ? conn_->bytes_sent() : 0);
+  return bytes_sent_prior_ + (link_.conn ? link_.conn->bytes_sent() : 0);
 }
 
-void RpcClient::RetireConnectionLocked() {
-  if (conn_) {
-    conn_->Close();
-    bytes_sent_prior_ += conn_->bytes_sent();
+RpcClient::Link RpcClient::DetachLocked() {
+  if (link_.conn) bytes_sent_prior_ += link_.conn->bytes_sent();
+  return std::exchange(link_, Link{});
+}
+
+void RpcClient::Retire(Link link) {
+  if (!link.conn) return;
+  {
+    std::lock_guard<std::mutex> lock(gate_->mu);
+    if (gate_->live_epoch == link.epoch) gate_->live_epoch = 0;
   }
-  // The receiver notices the close, fails this epoch's pending calls
-  // UNAVAILABLE, and exits.
-  if (receiver_.joinable()) receiver_.join();
-  conn_.reset();
+  link.conn->Close();
+  if (link.receiver.joinable()) {
+    if (link.receiver.get_id() != std::this_thread::get_id()) {
+      link.receiver.join();
+    } else {
+      // A callback on this receiver thread is reconnecting. The thread
+      // ends once the callback returns; Close() joins it.
+      std::lock_guard<std::mutex> lock(mu_);
+      parked_.push_back(std::move(link.receiver));
+    }
+  }
+  FailPendingForEpoch(link.epoch);
 }
 
 uint32_t RpcClient::NextRequestIdLocked() {
@@ -492,10 +559,27 @@ uint32_t RpcClient::NextRequestIdLocked() {
   return id;
 }
 
-void RpcClient::FailPendingForEpoch(uint64_t epoch, const Status& status) {
+bool RpcClient::AddPending(uint64_t epoch,
+                           std::shared_ptr<detail::CallState> state,
+                           uint32_t* request_id) {
+  std::lock_guard<std::mutex> lock(pending_mu_);
+  // Once an epoch's calls are failed, a call added to it would wait for
+  // a reply that cannot come.
+  if (epoch <= failed_through_) return false;
+  *request_id = NextRequestIdLocked();
+  pending_.emplace(*request_id, PendingCall{epoch, std::move(state)});
+  return true;
+}
+
+Status RpcClient::ConnectionClosed() const {
+  return Status::Unavailable("connection closed to " + address_);
+}
+
+void RpcClient::FailPendingForEpoch(uint64_t epoch) {
   std::vector<std::shared_ptr<detail::CallState>> failed;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
+    failed_through_ = std::max(failed_through_, epoch);
     for (auto it = pending_.begin(); it != pending_.end();) {
       if (it->second.epoch == epoch) {
         failed.push_back(std::move(it->second.state));
@@ -505,39 +589,57 @@ void RpcClient::FailPendingForEpoch(uint64_t epoch, const Status& status) {
       }
     }
   }
-  for (auto& state : failed) Complete(state, status, "");
+  if (failed.empty()) return;
+  const Status closed = ConnectionClosed();
+  for (auto& state : failed) Complete(state, closed, "");
 }
 
-void RpcClient::ReceiverLoop(std::shared_ptr<Connection> conn, uint64_t epoch) {
-  Message msg;
-  while (conn->Recv(&msg).ok()) {
-    if (!msg.is_response()) continue;
-    std::shared_ptr<detail::CallState> state;
+Receiver RpcClient::ReceiverFor(uint64_t epoch) {
+  // Runs `deliver` only while `epoch` is live, counted so Close() can
+  // wait for it.
+  auto admit = [gate = gate_, epoch](auto&& deliver) {
     {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      auto it = pending_.find(msg.request_id);
-      // Only complete calls issued on this connection: a response
-      // surfacing from a retired epoch must not complete a newer call
-      // that happens to reuse the id.
-      if (it != pending_.end() && it->second.epoch == epoch) {
-        state = std::move(it->second.state);
-        pending_.erase(it);
-      }
+      std::lock_guard<std::mutex> lock(gate->mu);
+      if (gate->live_epoch != epoch) return;  // retired: drop
+      ++gate->running;
     }
-    if (!state) continue;  // stale or unknown response — discard
-    if (msg.is_error()) {
-      Complete(state, DecodeError(msg.payload), "");
-    } else {
-      Complete(state, Status::Ok(), std::move(msg.payload));
+    deliver();
+    std::lock_guard<std::mutex> lock(gate->mu);
+    if (--gate->running == 0) gate->idle.notify_all();
+  };
+  return Receiver{
+      [this, admit, epoch](Message msg) {
+        admit([&] { OnReply(epoch, std::move(msg)); });
+      },
+      [this, admit, epoch] { admit([&] { FailPendingForEpoch(epoch); }); }};
+}
+
+void RpcClient::OnReply(uint64_t epoch, Message msg) {
+  if (!msg.is_response()) return;
+  std::shared_ptr<detail::CallState> state;
+  {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    auto it = pending_.find(msg.request_id);
+    // Only complete calls issued on this connection: a response
+    // surfacing from a retired epoch must not complete a newer call
+    // that happens to reuse the id.
+    if (it != pending_.end() && it->second.epoch == epoch) {
+      state = std::move(it->second.state);
+      pending_.erase(it);
     }
   }
-  FailPendingForEpoch(
-      epoch, Status::Unavailable("connection closed to " + address_));
+  if (!state) return;  // stale or unknown response — discard
+  if (msg.is_error()) {
+    Complete(state, DecodeError(msg.payload), "");
+  } else {
+    Complete(state, Status::Ok(), std::move(msg.payload));
+  }
 }
 
-Status RpcClient::EnsureConnectedLocked() {
-  if (conn_ && !conn_->closed()) return Status::Ok();
-  RetireConnectionLocked();
+Status RpcClient::EnsureConnectedLocked(Link* stale) {
+  if (link_.conn && !link_.conn->closed()) return Status::Ok();
+  *stale = DetachLocked();
+  if (destroying_) return Status::Unavailable("client destroyed: " + address_);
   ConnectionPtr conn;
   Status s = network_->Connect(address_, options_.link, &conn,
                                options_.identity);
@@ -549,18 +651,28 @@ Status RpcClient::EnsureConnectedLocked() {
     }
     return s;
   }
-  conn_ = std::shared_ptr<Connection>(conn.release());
-  const uint64_t epoch = ++epoch_;
-  std::shared_ptr<Connection> shared = conn_;
-  receiver_ = std::thread(
-      [this, shared, epoch] { ReceiverLoop(std::move(shared), epoch); });
+  link_.conn = std::shared_ptr<Connection>(conn.release());
+  link_.epoch = ++epoch_;
+  {
+    std::lock_guard<std::mutex> lock(gate_->mu);
+    gate_->live_epoch = link_.epoch;
+  }
+  Receiver receiver = ReceiverFor(link_.epoch);
+  if (!link_.conn->DeliverTo(receiver)) {
+    link_.receiver = std::thread(
+        [conn = link_.conn, receiver = std::move(receiver)] {
+          Message msg;
+          while (conn->Recv(&msg).ok()) receiver.on_message(std::move(msg));
+          receiver.on_closed();
+        });
+  }
   if (ever_connected_) {
     reconnects_.fetch_add(1, std::memory_order_relaxed);
     if (options_.metrics) {
       options_.metrics->GetCounter("rpc_client_reconnects_total")->Increment();
     }
-    // Re-authenticate on the fresh connection as a pending call (the
-    // receiver completes it), waiting here so no later call outruns the
+    // Re-authenticate on the fresh connection as a pending call (its
+    // reply completes it), waiting here so no later call outruns the
     // handshake. Inline rather than via Call() to avoid recursing into
     // the retry loop.
     auto state = std::make_shared<detail::CallState>();
@@ -574,13 +686,11 @@ Status RpcClient::EnsureConnectedLocked() {
     Message auth;
     auth.opcode = kOpcodeAuth;
     auth.payload = options_.credential.dn;
-    {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      auth.request_id = NextRequestIdLocked();
-      pending_.emplace(auth.request_id, PendingCall{epoch, state});
+    if (!AddPending(link_.epoch, state, &auth.request_id)) {
+      return ConnectionClosed();
     }
     const uint32_t auth_id = auth.request_id;
-    s = conn_->Send(std::move(auth));
+    s = link_.conn->Send(std::move(auth));
     if (!s.ok()) {
       {
         std::lock_guard<std::mutex> lock(pending_mu_);
@@ -606,17 +716,20 @@ Future RpcClient::BeginCall(uint16_t opcode, const std::string& request) {
         rlscommon::SystemClock::Instance()->Now() +
         std::chrono::duration_cast<rlscommon::Duration>(options_.call_timeout);
   }
+  Link stale;
+  Status s;
   std::shared_ptr<Connection> conn;
-  uint64_t epoch;
+  uint64_t epoch = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    Status s = EnsureConnectedLocked();
-    if (!s.ok()) {
-      Complete(state, std::move(s), "");
-      return Future(state);
-    }
-    conn = conn_;
-    epoch = epoch_;
+    s = EnsureConnectedLocked(&stale);
+    conn = link_.conn;
+    epoch = link_.epoch;
+  }
+  Retire(std::move(stale));
+  if (!s.ok()) {
+    Complete(state, std::move(s), "");
+    return Future(state);
   }
   Message msg;
   msg.opcode = opcode;
@@ -626,13 +739,12 @@ Future RpcClient::BeginCall(uint16_t opcode, const std::string& request) {
   rlscommon::TraceContext trace = rlscommon::CurrentTrace();
   msg.trace_id = trace.valid() ? trace.trace_id : obs::NewTraceId();
   msg.span_id = obs::NewTraceId();
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    msg.request_id = NextRequestIdLocked();
-    pending_.emplace(msg.request_id, PendingCall{epoch, state});
+  if (!AddPending(epoch, state, &msg.request_id)) {
+    Complete(state, ConnectionClosed(), "");
+    return Future(state);
   }
   const uint32_t request_id = msg.request_id;
-  Status s = conn->Send(std::move(msg));
+  s = conn->Send(std::move(msg));
   if (!s.ok()) {
     {
       std::lock_guard<std::mutex> lock(pending_mu_);
@@ -671,11 +783,14 @@ Status RpcClient::Call(uint16_t opcode, const std::string& request,
     if (attempt >= max_attempts) return s;
     // A timed-out connection may still deliver the late response; drop
     // the connection so the retry starts clean (the epoch tag on the
-    // abandoned call keeps the late response from crossing over).
+    // abandoned call keeps the late response from crossing over). It is
+    // closed outside mu_: its close notice may run callbacks here.
+    std::shared_ptr<Connection> stale;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (conn_) conn_->Close();
+      stale = link_.conn;
     }
+    if (stale) stale->Close();
     retries_.fetch_add(1, std::memory_order_relaxed);
     if (options_.metrics) {
       options_.metrics->GetCounter("rpc_client_retries_total")->Increment();

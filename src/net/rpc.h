@@ -273,7 +273,7 @@ struct ClientOptions {
 namespace detail {
 
 /// Shared completion state behind one Future. The issuing thread, the
-/// receiver thread, and any number of waiters coordinate through it.
+/// delivering thread, and any number of waiters coordinate through it.
 struct CallState {
   std::mutex mu;
   std::condition_variable cv;
@@ -286,6 +286,8 @@ struct CallState {
   rlscommon::TimePoint deadline{};
   std::string target;  // server address, for timeout messages
 };
+
+struct DeliveryGate;  // rpc.cpp
 
 }  // namespace detail
 
@@ -310,9 +312,12 @@ class Future {
   /// stays in flight — a late response is discarded by id/epoch).
   rlscommon::Status Wait(std::string* response = nullptr);
 
-  /// Registers a completion callback: runs on the receiver thread when
-  /// the call completes, or inline right now if it already has. Must not
-  /// block; may issue follow-up BeginCalls.
+  /// Registers a completion callback, or runs it right now if the call
+  /// already completed. It runs on the thread that completes the call:
+  /// the one that delivers the reply (the TCP receiver thread or,
+  /// in-process, the server thread that sent it), the one whose close
+  /// failed the call, or the issuer if the send failed. It must not
+  /// block or close its own client; it may issue follow-up BeginCalls.
   void Then(std::function<void(const rlscommon::Status&, const std::string&)> fn);
 
  private:
@@ -326,8 +331,12 @@ class Future {
 /// Async RPC client with a blocking facade.
 ///
 /// The core is BeginCall(opcode, payload) -> Future: requests pipeline
-/// on one multiplexed connection (many outstanding request ids), and a
-/// per-connection receiver thread matches responses to futures by id.
+/// on one multiplexed connection (many outstanding request ids), and
+/// each reply is matched to its future by id on the thread that
+/// delivers it. In-process, that is the server thread that sent the
+/// reply (Connection::DeliverTo), so a call wakes no client thread but
+/// its waiter; over TCP, a per-connection receiver thread reads the
+/// socket and feeds the same routine.
 /// The classic blocking Call() is a thin retry loop over
 /// BeginCall().Wait(), so every existing call site keeps its semantics
 /// while benches drive the async path for true server-saturation runs.
@@ -349,7 +358,8 @@ class Future {
 /// from a retired connection are discarded, so a late reply can never
 /// complete a different call that reused its id.
 ///
-/// Thread-safe: calls may be issued concurrently from many threads.
+/// Thread-safe: calls may be issued concurrently from many threads. No
+/// completion callback runs under the client's locks.
 class RpcClient {
  public:
   /// Connects and completes the AUTH handshake. A connect failure is
@@ -374,6 +384,9 @@ class RpcClient {
                          std::string* response);
 
   /// Closes the connection and fails all in-flight futures UNAVAILABLE.
+  /// Waits for a callback already running on another thread, so none of
+  /// this client's callbacks runs once it returns (a later call
+  /// reconnects).
   void Close();
 
   uint64_t bytes_sent() const;
@@ -392,25 +405,43 @@ class RpcClient {
     std::shared_ptr<detail::CallState> state;
   };
 
-  RpcClient(Transport* network, std::string address, ClientOptions options)
-      : network_(network),
-        address_(std::move(address)),
-        options_(std::move(options)),
-        jitter_rng_(options_.retry_seed),
-        next_request_id_(options_.first_request_id) {}
+  /// One connection epoch: the connection and, where the transport
+  /// cannot deliver on the sender's thread (TCP), the receiver thread
+  /// that reads it.
+  struct Link {
+    uint64_t epoch = 0;
+    std::shared_ptr<Connection> conn;
+    std::thread receiver;
+  };
 
-  /// (Re)establishes the connection + AUTH handshake if needed; spawns
-  /// the receiver for the new epoch. Caller holds mu_.
-  rlscommon::Status EnsureConnectedLocked();
+  RpcClient(Transport* network, std::string address, ClientOptions options);
 
-  /// Closes the current connection and joins its receiver (which fails
-  /// that epoch's pending calls). Caller holds mu_.
-  void RetireConnectionLocked();
+  /// (Re)establishes the connection + AUTH handshake if needed. A closed
+  /// link it replaces goes to `*stale`, for the caller to Retire once it
+  /// has released mu_. Caller holds mu_.
+  rlscommon::Status EnsureConnectedLocked(Link* stale);
 
-  /// Drains responses off one connection until it closes.
-  void ReceiverLoop(std::shared_ptr<Connection> conn, uint64_t epoch);
+  /// Takes the current link out of the client. Caller holds mu_.
+  Link DetachLocked();
 
-  void FailPendingForEpoch(uint64_t epoch, const rlscommon::Status& status);
+  /// Closes a detached link, joins its receiver thread and fails its
+  /// epoch's calls UNAVAILABLE. Caller must not hold mu_: those calls'
+  /// callbacks run here and may issue follow-up BeginCalls.
+  void Retire(Link link);
+
+  /// The one reply path: the connection feeds it on the sender's thread
+  /// (in-process) or the link's receiver thread does (TCP). Only the
+  /// live epoch's deliveries get through, counted for Close().
+  Receiver ReceiverFor(uint64_t epoch);
+  void OnReply(uint64_t epoch, Message msg);
+
+  /// Registers `state` as a call on `epoch` and assigns its id; false if
+  /// that epoch's calls were already failed (its close notice ran).
+  bool AddPending(uint64_t epoch, std::shared_ptr<detail::CallState> state,
+                  uint32_t* request_id);
+  /// Fails `epoch`'s calls with ConnectionClosed().
+  void FailPendingForEpoch(uint64_t epoch);
+  rlscommon::Status ConnectionClosed() const;
 
   /// Monotonic id allocator; skips 0 on wrap. Caller holds pending_mu_.
   uint32_t NextRequestIdLocked();
@@ -424,16 +455,24 @@ class RpcClient {
   // Connection lifecycle (serialized reconnects).
   mutable std::mutex mu_;
   rlscommon::Xoshiro256 jitter_rng_;     // guarded by mu_
-  std::shared_ptr<Connection> conn_;     // guarded by mu_
-  std::thread receiver_;                 // guarded by mu_
+  Link link_;                            // guarded by mu_
   uint64_t epoch_ = 0;                   // guarded by mu_
   bool ever_connected_ = false;          // guarded by mu_
+  bool destroying_ = false;              // guarded by mu_: never reconnect
   uint64_t bytes_sent_prior_ = 0;        // guarded by mu_
+  // Receiver threads that retired their own link from a callback; they
+  // cannot join themselves, so Close() joins them. Guarded by mu_.
+  std::vector<std::thread> parked_;
 
-  // In-flight calls, shared with the receiver thread.
+  // Shared with every receiver, so a delivery that outlives its epoch
+  // finds it and is dropped.
+  std::shared_ptr<detail::DeliveryGate> gate_;
+
+  // In-flight calls, shared with the delivering threads.
   std::mutex pending_mu_;
   std::map<uint32_t, PendingCall> pending_;
-  uint32_t next_request_id_;  // guarded by pending_mu_
+  uint32_t next_request_id_;     // guarded by pending_mu_
+  uint64_t failed_through_ = 0;  // guarded by pending_mu_; epochs <= it failed
 
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> reconnects_{0};

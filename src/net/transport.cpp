@@ -1,5 +1,7 @@
 #include "net/transport.h"
 
+#include <utility>
+
 #include "net/tcp_transport.h"
 
 namespace net {
@@ -7,12 +9,27 @@ namespace net {
 using rlscommon::Status;
 
 bool MessageQueue::Push(Message msg) {
+  bool deliver = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return false;
-    queue_.push_back(std::move(msg));
+    deliver = static_cast<bool>(receiver_.on_message);
+    if (!deliver) queue_.push_back(std::move(msg));
   }
-  cv_.notify_one();
+  if (!deliver) {
+    cv_.notify_one();
+    return true;
+  }
+  // Set before the first push and never changed, so the receiver can be
+  // called outside the lock.
+  receiver_.on_message(std::move(msg));
+  return true;
+}
+
+bool MessageQueue::SetReceiver(Receiver receiver) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (closed_ || !queue_.empty()) return false;
+  receiver_ = std::move(receiver);
   return true;
 }
 
@@ -37,11 +54,15 @@ Status MessageQueue::PopFor(Message* out, rlscommon::Duration timeout) {
 }
 
 void MessageQueue::Close() {
+  std::function<void()> on_closed;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (closed_) return;
     closed_ = true;
+    on_closed = std::exchange(receiver_.on_closed, nullptr);
   }
   cv_.notify_all();
+  if (on_closed) on_closed();
 }
 
 bool MessageQueue::closed() const {

@@ -7,7 +7,9 @@
 //              blocking the sender the way a TCP send of that size
 //              effectively would for these request/response protocols
 //              (the paper's 100 Mbit/s LAN and LA<->Chicago WAN with
-//              63.8 ms mean RTT, §5).
+//              63.8 ms mean RTT, §5). A receiver registered with
+//              DeliverTo gets each message on the sender's thread, so
+//              an RPC reply needs no thread of the client's to wake.
 //   tcp://     TcpTransport (tcp_transport.h) — real sockets read and
 //              written by the threads that already wait on each
 //              connection: length-prefixed frames, kernel send-buffer
@@ -104,13 +106,27 @@ class RateLimiter {
   rlscommon::TimePoint next_free_{};
 };
 
+/// Where a connection hands its incoming traffic when it delivers on the
+/// sender's thread (Connection::DeliverTo).
+struct Receiver {
+  std::function<void(Message)> on_message;  // each message
+  std::function<void()> on_closed;          // the close, exactly once
+};
+
 /// Unbounded MPSC-ish message queue with shutdown: one direction of an
 /// in-process connection. It never sheds; load shedding is RpcServer's
 /// bounded two-lane run queue (DESIGN.md §9).
 class MessageQueue {
  public:
-  /// Enqueues; returns false after Close().
+  /// Enqueues, or with a receiver set hands `msg` to it on this thread;
+  /// returns false after Close().
   bool Push(Message msg);
+
+  /// Routes every later Push to `receiver.on_message` and the close to
+  /// `receiver.on_closed`, each run on the pushing or closing thread
+  /// outside the queue's lock. False, changing nothing, if the queue is
+  /// closed or holds messages.
+  bool SetReceiver(Receiver receiver);
 
   /// Blocks for the next message. Returns Unavailable after Close() once
   /// drained.
@@ -120,6 +136,8 @@ class MessageQueue {
   /// status. Backs RPC deadlines.
   rlscommon::Status PopFor(Message* out, rlscommon::Duration timeout);
 
+  /// Refuses later pushes, wakes Pop, then runs the receiver's close
+  /// notice if this call closed the queue.
   void Close();
   bool closed() const;
 
@@ -128,6 +146,7 @@ class MessageQueue {
   std::condition_variable cv_;
   std::deque<Message> queue_;
   bool closed_ = false;
+  Receiver receiver_;  // set once, before any push; empty = queue for Pop
 };
 
 /// One endpoint of an established connection — the abstract half of the
@@ -145,7 +164,9 @@ class MessageQueue {
 ///     still gets the messages that were in flight);
 ///   * Close is idempotent and wakes pending Recv calls;
 ///   * at most one thread reads a connection (Recv/RecvFor); any number
-///     of threads may Send on it.
+///     of threads may Send on it;
+///   * a connection that DeliverTo accepted is not read at all: the
+///     peer's Send runs the receiver itself (below).
 class Connection {
  public:
   Connection(LinkModel link, std::string peer, std::string local)
@@ -160,6 +181,21 @@ class Connection {
   virtual rlscommon::Status RecvFor(Message* out, rlscommon::Duration timeout) = 0;
   virtual void Close() = 0;
   virtual bool closed() const = 0;
+
+  /// Asks for direct delivery: from now on each message the peer sends
+  /// is handed to `receiver.on_message` on the peer's sending thread,
+  /// after that Send's fault-injection, link-delay and inbound-limit
+  /// steps, and the close (by either side) reaches `receiver.on_closed`
+  /// exactly once, on the closing thread. Neither runs under a lock of
+  /// the connection, and deliveries from different senders may overlap;
+  /// Close does not wait for them. Register before anything is sent.
+  /// Returns false, changing nothing, where the transport cannot (TCP
+  /// reads a socket) or the connection already closed or holds
+  /// messages; the caller then reads the connection with Recv.
+  virtual bool DeliverTo(Receiver receiver) {
+    (void)receiver;
+    return false;
+  }
 
   const std::string& peer() const { return peer_; }
   const std::string& local() const { return local_; }
@@ -276,6 +312,11 @@ class InProcConnection final : public Connection {
   rlscommon::Status Recv(Message* out) override;
   rlscommon::Status RecvFor(Message* out, rlscommon::Duration timeout) override;
   void Close() override;
+
+  /// Sets the receiver on the inbound queue, which the peer pushes into.
+  bool DeliverTo(Receiver receiver) override {
+    return incoming_->SetReceiver(std::move(receiver));
+  }
 
   /// True once either side closed the connection (both queues close
   /// together, so checking the inbound one suffices).

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "net/codec.h"
 #include "net/serialize.h"
@@ -162,6 +164,93 @@ TEST(MessageQueueTest, PopForTimesOutThenCloseWakes) {
   EXPECT_EQ(queue.PopFor(&out, std::chrono::seconds(30)).code(),
             ErrorCode::kUnavailable);
   closer.join();
+}
+
+// With a receiver set, each push runs it on the pushing thread instead
+// of queueing, and racing closers run its close notice exactly once.
+TEST(MessageQueueTest, ReceiverRunsOnPushingThreadAndClosesOnce) {
+  MessageQueue queue;
+  std::vector<uint16_t> delivered;
+  std::thread::id delivered_on;
+  std::atomic<int> closes{0};
+  ASSERT_TRUE(queue.SetReceiver(Receiver{
+      [&](Message m) {
+        delivered.push_back(m.opcode);
+        delivered_on = std::this_thread::get_id();
+      },
+      [&] { closes.fetch_add(1); }}));
+  Message m;
+  m.opcode = 7;
+  ASSERT_TRUE(queue.Push(m));
+  EXPECT_EQ(delivered, std::vector<uint16_t>{7});
+  EXPECT_EQ(delivered_on, std::this_thread::get_id());
+  Message out;
+  EXPECT_EQ(queue.PopFor(&out, std::chrono::milliseconds(1)).code(),
+            ErrorCode::kTimeout);  // nothing was queued
+
+  std::vector<std::thread> closers;
+  for (int i = 0; i < 4; ++i) closers.emplace_back([&] { queue.Close(); });
+  for (auto& t : closers) t.join();
+  EXPECT_EQ(closes.load(), 1);
+  EXPECT_FALSE(queue.Push(m));
+  EXPECT_EQ(delivered.size(), 1u);
+}
+
+// A queue that already holds messages, or is closed, keeps Pop delivery.
+TEST(MessageQueueTest, SetReceiverRefusesQueuedOrClosedQueue) {
+  const Receiver ignore{[](Message) {}, [] {}};
+  MessageQueue queued;
+  ASSERT_TRUE(queued.Push(Message{}));
+  EXPECT_FALSE(queued.SetReceiver(ignore));
+  Message out;
+  EXPECT_TRUE(queued.Pop(&out).ok());
+  MessageQueue closed;
+  closed.Close();
+  EXPECT_FALSE(closed.SetReceiver(ignore));
+}
+
+// An in-process client that registers a receiver gets each message the
+// server sends on the server's own thread, and the server's close once.
+TEST(NetworkTest, DeliverToRunsReceiverOnTheSendingThread) {
+  InProcTransport network;
+  ConnectionPtr server_side;
+  ASSERT_TRUE(network
+                  .Listen("srv:deliver",
+                          [&](ConnectionPtr conn) { server_side = std::move(conn); })
+                  .ok());
+  ConnectionPtr client;
+  ASSERT_TRUE(network.Connect("srv:deliver", LinkModel::Loopback(), &client).ok());
+  ASSERT_NE(server_side, nullptr);
+
+  std::string payload;
+  std::thread::id delivered_on;
+  std::thread::id closed_on;
+  int closes = 0;
+  ASSERT_TRUE(client->DeliverTo(Receiver{
+      [&](Message m) {
+        payload = m.payload;
+        delivered_on = std::this_thread::get_id();
+      },
+      [&] {
+        ++closes;
+        closed_on = std::this_thread::get_id();
+      }}));
+  std::thread::id server_thread;
+  std::thread server([&] {
+    server_thread = std::this_thread::get_id();
+    Message reply;
+    reply.payload = "direct";
+    EXPECT_TRUE(server_side->Send(std::move(reply)).ok());
+    server_side->Close();
+  });
+  server.join();
+  EXPECT_EQ(payload, "direct");
+  EXPECT_EQ(delivered_on, server_thread);
+  EXPECT_EQ(closes, 1);
+  EXPECT_EQ(closed_on, server_thread);
+  EXPECT_TRUE(client->closed());
+  client->Close();  // already closed: no second notice
+  EXPECT_EQ(closes, 1);
 }
 
 TEST(NetworkTest, ConnectRefusedWithoutListener) {

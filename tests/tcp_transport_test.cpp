@@ -1,10 +1,8 @@
 // TCP transport tests: the socket stack exercised at the wire level —
 // torn-frame reassembly, half-close, write backpressure, Close() waking
 // blocked readers and writers, bad HELLOs, and the reply batching of a
-// reader that holds a burst of requests — plus the async client's
-// multiplexing on top of it (pipelined calls, stale-response discard, id
-// wrap, and the pipelined ≥4x throughput acceptance bar from the
-// transport-seam refactor).
+// reader that holds a burst of requests. The async client's suite runs
+// on both transports in async_client_test.cpp.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -17,7 +15,6 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -26,7 +23,7 @@
 #include <thread>
 #include <vector>
 
-#include "net/fault.h"
+#include "echo_server.h"
 #include "net/rpc.h"
 #include "net/tcp_transport.h"
 
@@ -582,28 +579,6 @@ TEST(TcpTransportTest, OversizedFrameRejected) {
   EXPECT_TRUE(inbox.WaitForMessages(1, 5s));
 }
 
-// --- async RPC client over TCP ---
-
-/// Echo RPC server on a TCP transport; opcode 900 sleeps `work` first.
-struct EchoServer {
-  explicit EchoServer(Transport* transport, std::chrono::milliseconds work = 0ms,
-                      int workers = 0) {
-    ServerOptions options;
-    options.name = "echo";
-    options.workers = workers;
-    server = std::make_unique<RpcServer>(
-        transport, "echo", options,
-        [work](const gsi::AuthContext&, uint16_t opcode,
-               const std::string& request, std::string* response) {
-          if (opcode == 900 && work > 0ms) std::this_thread::sleep_for(work);
-          *response = request;
-          return Status::Ok();
-        });
-    EXPECT_TRUE(server->Start().ok());
-  }
-  std::unique_ptr<RpcServer> server;
-};
-
 // A peer that connects and never sends its HELLO, and one that sends a
 // corrupt HELLO, hold up nobody: while both stay open a normal client
 // connects and completes a call, and the corrupt one is dropped.
@@ -670,217 +645,6 @@ TEST(TcpTransportTest, PipelinedBurstRepliesInOrder) {
     EXPECT_EQ(decoded.payload, "request-" + std::to_string(id));
   }
   ::close(fd);
-}
-
-// 1000 calls issued before any response is read back: the multiplexer
-// matches every response to its future by request id over one socket.
-TEST(TcpAsyncClientTest, ThousandPipelinedCalls) {
-  TcpTransport transport;
-  EchoServer echo(&transport);
-
-  std::unique_ptr<RpcClient> client;
-  ASSERT_TRUE(RpcClient::Connect(&transport, "echo", {}, &client).ok());
-
-  constexpr int kCalls = 1000;
-  std::vector<Future> futures;
-  futures.reserve(kCalls);
-  for (int i = 0; i < kCalls; ++i) {
-    futures.push_back(client->BeginCall(1, "payload-" + std::to_string(i)));
-  }
-  for (int i = 0; i < kCalls; ++i) {
-    std::string response;
-    ASSERT_TRUE(futures[i].Wait(&response).ok()) << "call " << i;
-    EXPECT_EQ(response, "payload-" + std::to_string(i));
-  }
-}
-
-// Completion callbacks fire without any Wait() — including follow-up
-// calls issued from the callback itself.
-TEST(TcpAsyncClientTest, ThenCallbacksChain) {
-  TcpTransport transport;
-  EchoServer echo(&transport);
-  std::unique_ptr<RpcClient> client;
-  ASSERT_TRUE(RpcClient::Connect(&transport, "echo", {}, &client).ok());
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::string second_response;
-  client->BeginCall(1, "one").Then(
-      [&](const Status& status, const std::string& response) {
-        ASSERT_TRUE(status.ok());
-        ASSERT_EQ(response, "one");
-        client->BeginCall(1, "two").Then(
-            [&](const Status& status2, const std::string& response2) {
-              ASSERT_TRUE(status2.ok());
-              std::lock_guard<std::mutex> lock(mu);
-              second_response = response2;
-              cv.notify_all();
-            });
-      });
-  std::unique_lock<std::mutex> lock(mu);
-  ASSERT_TRUE(cv.wait_for(lock, 5000ms, [&] { return !second_response.empty(); }));
-  EXPECT_EQ(second_response, "two");
-}
-
-// The request-id counter is monotonic and skips the reserved id 0 when
-// it wraps (id 0 would alias the pre-async sentinel).
-TEST(TcpAsyncClientTest, RequestIdWrapSkipsZero) {
-  TcpTransport transport;
-  EchoServer echo(&transport);
-  ClientOptions options;
-  options.first_request_id = 0xFFFFFFFE;  // two ids before the wrap
-  std::unique_ptr<RpcClient> client;
-  ASSERT_TRUE(RpcClient::Connect(&transport, "echo", options, &client).ok());
-
-  // Handshake consumed FFFFFFFE; these cross FFFFFFFF -> 1 -> 2.
-  for (int i = 0; i < 4; ++i) {
-    std::string response;
-    ASSERT_TRUE(client->Call(1, "wrap-" + std::to_string(i), &response).ok());
-    EXPECT_EQ(response, "wrap-" + std::to_string(i));
-  }
-}
-
-// Closing the client fails the calls in flight with UNAVAILABLE, a
-// stale reply arriving for the retired connection is discarded, and the
-// next call transparently reconnects.
-TEST(TcpAsyncClientTest, StaleResponseFromRetiredConnectionDiscarded) {
-  TcpTransport transport;
-
-  // A hand-rolled server: answers the AUTH handshake, withholds opcode
-  // 77 (capturing the request), echoes everything else.
-  std::mutex mu;
-  std::vector<std::shared_ptr<Connection>> conns;
-  std::vector<std::thread> readers;
-  std::vector<Message> withheld;  // requests we never answered
-  ASSERT_TRUE(transport
-                  .Listen("manual",
-                          [&](ConnectionPtr conn) {
-                            std::lock_guard<std::mutex> lock(mu);
-                            conns.emplace_back(conn.release());
-                            auto c = conns.back();
-                            readers.emplace_back([&, c] {
-                              Message msg;
-                              while (c->Recv(&msg).ok()) {
-                                if (msg.opcode == 77) {
-                                  std::lock_guard<std::mutex> lock(mu);
-                                  withheld.push_back(std::move(msg));
-                                  continue;
-                                }
-                                Message reply;
-                                reply.request_id = msg.request_id;
-                                reply.opcode = msg.opcode;
-                                reply.flags = Message::kFlagResponse;
-                                reply.payload = msg.payload;
-                                if (!c->Send(std::move(reply)).ok()) break;
-                              }
-                            });
-                          })
-                  .ok());
-
-  std::unique_ptr<RpcClient> client;
-  ASSERT_TRUE(RpcClient::Connect(&transport, "manual", {}, &client).ok());
-
-  Future stuck = client->BeginCall(77, "never answered");
-  EXPECT_FALSE(stuck.done());
-  client->Close();  // retires the connection under the call
-
-  Status status = stuck.Wait();
-  EXPECT_EQ(status.code(), ErrorCode::kUnavailable);
-
-  // The next call reconnects on a fresh epoch...
-  std::string response;
-  ASSERT_TRUE(client->Call(1, "after-reconnect", &response).ok());
-  EXPECT_EQ(response, "after-reconnect");
-  EXPECT_GE(client->reconnects(), 1u);
-
-  // ...and a late reply to the retired request id changes nothing.
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    ASSERT_EQ(withheld.size(), 1u);
-    Message stale;
-    stale.request_id = withheld[0].request_id;
-    stale.opcode = 77;
-    stale.flags = Message::kFlagResponse;
-    stale.payload = "too late";
-    (void)conns[0]->Send(std::move(stale));
-  }
-  ASSERT_TRUE(client->Call(1, "still fine", &response).ok());
-  EXPECT_EQ(response, "still fine");
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    for (auto& c : conns) c->Close();
-  }
-  for (std::thread& t : readers) t.join();
-}
-
-// Seeded fault injection works on real sockets: a server that
-// force-disconnects every few messages is ridden out by retry+reconnect.
-TEST(TcpAsyncClientTest, FaultInjectionDisconnectsOnTcp) {
-  TcpTransport transport;
-  FaultInjector* faults = transport.EnableFaultInjection(77);
-  EchoServer echo(&transport);
-
-  FaultPlan plan;
-  plan.disconnect_after_messages = 3;
-  faults->SetPlan("echo", plan);
-
-  ClientOptions options;
-  options.retry.max_attempts = 3;
-  options.retry.initial_backoff = 1ms;
-  std::unique_ptr<RpcClient> client;
-  ASSERT_TRUE(RpcClient::Connect(&transport, "echo", options, &client).ok());
-  for (int i = 0; i < 10; ++i) {
-    std::string response;
-    EXPECT_TRUE(client->Call(1, "m", &response).ok()) << "call " << i;
-  }
-  EXPECT_GE(faults->disconnects(), 2u);
-  EXPECT_GE(client->reconnects(), 2u);
-}
-
-// The acceptance bar for the async refactor: one pipelined client
-// sustains >= 4x the ops/s of one blocking client thread against the
-// same TCP server at the same connection count (1 each). The server
-// executes on a worker pool, so pipelining exposes its concurrency
-// where lock-step request/response cannot.
-TEST(TcpAsyncClientTest, PipelinedThroughputBeatsBlockingClient) {
-  TcpTransport transport;
-  EchoServer echo(&transport, /*work=*/2ms, /*workers=*/8);
-
-  constexpr int kCalls = 120;
-
-  std::unique_ptr<RpcClient> blocking;
-  ASSERT_TRUE(RpcClient::Connect(&transport, "echo", {}, &blocking).ok());
-  const auto blocking_start = std::chrono::steady_clock::now();
-  for (int i = 0; i < kCalls; ++i) {
-    std::string response;
-    ASSERT_TRUE(blocking->Call(900, "b", &response).ok());
-  }
-  const auto blocking_elapsed =
-      std::chrono::steady_clock::now() - blocking_start;
-
-  std::unique_ptr<RpcClient> pipelined;
-  ASSERT_TRUE(RpcClient::Connect(&transport, "echo", {}, &pipelined).ok());
-  const auto pipelined_start = std::chrono::steady_clock::now();
-  std::vector<Future> futures;
-  futures.reserve(kCalls);
-  for (int i = 0; i < kCalls; ++i) {
-    futures.push_back(pipelined->BeginCall(900, "p"));
-  }
-  for (Future& f : futures) ASSERT_TRUE(f.Wait().ok());
-  const auto pipelined_elapsed =
-      std::chrono::steady_clock::now() - pipelined_start;
-
-  const double speedup =
-      std::chrono::duration<double>(blocking_elapsed).count() /
-      std::chrono::duration<double>(pipelined_elapsed).count();
-  std::printf("blocking %.3fs, pipelined %.3fs, speedup %.1fx\n",
-              std::chrono::duration<double>(blocking_elapsed).count(),
-              std::chrono::duration<double>(pipelined_elapsed).count(),
-              speedup);
-  EXPECT_GE(speedup, 4.0)
-      << "pipelined client must overlap server work that a blocking "
-         "client serializes";
 }
 
 }  // namespace
