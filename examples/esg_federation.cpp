@@ -57,7 +57,6 @@ int main() {
     config.rli.enabled = true;
     config.rli.dsn = rli_dsn;
     config.rli.timeout = std::chrono::seconds(2);  // short for the demo
-    config.rli.expire_poll = std::chrono::milliseconds(100);
     nodes.push_back(std::make_unique<rls::RlsServer>(&network, config, &env));
   }
   // Start order does not matter for the mesh: update connections are

@@ -201,10 +201,13 @@ for config in "${configs[@]}"; do
     # gate. The overload tests' /Tcp cases race worker-pool replies
     # against that batching; the /InProc cases of the async-client,
     # overload and chaos suites race them against the client's
-    # lifecycle. (These also ran in the full suite above — this re-run
-    # is the named gate so a filter typo can't silently drop them.)
-    echo "=== [$config] transport gate (tcp_transport_test + async-client/chaos/overload Tcp and InProc)"
-    ctest --test-dir "$dir" --output-on-failure -R 'Tcp|InProc'
+    # lifecycle. The Clock cases and the soft-state history checker's
+    # /..._Tcp and /..._InProc cases race the periodic loops' mutexes
+    # against ManualClock's waiter bookkeeping. (These also ran in the
+    # full suite above — this re-run is the named gate so a filter typo
+    # can't silently drop them.)
+    echo "=== [$config] transport + clock gate (tcp_transport_test, Tcp/InProc cases, Clock tests)"
+    ctest --test-dir "$dir" --output-on-failure -R 'Tcp|InProc|Clock'
   fi
 done
 

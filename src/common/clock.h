@@ -1,16 +1,18 @@
 // Clock abstractions.
 //
-// Soft-state timeouts, immediate-mode flush intervals and the link model
-// all consume time through a Clock interface so tests can substitute a
-// manually advanced clock and benches can run the expiration machinery
-// deterministically.
+// Soft-state timeouts, the update manager's rounds, the RLI expiry pass,
+// the metrics exporter and the link model all consume time through a
+// Clock, so tests can substitute a manually advanced clock and step the
+// soft-state machinery deterministically.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
+#include <vector>
 
 namespace rlscommon {
 
@@ -32,24 +34,34 @@ class Clock {
         .count();
   }
 
-  /// Blocks the calling thread for `d` (or until the clock is advanced
-  /// past it, for manual clocks).
-  virtual void SleepFor(Duration d) = 0;
+  /// The one way to wait: blocks on `cv` until `pred()` holds or Now()
+  /// reaches `deadline` (TimePoint::max() = no deadline), and returns
+  /// pred(). `lock` holds `cv`'s mutex on entry and on return; whoever
+  /// makes pred() true does so under that mutex and then notifies `cv`.
+  virtual bool WaitUntil(std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
+                         TimePoint deadline, const std::function<bool()>& pred) = 0;
+
+  /// A WaitUntil with nothing else to wait for.
+  void SleepFor(Duration d);
 };
 
 /// Real clock backed by std::chrono::steady_clock.
 class SystemClock final : public Clock {
  public:
   TimePoint Now() const override { return std::chrono::steady_clock::now(); }
-  void SleepFor(Duration d) override;
+  bool WaitUntil(std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
+                 TimePoint deadline, const std::function<bool()>& pred) override;
 
   /// Shared process-wide instance.
   static SystemClock* Instance();
 };
 
-/// Manually advanced clock for tests. SleepFor() blocks until another
-/// thread calls Advance() far enough, so periodic threads (expire thread,
-/// immediate-mode flusher) can be driven step by step.
+/// Manually advanced clock for tests. A WaitUntil returns only when its
+/// predicate holds or Advance() moves time to its deadline, so a server
+/// built on this clock runs its periodic loops (update rounds, immediate
+/// flushes, recovery passes, RLI expiry, metrics export) step by step:
+/// Advance(), then WaitForParked() until every loop has done the work
+/// due by the new Now() and is waiting again.
 class ManualClock final : public Clock {
  public:
   explicit ManualClock(TimePoint start = TimePoint{}) : now_ns_(start.time_since_epoch().count()) {}
@@ -58,15 +70,33 @@ class ManualClock final : public Clock {
     return TimePoint(Duration(now_ns_.load(std::memory_order_acquire)));
   }
 
-  void SleepFor(Duration d) override;
+  bool WaitUntil(std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
+                 TimePoint deadline, const std::function<bool()>& pred) override;
 
-  /// Moves time forward and wakes sleepers whose deadline passed.
+  /// Moves time forward and wakes every waiter whose deadline has passed.
   void Advance(Duration d);
 
+  /// Test hook: waits up to `real_timeout` of real time until at least
+  /// `n` threads wait on this clock for a deadline after Now() with a
+  /// false predicate. Returns whether that happened.
+  bool WaitForParked(std::size_t n, std::chrono::milliseconds real_timeout);
+
  private:
+  /// One thread inside WaitUntil; it lives on that thread's stack.
+  struct Waiter {
+    TimePoint deadline;
+    std::condition_variable* cv;
+    std::mutex* mu;
+    const std::function<bool()>* pred;
+  };
+
   std::atomic<int64_t> now_ns_;
+  // Lock order: mu_ before a waiter's mutex. Advance and WaitForParked
+  // take waiters' mutexes while they hold mu_; WaitUntil takes mu_ only
+  // with its caller's mutex released.
   std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable changed_;  // waiters_ or Now() changed
+  std::vector<Waiter*> waiters_;
 };
 
 /// Simple stopwatch over a Clock (defaults to the system clock).

@@ -64,15 +64,20 @@ Status RpcServer::Start() {
   // workers below exist waits in the run queue.
   Status s = network_->Listen(address_, [this](ConnectionPtr conn) {
     std::shared_ptr<Connection> shared(conn.release());
+    std::vector<std::thread> finished;
+    bool accepted = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
+      finished.swap(finished_);
       if (!stopping_.load()) {
-        connections_.emplace(next_conn_id_++, shared);
-        threads_.emplace_back([this, shared] { ServeConnection(shared); });
-        return;
+        const uint64_t id = next_conn_id_++;
+        connections_.emplace(id, shared);
+        threads_.emplace(id, std::thread([this, shared, id] { ServeConnection(shared, id); }));
+        accepted = true;
       }
     }
-    shared->Close();
+    for (std::thread& t : finished) t.join();
+    if (!accepted) shared->Close();
   });
   if (!s.ok()) return s;
   started_ = true;
@@ -117,7 +122,10 @@ void RpcServer::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& [id, conn] : connections_) conns.push_back(conn);
-    threads.swap(threads_);
+    for (auto& [id, thread] : threads_) threads.push_back(std::move(thread));
+    threads_.clear();
+    for (std::thread& thread : finished_) threads.push_back(std::move(thread));
+    finished_.clear();
   }
   // Closed outside mu_: an in-process close runs the client's close
   // notice, and with it the client's callbacks, on this thread.
@@ -342,7 +350,7 @@ void RpcServer::WorkerLoop() {
   }
 }
 
-void RpcServer::ServeConnection(std::shared_ptr<Connection> conn) {
+void RpcServer::ServeConnection(std::shared_ptr<Connection> conn, uint64_t id) {
   gsi::AuthContext context;
   bool authenticated = false;
   const bool pooled = options_.workers > 0;
@@ -394,6 +402,12 @@ void RpcServer::ServeConnection(std::shared_ptr<Connection> conn) {
     if (!conn->Send(std::move(reply)).ok()) break;
   }
   conn->Close();
+  std::lock_guard<std::mutex> lock(mu_);
+  connections_.erase(id);
+  auto self = threads_.find(id);
+  if (self == threads_.end()) return;  // Stop() took it and joins it
+  finished_.push_back(std::move(self->second));
+  threads_.erase(self);
 }
 
 namespace {

@@ -167,7 +167,8 @@ class RpcServer {
     std::chrono::steady_clock::time_point admit_time{};
   };
 
-  void ServeConnection(std::shared_ptr<Connection> conn);
+  /// Serves connection `id` until it closes, then removes it.
+  void ServeConnection(std::shared_ptr<Connection> conn, uint64_t id);
   OpMetrics* MetricsFor(uint16_t opcode);
 
   /// Stage histogram for (opcode method, stage); created on first use.
@@ -216,10 +217,14 @@ class RpcServer {
   std::mutex op_metrics_mu_;
   std::map<std::string, OpMetrics> op_metrics_by_method_;
 
+  // A connection leaves connections_ and threads_ when its thread has
+  // served it; a thread cannot join itself, so it waits in finished_
+  // for the next accept or Stop() to join it.
   mutable std::mutex mu_;
   uint64_t next_conn_id_ = 0;
   std::map<uint64_t, std::shared_ptr<Connection>> connections_;
-  std::vector<std::thread> threads_;
+  std::map<uint64_t, std::thread> threads_;
+  std::vector<std::thread> finished_;
 };
 
 /// Retry policy for transient transport failures. Attempt k (0-based)

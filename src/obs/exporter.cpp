@@ -9,8 +9,8 @@ namespace obs {
 using rlscommon::Status;
 
 JsonlExporter::JsonlExporter(Options options, std::function<std::string()> render_line,
-                             rlscommon::ThreadPool* pool)
-    : options_(std::move(options)), render_line_(std::move(render_line)), pool_(pool) {}
+                             rlscommon::Clock* clock)
+    : options_(std::move(options)), render_line_(std::move(render_line)), clock_(clock) {}
 
 JsonlExporter::~JsonlExporter() { Stop(); }
 
@@ -39,11 +39,6 @@ void JsonlExporter::Stop() {
 
 Status JsonlExporter::ExportNow() {
   if (options_.path.empty()) return Status::Ok();
-  if (pool_) {
-    // Route the render+write through the worker pool (and wait), so the
-    // pool's instruments account for exporter traffic.
-    return pool_->SubmitWithResult([this] { return Append(render_line_()); }).get();
-  }
   return Append(render_line_());
 }
 
@@ -59,16 +54,15 @@ Status JsonlExporter::Append(const std::string& line) {
 }
 
 void JsonlExporter::Loop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_for(lock, options_.period, [this] { return !running_; });
-      if (!running_) return;
-    }
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!clock_->WaitUntil(lock, cv_, clock_->Now() + options_.period,
+                            [this] { return !running_; })) {
+    lock.unlock();
     Status s = ExportNow();
     if (!s.ok()) {
       RLS_WARN("obs") << "metrics export failed: " << s.ToString();
     }
+    lock.lock();
   }
 }
 

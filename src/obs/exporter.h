@@ -3,8 +3,7 @@
 // Appends one JSON line per period to a configured path so the bench
 // harness (and any external tooling) can record server-side metrics
 // alongside client-side rates. The render callback produces the line;
-// when a ThreadPool is supplied the write runs as a pool task, so the
-// pool's queue/latency instruments see real traffic.
+// the period runs on the injected clock.
 #pragma once
 
 #include <chrono>
@@ -15,8 +14,8 @@
 #include <string>
 #include <thread>
 
+#include "common/clock.h"
 #include "common/error.h"
-#include "common/thread_pool.h"
 
 namespace obs {
 
@@ -27,10 +26,10 @@ class JsonlExporter {
     std::chrono::milliseconds period{1000};
   };
 
-  /// `render_line` is called once per period (and once on Stop) from the
-  /// exporter thread or `pool`; its result is appended as one line.
+  /// `render_line` is called once per period of `clock` (and once on
+  /// Stop) from the exporter thread; its result is appended as one line.
   JsonlExporter(Options options, std::function<std::string()> render_line,
-                rlscommon::ThreadPool* pool = nullptr);
+                rlscommon::Clock* clock = rlscommon::SystemClock::Instance());
   ~JsonlExporter();
 
   JsonlExporter(const JsonlExporter&) = delete;
@@ -53,7 +52,7 @@ class JsonlExporter {
 
   Options options_;
   std::function<std::string()> render_line_;
-  rlscommon::ThreadPool* pool_;
+  rlscommon::Clock* clock_;
 
   std::atomic<uint64_t> lines_{0};
   std::mutex mu_;

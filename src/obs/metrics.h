@@ -30,10 +30,6 @@ class Counter {
   void Increment(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
-  /// Underlying atomic, for components (ThreadPool) that update raw
-  /// atomics to stay independent of this module.
-  std::atomic<uint64_t>* raw() { return &value_; }
-
  private:
   std::atomic<uint64_t> value_{0};
 };
@@ -80,10 +76,6 @@ class Histogram {
   uint64_t exemplar_trace() const {
     return exemplar_trace_.load(std::memory_order_relaxed);
   }
-
-  /// Underlying histogram, for components instrumented with raw
-  /// LatencyHistogram pointers (ThreadPool).
-  rlscommon::LatencyHistogram* raw() { return &hist_; }
 
  private:
   rlscommon::LatencyHistogram hist_;

@@ -110,6 +110,15 @@ class OrderedIndex {
 
   void Lookup(const Value& key, std::vector<Rid>* out) const;
 
+  /// Calls `fn` on every rid in ascending key order until it returns
+  /// false.
+  template <typename Fn>
+  void Walk(Fn&& fn) const {
+    for (const auto& [key, rid] : entries_) {
+      if (!fn(rid)) return;
+    }
+  }
+
   void Clear() { entries_.clear(); }
   std::size_t size() const { return entries_.size(); }
 

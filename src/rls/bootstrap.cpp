@@ -110,8 +110,6 @@ Status ConfigureServer(const Config& config, RlsServerConfig* out) {
           "rli_server needs rli_dsn and/or rli_bloomfilter true");
     }
     out->rli.timeout = std::chrono::seconds(config.GetInt("rli_timeout_s", 0));
-    out->rli.expire_poll =
-        std::chrono::milliseconds(config.GetInt("rli_expire_poll_ms", 500));
     for (const std::string& value : config.GetAll("rli_parent")) {
       out->rli.parents.push_back(ParseTarget(value));
     }
@@ -186,7 +184,7 @@ Status Topology::Create(const Config& config, net::Transport* network,
       "address", "url", "lrc_server", "rli_server", "lrc_dsn", "rli_dsn",
       "wal_recovery", "wal_group_commit", "wal_group_max_commits",
       "wal_group_max_wait_us",
-      "rli_bloomfilter", "rli_timeout_s", "rli_expire_poll_ms", "rli_parent",
+      "rli_bloomfilter", "rli_timeout_s", "rli_parent",
       "update_mode", "update_rli", "update_full_interval_ms",
       "update_immediate_interval_ms", "update_buffer_count", "update_chunk_size",
       "update_bloom_expected_entries", "authentication", "gridmap", "acl",

@@ -17,8 +17,8 @@
 //                      unlinked on close)
 //   rli_dsn            mysql://rli0              (empty = Bloom-only RLI)
 //   rli_bloomfilter    true|false                (accept Bloom updates)
-//   rli_timeout_s      N                         (soft-state timeout)
-//   rli_expire_poll_ms N
+//   rli_timeout_s      N                         (soft-state timeout; an
+//                      entry leaves the index once it is N s old)
 //   rli_parent         rls://parent              (repeatable; RLI hierarchy)
 //   update_mode        none|full|immediate|bloom|partitioned
 //   update_rli         rls://rli [pattern ...]   (repeatable; patterns for

@@ -112,6 +112,7 @@ Status RliRelationalStore::Upsert(const std::string& lfn, const std::string& lrc
 
 Status RliRelationalStore::UpsertBatch(const std::vector<std::string>& lfns,
                                        const std::string& lrc_url, int64_t now_micros) {
+  std::shared_lock<std::shared_mutex> writers(write_mu_);
   dbapi::ConnectionPool::Lease conn;
   Status s = pool_.Acquire(&conn);
   if (!s.ok()) return s;
@@ -131,6 +132,7 @@ Status RliRelationalStore::UpsertBatch(const std::vector<std::string>& lfns,
 }
 
 Status RliRelationalStore::Remove(const std::string& lfn, const std::string& lrc_url) {
+  std::unique_lock<std::shared_mutex> writers(write_mu_);
   dbapi::ConnectionPool::Lease conn;
   Status s = pool_.Acquire(&conn);
   if (!s.ok()) return s;
@@ -207,6 +209,7 @@ Status RliRelationalStore::ListLrcs(std::vector<std::string>* out) const {
 }
 
 Status RliRelationalStore::ExpireOlderThan(int64_t cutoff_micros, uint64_t* removed) {
+  std::unique_lock<std::shared_mutex> writers(write_mu_);
   dbapi::ConnectionPool::Lease conn;
   Status s = pool_.Acquire(&conn);
   if (!s.ok()) return s;
@@ -214,7 +217,7 @@ Status RliRelationalStore::ExpireOlderThan(int64_t cutoff_micros, uint64_t* remo
   return WithTxn(*conn, [&]() -> Status {
     // Find affected logical names first, then delete and collect orphans.
     ResultSet rs;
-    Status st = conn->Execute("SELECT lfn_id FROM t_map WHERE updatetime < ?",
+    Status st = conn->Execute("SELECT lfn_id FROM t_map WHERE updatetime <= ?",
                               {rdb::Value::Timestamp(cutoff_micros)}, &rs);
     if (!st.ok()) return st;
     std::vector<int64_t> lfn_ids;
@@ -223,7 +226,7 @@ Status RliRelationalStore::ExpireOlderThan(int64_t cutoff_micros, uint64_t* remo
     std::sort(lfn_ids.begin(), lfn_ids.end());
     lfn_ids.erase(std::unique(lfn_ids.begin(), lfn_ids.end()), lfn_ids.end());
 
-    st = conn->Execute("DELETE FROM t_map WHERE updatetime < ?",
+    st = conn->Execute("DELETE FROM t_map WHERE updatetime <= ?",
                        {rdb::Value::Timestamp(cutoff_micros)}, &rs);
     if (!st.ok()) return st;
     if (removed) *removed = rs.affected;
@@ -234,6 +237,19 @@ Status RliRelationalStore::ExpireOlderThan(int64_t cutoff_micros, uint64_t* remo
     }
     return Status::Ok();
   });
+}
+
+bool RliRelationalStore::OldestStamp(int64_t* micros) const {
+  dbapi::ConnectionPool::Lease conn;
+  if (!pool_.Acquire(&conn).ok()) return false;
+  ResultSet rs;
+  // Walks the ordered index on updatetime: one entry, not a scan.
+  if (!conn->Execute("SELECT updatetime FROM t_map ORDER BY updatetime LIMIT 1", &rs).ok() ||
+      rs.empty()) {
+    return false;
+  }
+  *micros = rs.at(0, 0).AsInt();
+  return true;
 }
 
 uint64_t RliRelationalStore::AssociationCount() const {
@@ -284,7 +300,7 @@ uint64_t RliBloomStore::ExpireOlderThan(rlscommon::Duration max_age) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   uint64_t dropped = 0;
   for (auto it = filters_.begin(); it != filters_.end();) {
-    if (it->second.received < cutoff) {
+    if (it->second.received <= cutoff) {
       it = filters_.erase(it);
       ++dropped;
     } else {
@@ -292,6 +308,14 @@ uint64_t RliBloomStore::ExpireOlderThan(rlscommon::Duration max_age) {
     }
   }
   return dropped;
+}
+
+bool RliBloomStore::OldestStamp(rlscommon::TimePoint* received) const {
+  using rlscommon::TimePoint;
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  *received = TimePoint::max();
+  for (const auto& [url, entry] : filters_) *received = std::min(*received, entry.received);
+  return !filters_.empty();
 }
 
 std::size_t RliBloomStore::filter_count() const {

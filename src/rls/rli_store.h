@@ -4,7 +4,8 @@
 //   * RliRelationalStore — used when the RLI receives full, uncompressed
 //     soft-state updates. Holds {LN, LRC, updatetime} associations in the
 //     three-table schema of Fig. 3 (right side). Soft state expires via
-//     ExpireOlderThan, driven by the server's expire thread.
+//     ExpireOlderThan, driven by the server's expire thread, which
+//     sleeps until OldestStamp() comes due.
 //   * RliBloomStore — used when the RLI receives Bloom-filter updates:
 //     "no database is used ... all Bloom filters are stored in memory".
 //     Queries hash the logical name once and probe every resident filter,
@@ -55,9 +56,12 @@ class RliRelationalStore {
 
   rlscommon::Status ListLrcs(std::vector<std::string>* out) const;
 
-  /// Deletes associations with updatetime < cutoff (expire thread).
+  /// Deletes associations with updatetime <= cutoff (expire thread).
   /// Orphaned logical-name rows are garbage collected.
   rlscommon::Status ExpireOlderThan(int64_t cutoff_micros, uint64_t* removed);
+
+  /// The oldest association's updatetime; false when there is none.
+  bool OldestStamp(int64_t* micros) const;
 
   uint64_t AssociationCount() const;
   uint64_t LogicalNameCount() const;
@@ -71,6 +75,10 @@ class RliRelationalStore {
   rlscommon::Status InitSchema();
 
   mutable dbapi::ConnectionPool pool_;
+  // Upserts run together; Remove and ExpireOlderThan, which delete the
+  // logical-name rows no association references, run alone, or one could
+  // delete the row an upsert has just looked up and is about to reference.
+  std::shared_mutex write_mu_;
 };
 
 class RliBloomStore {
@@ -87,9 +95,12 @@ class RliBloomStore {
 
   rlscommon::Status ListLrcs(std::vector<std::string>* out) const;
 
-  /// Drops filters not refreshed since `max_age` ago; returns the number
-  /// dropped.
+  /// Drops filters last refreshed `max_age` or more ago; returns the
+  /// number dropped.
   uint64_t ExpireOlderThan(rlscommon::Duration max_age);
+
+  /// When the least recently refreshed filter arrived; false when none.
+  bool OldestStamp(rlscommon::TimePoint* received) const;
 
   std::size_t filter_count() const;
 

@@ -109,16 +109,6 @@ Status RlsServer::Start() {
     return Status::InvalidArgument("server must enable at least one role");
   }
 
-  // Monitoring-side worker pool: runs JSONL export writes so the pool's
-  // queue/latency instruments see real traffic.
-  worker_pool_ = std::make_unique<rlscommon::ThreadPool>(1, "obs-worker");
-  rlscommon::ThreadPool::MetricHooks hooks;
-  hooks.queue_wait = registry_.GetHistogram("threadpool_queue_wait_us")->raw();
-  hooks.run_time = registry_.GetHistogram("threadpool_task_run_us")->raw();
-  hooks.tasks_completed =
-      registry_.GetCounter("threadpool_tasks_completed_total")->raw();
-  worker_pool_->BindMetrics(hooks);
-
   start_time_ = clock_->Now();
   RegisterGauges();
   if (config_.obs.slow_span_threshold.count() > 0) {
@@ -152,9 +142,9 @@ Status RlsServer::Start() {
       });
   Status s = rpc_server_->Start();
   if (!s.ok()) {
-    // The stores and the obs worker pool go with this object; only the
-    // instruments reach outside it: the Environment-owned WAL must not
-    // keep an observer into registry_ once this server is gone.
+    // The stores go with this object; only the instruments reach
+    // outside it: the Environment-owned WAL must not keep an observer
+    // into registry_ once this server is gone.
     UnregisterGauges();
     return s;
   }
@@ -172,7 +162,7 @@ Status RlsServer::Start() {
     eopts.path = config_.obs.export_path;
     eopts.period = config_.obs.export_period;
     exporter_ = std::make_unique<obs::JsonlExporter>(
-        eopts, [this] { return RenderStatsJson(); }, worker_pool_.get());
+        eopts, [this] { return RenderStatsJson(); }, clock_);
     s = exporter_->Start();
     if (!s.ok()) return s;
   }
@@ -201,9 +191,6 @@ std::string RlsServer::role() const {
 void RlsServer::RegisterGauges() {
   registry_.RegisterCallback("server_uptime_seconds", "", [this] {
     return std::chrono::duration<double>(clock_->Now() - start_time_).count();
-  });
-  registry_.RegisterCallback("threadpool_queue_depth", "", [this] {
-    return static_cast<double>(worker_pool_->QueueDepth());
   });
   if (lrc_store_) {
     registry_.RegisterCallback("lrc_logical_names", "", [this] {
@@ -276,7 +263,6 @@ void RlsServer::UnregisterGauges() {
     lrc_store_->database()->wal().SetObserver({});
   }
   registry_.UnregisterCallback("server_uptime_seconds", "");
-  registry_.UnregisterCallback("threadpool_queue_depth", "");
   registry_.UnregisterCallback("lrc_logical_names", "");
   registry_.UnregisterCallback("lrc_mappings", "");
   registry_.UnregisterCallback("wal_recovered_txns", "");
@@ -385,31 +371,40 @@ ServerStats RlsServer::Stats() const {
   return stats;
 }
 
-void RlsServer::ExpireNow() {
+rlscommon::TimePoint RlsServer::ExpireNow() {
   const auto timeout = config_.rli.timeout;
-  if (timeout.count() <= 0) return;
+  if (timeout.count() <= 0) return rlscommon::TimePoint::max();
+  const rlscommon::TimePoint now = clock_->Now();
+  // A store that holds nothing can next hold a stamp no older than now.
+  rlscommon::TimePoint oldest = now;
   if (rli_relational_) {
     const int64_t cutoff =
-        clock_->NowMicros() -
-        std::chrono::duration_cast<std::chrono::microseconds>(timeout).count();
+        std::chrono::duration_cast<std::chrono::microseconds>((now - timeout).time_since_epoch())
+            .count();
     uint64_t removed = 0;
     if (rli_relational_->ExpireOlderThan(cutoff, &removed).ok()) {
       rli_expired_entries_->Increment(removed);
     }
+    int64_t stamp = 0;
+    if (rli_relational_->OldestStamp(&stamp)) {
+      oldest = std::min(oldest, rlscommon::TimePoint(std::chrono::microseconds(stamp)));
+    }
   }
   if (rli_bloom_) {
     rli_expired_entries_->Increment(rli_bloom_->ExpireOlderThan(timeout));
+    rlscommon::TimePoint stamp;
+    if (rli_bloom_->OldestStamp(&stamp)) oldest = std::min(oldest, stamp);
   }
+  return oldest + timeout;
 }
 
 void RlsServer::ExpireLoop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(expire_mu_);
-      expire_cv_.wait_for(lock, config_.rli.expire_poll, [this] { return !running_; });
-      if (!running_) return;
-    }
-    ExpireNow();
+  std::unique_lock<std::mutex> lock(expire_mu_);
+  while (running_) {
+    lock.unlock();
+    const rlscommon::TimePoint next = ExpireNow();
+    lock.lock();
+    clock_->WaitUntil(lock, expire_cv_, next, [this] { return !running_; });
   }
 }
 

@@ -6,7 +6,8 @@
 //     UpdateManager sending soft-state updates to its RLIs;
 //   * an RliRelationalStore (RLI role, uncompressed updates) and/or an
 //     RliBloomStore (RLI role, compressed updates) plus an expire thread
-//     discarding soft state older than the timeout (§3.2);
+//     discarding soft state once it is `timeout` old (§3.2); the thread
+//     wakes on the injected clock when the oldest stamp comes due;
 //   * a gsi::AuthManager enforcing per-operation ACLs (§3.1);
 //   * optional parent RLIs for hierarchical RLI->RLI forwarding (the
 //     "hierarchy of RLI servers" of §7, Ongoing Work).
@@ -21,7 +22,6 @@
 
 #include "common/clock.h"
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "dbapi/dbapi.h"
 #include "gsi/gsi.h"
 #include "net/rpc.h"
@@ -42,10 +42,8 @@ struct RliRoleConfig {
   std::string dsn;
   /// Accept Bloom updates into the in-memory store.
   bool accept_bloom = true;
-  /// Soft state older than this is discarded (0 = never expires).
+  /// Soft state this old is discarded (0 = never expires).
   std::chrono::seconds timeout{0};
-  /// Expire thread wake-up period.
-  std::chrono::milliseconds expire_poll{500};
   /// Parent RLIs to forward received updates to (hierarchical mode).
   std::vector<UpdateTarget> parents;
 };
@@ -134,9 +132,11 @@ class RlsServer {
   /// Role string for introspection ("lrc", "rli", "lrc+rli").
   std::string role() const;
 
-  /// Runs one expiration round immediately (tests drive this instead of
-  /// waiting for the expire thread).
-  void ExpireNow();
+  /// Runs one expiration round now: drops every entry whose stamp is
+  /// `timeout` old. Returns when the oldest remaining entry comes due
+  /// (TimePoint::max() without a timeout); the expire thread sleeps
+  /// until then.
+  rlscommon::TimePoint ExpireNow();
 
  private:
   /// Looks the opcode up in kOpTable, checks the role and the ACL, then
@@ -183,9 +183,6 @@ class RlsServer {
   std::unique_ptr<AdmissionController> admission_;
   std::unique_ptr<net::RpcServer> rpc_server_;
 
-  // Small worker pool for monitoring-side tasks (JSONL export); its
-  // instruments are bound into the registry.
-  std::unique_ptr<rlscommon::ThreadPool> worker_pool_;
   std::unique_ptr<obs::JsonlExporter> exporter_;
 
   // Parent forwarding clients (hierarchical RLI).

@@ -149,6 +149,8 @@ void UpdateManager::RecordSendFailure(TargetState* state) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.send_failures;
   }
+  // The recovery resend this failure owes is a new deadline.
+  WakeScheduler();
   if (metric_send_failures_) metric_send_failures_->Increment();
   if (went_unhealthy) {
     RLS_WARN("update") << lrc_url_ << " target " << state->target.address
@@ -176,9 +178,10 @@ void UpdateManager::OnMappingChange(const std::string& lfn, bool added) {
     return;
   }
 
-  bool flush = false;
+  bool replan = false;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
+    const std::size_t before = pending_count_;
     int& state = pending_[lfn];
     state += added ? 1 : -1;
     if (state == 0) {
@@ -191,10 +194,13 @@ void UpdateManager::OnMappingChange(const std::string& lfn, bool added) {
     // async flush can re-stamp it on the outgoing update.
     const rlscommon::TraceContext trace = rlscommon::CurrentTrace();
     if (trace.valid() && !pending_trace_.valid()) pending_trace_ = trace;
-    flush = config_.mode == UpdateMode::kImmediate &&
-            pending_count_ >= config_.immediate_max_pending;
+    // Opening a batch or filling it moves the flush deadline.
+    replan = config_.mode == UpdateMode::kImmediate &&
+             ((before == 0 && pending_count_ > 0) ||
+              (before < config_.immediate_max_pending &&
+               pending_count_ >= config_.immediate_max_pending));
   }
-  if (flush) scheduler_cv_.notify_all();
+  if (replan) WakeScheduler();
 }
 
 void UpdateManager::AddTarget(UpdateTarget target) {
@@ -532,13 +538,17 @@ UpdateStats UpdateManager::stats() const {
   return stats_;
 }
 
-void UpdateManager::RecoveryPass() {
+rlscommon::TimePoint UpdateManager::RecoveryPass() {
   const rlscommon::TimePoint now = clock_->Now();
+  rlscommon::TimePoint next = rlscommon::TimePoint::max();
   for (const TargetPtr& state : SnapshotTargets()) {
     {
       std::lock_guard<std::mutex> lock(state->mu);
-      const bool owed = !state->healthy || state->needs_full_resend;
-      if (!owed || now < state->backoff_until) continue;
+      if (state->healthy && !state->needs_full_resend) continue;
+      if (now < state->backoff_until) {
+        next = std::min(next, state->backoff_until);
+        continue;
+      }
     }
     Status s = SendCompleteUpdate(state.get(), /*recovery=*/true);
     if (!s.ok()) {
@@ -546,49 +556,56 @@ void UpdateManager::RecoveryPass() {
                          << state->target.address << " failed: " << s.ToString();
     }
   }
+  return next;
+}
+
+rlscommon::TimePoint UpdateManager::ImmediateDue(rlscommon::TimePoint last_flush) {
+  std::lock_guard<std::mutex> lock(pending_mu_);
+  if (pending_count_ == 0) return rlscommon::TimePoint::max();
+  if (pending_count_ >= config_.immediate_max_pending) return rlscommon::TimePoint::min();
+  return last_flush + config_.immediate_interval;
+}
+
+void UpdateManager::WakeScheduler() {
+  {
+    std::lock_guard<std::mutex> lock(scheduler_mu_);
+    wake_ = true;
+  }
+  scheduler_cv_.notify_all();
 }
 
 void UpdateManager::SchedulerLoop() {
-  auto last_full = std::chrono::steady_clock::now();
-  auto last_immediate = last_full;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(scheduler_mu_);
-      scheduler_cv_.wait_for(lock, std::chrono::milliseconds(50),
-                             [this] { return !running_; });
-      if (!running_) return;
-    }
-    const auto now = std::chrono::steady_clock::now();
-
-    if (config_.full_interval.count() > 0 && now - last_full >= config_.full_interval) {
+  const bool periodic = config_.full_interval.count() > 0;
+  const bool immediate = config_.mode == UpdateMode::kImmediate;
+  rlscommon::TimePoint last_full = clock_->Now();
+  rlscommon::TimePoint last_immediate = last_full;
+  std::unique_lock<std::mutex> lock(scheduler_mu_);
+  while (running_) {
+    wake_ = false;
+    lock.unlock();
+    const rlscommon::TimePoint now = clock_->Now();
+    if (periodic && now >= last_full + config_.full_interval) {
       last_full = now;
       Status s = ForceFullUpdate();
       if (!s.ok()) {
         RLS_WARN("update") << lrc_url_ << " full update failed: " << s.ToString();
       }
     }
-
-    if (config_.mode == UpdateMode::kImmediate) {
-      bool due;
-      {
-        std::lock_guard<std::mutex> lock(pending_mu_);
-        due = pending_count_ >= config_.immediate_max_pending ||
-              (pending_count_ > 0 &&
-               now - last_immediate >= config_.immediate_interval);
-      }
-      if (due) {
-        last_immediate = now;
-        Status s = FlushImmediate();
-        if (!s.ok()) {
-          RLS_WARN("update") << lrc_url_ << " incremental update failed: " << s.ToString();
-        }
+    if (immediate && now >= ImmediateDue(last_immediate)) {
+      last_immediate = now;
+      Status s = FlushImmediate();
+      if (!s.ok()) {
+        RLS_WARN("update") << lrc_url_ << " incremental update failed: " << s.ToString();
       }
     }
-
     // Targets that failed a send owe the RLI a complete resend once
     // their backoff expires — the paper's reconvergence-after-restart
     // behavior, with no manual intervention.
-    RecoveryPass();
+    rlscommon::TimePoint next = RecoveryPass();
+    if (periodic) next = std::min(next, last_full + config_.full_interval);
+    if (immediate) next = std::min(next, ImmediateDue(last_immediate));
+    lock.lock();
+    clock_->WaitUntil(lock, scheduler_cv_, next, [this] { return !running_ || wake_; });
   }
 }
 

@@ -123,7 +123,9 @@ class UpdateManager {
   UpdateManager(const UpdateManager&) = delete;
   UpdateManager& operator=(const UpdateManager&) = delete;
 
-  /// Starts the background scheduler (periodic full + immediate flushes).
+  /// Starts the background scheduler: periodic full rounds, immediate
+  /// flushes and recovery resends, each at its exact deadline on the
+  /// injected clock.
   void Start();
   void Stop();
 
@@ -212,8 +214,18 @@ class UpdateManager {
   void RecordSendSuccess(TargetState* state, bool complete_update);
   void RecordSendFailure(TargetState* state);
 
-  /// Retries complete updates to targets whose backoff expired.
-  void RecoveryPass();
+  /// Retries complete updates to targets whose backoff expired; returns
+  /// the earliest backoff still running (TimePoint::max() if none). A
+  /// resend that fails wakes the scheduler to plan its new backoff.
+  rlscommon::TimePoint RecoveryPass();
+
+  /// When the open immediate batch is due: at once when it is full,
+  /// `immediate_interval` after `last_flush` otherwise, never when no
+  /// batch is open.
+  rlscommon::TimePoint ImmediateDue(rlscommon::TimePoint last_flush);
+
+  /// Makes the scheduler plan its next deadline again.
+  void WakeScheduler();
 
   void SchedulerLoop();
 
@@ -261,7 +273,8 @@ class UpdateManager {
   std::mutex scheduler_mu_;
   std::condition_variable scheduler_cv_;
   std::thread scheduler_;
-  bool running_ = false;
+  bool running_ = false;  // guarded by scheduler_mu_
+  bool wake_ = false;     // guarded by scheduler_mu_: the plan changed
 };
 
 }  // namespace rls

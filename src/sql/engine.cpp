@@ -422,15 +422,24 @@ Status Engine::ExecSelect(const SelectStmt& stmt, const std::vector<Value>& para
   }
 
   // ORDER BY / OFFSET disable the early-limit short circuit: every match
-  // must be seen before sorting/slicing.
+  // must be seen before sorting/slicing. Ascending ORDER BY a column of
+  // one unfiltered table that has an ordered index instead walks that
+  // index, so rows arrive sorted and LIMIT stops the walk.
   ResolvedColumn order_column;
   const bool ordered = stmt.order_by.has_value() && !stmt.count_star;
+  const rdb::OrderedIndex* order_index = nullptr;
   if (ordered) {
     s = ResolveColumn(sources, *stmt.order_by, &order_column);
     if (!s.ok()) return s;
+    if (sources.size() == 1 && preds.empty() && !stmt.order_desc) {
+      const Table* table = sources[0].table;
+      order_index =
+          table->FindOrderedIndex(table->schema().columns()[order_column.column].name);
+    }
   }
+  const bool sort = ordered && !order_index;
   const uint64_t offset = stmt.offset.value_or(0);
-  const bool early_limit = stmt.limit && !ordered && offset == 0;
+  const bool early_limit = stmt.limit && !sort && offset == 0;
 
   uint64_t count = 0;
   bool done = false;
@@ -448,7 +457,7 @@ Status Engine::ExecSelect(const SelectStmt& stmt, const std::vector<Value>& para
         for (const ResolvedColumn& rc : projection) {
           out.push_back(current[rc.source][rc.column]);
         }
-        if (ordered) {
+        if (sort) {
           sort_keys.push_back(current[order_column.source][order_column.column]);
         }
         result->rows.push_back(std::move(out));
@@ -459,26 +468,30 @@ Status Engine::ExecSelect(const SelectStmt& stmt, const std::vector<Value>& para
       return;
     }
     Table* table = sources[level].table;
-    const BoundPredicate* driver = PickDriver(preds, sources, level);
-    EnumerateSource(
-        table,
-        [&](Rid rid) {
-          if (done) return;
-          if (!table->IsLive(rid)) {
-            // Dead rid from a tombstoned index entry: the visibility
-            // check still fetches and decodes the tuple (PostgreSQL
-            // dead-tuple cost, paper Fig. 8).
-            Row scratch;
-            (void)table->ReadRow(rid, &scratch);
-            return;
-          }
-          if (!table->ReadRow(rid, &current[level]).ok()) return;
-          for (const BoundPredicate& p : preds) {
-            if (p.level == level && !EvalPredicate(p, current)) return;
-          }
-          bind_level(level + 1);
-        },
-        driver, current, level);
+    auto visit = [&](Rid rid) {
+      if (done) return;
+      if (!table->IsLive(rid)) {
+        // Dead rid from a tombstoned index entry: the visibility
+        // check still fetches and decodes the tuple (PostgreSQL
+        // dead-tuple cost, paper Fig. 8).
+        Row scratch;
+        (void)table->ReadRow(rid, &scratch);
+        return;
+      }
+      if (!table->ReadRow(rid, &current[level]).ok()) return;
+      for (const BoundPredicate& p : preds) {
+        if (p.level == level && !EvalPredicate(p, current)) return;
+      }
+      bind_level(level + 1);
+    };
+    if (order_index) {
+      order_index->Walk([&](Rid rid) {
+        visit(rid);
+        return !done;
+      });
+      return;
+    }
+    EnumerateSource(table, visit, PickDriver(preds, sources, level), current, level);
   };
   bind_level(0);
 
@@ -487,7 +500,7 @@ Status Engine::ExecSelect(const SelectStmt& stmt, const std::vector<Value>& para
     return Status::Ok();
   }
 
-  if (ordered) {
+  if (sort) {
     // Stable sort by key (indices first, then permute).
     std::vector<std::size_t> perm(result->rows.size());
     for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;

@@ -46,6 +46,26 @@ INSTANTIATE_TEST_SUITE_P(Transports, AsyncClientTest,
                            return info.index == 0 ? "InProc" : "Tcp";
                          });
 
+// A server forgets a connection once its client has closed it: after
+// 200 connect, ping and close cycles none is left.
+TEST_P(AsyncClientTest, ServerReapsClosedConnections) {
+  Transport& transport = *transport_;
+  EchoServer echo(&transport);
+  for (int i = 0; i < 200; ++i) {
+    std::unique_ptr<RpcClient> client;
+    ASSERT_TRUE(RpcClient::Connect(&transport, "echo", {}, &client).ok());
+    std::string response;
+    ASSERT_TRUE(client->Call(1, "ping", &response).ok());
+    client->Close();
+  }
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (echo.server->active_connections() > 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(echo.server->active_connections(), 0u);
+}
+
 // 1000 calls issued before any response is read back: the multiplexer
 // matches every response to its future by request id over one
 // connection.

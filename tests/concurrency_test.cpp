@@ -1,5 +1,5 @@
 // Concurrency stress: many client threads mutating and querying one
-// server while soft-state updates and the expire thread run — then check
+// server while soft-state updates and expiry passes run — then check
 // global invariants. Mirrors the paper's 100-requesting-threads setup.
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@ TEST(ConcurrencyTest, MixedWorkloadKeepsInvariants) {
   rli_config.rli.enabled = true;
   rli_config.rli.dsn = "mysql://stress_rli";
   rli_config.rli.timeout = std::chrono::seconds(60);
-  rli_config.rli.expire_poll = std::chrono::milliseconds(20);  // churn hard
   RlsServer rli(&network, rli_config, &env);
   ASSERT_TRUE(rli.Start().ok());
 
@@ -44,6 +43,13 @@ TEST(ConcurrencyTest, MixedWorkloadKeepsInvariants) {
   std::atomic<int> unexpected{0};
   std::atomic<uint64_t> creates_ok{0}, deletes_ok{0};
   std::barrier gate(kThreads);
+
+  // Expiry passes run back to back through the storm, so their
+  // transactions race the soft-state upserts.
+  std::atomic<bool> storm{true};
+  std::thread expirer([&] {
+    while (storm.load()) rli.ExpireNow();
+  });
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -97,6 +103,8 @@ TEST(ConcurrencyTest, MixedWorkloadKeepsInvariants) {
     });
   }
   for (auto& thread : threads) thread.join();
+  storm.store(false);
+  expirer.join();
   EXPECT_EQ(unexpected.load(), 0);
   EXPECT_GT(creates_ok.load(), 0u);
   EXPECT_GT(deletes_ok.load(), 0u);

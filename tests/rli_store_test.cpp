@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 namespace rls {
 namespace {
@@ -65,6 +66,45 @@ TEST_F(RliRelationalTest, ExpirationDiscardsStaleEntries) {
   EXPECT_TRUE(store_->Query("fresh", &lrcs).ok());
   // Orphaned logical-name rows are garbage collected.
   EXPECT_EQ(store_->LogicalNameCount(), 1u);
+}
+
+// Expiry drops what is stamped at or before the cutoff, and OldestStamp
+// names the stamp that comes due next.
+TEST_F(RliRelationalTest, OldestStampIsTheNextEntryDue) {
+  int64_t oldest = 0;
+  uint64_t removed = 0;
+  EXPECT_FALSE(store_->OldestStamp(&oldest));
+  ASSERT_TRUE(store_->Upsert("a", "rls://lrc0", 3000).ok());
+  ASSERT_TRUE(store_->Upsert("b", "rls://lrc0", 1000).ok());
+  ASSERT_TRUE(store_->OldestStamp(&oldest));
+  EXPECT_EQ(oldest, 1000);
+  ASSERT_TRUE(store_->ExpireOlderThan(1000, &removed).ok());
+  EXPECT_EQ(removed, 1u);
+  ASSERT_TRUE(store_->OldestStamp(&oldest));
+  EXPECT_EQ(oldest, 3000);
+  ASSERT_TRUE(store_->ExpireOlderThan(3000, &removed).ok());
+  EXPECT_FALSE(store_->OldestStamp(&oldest));
+}
+
+// An expiry pass that collects a logical name's row while an upsert of
+// that name runs must not leave the upsert's association pointing at
+// the deleted row: the name stays answerable once the upsert returns.
+TEST_F(RliRelationalTest, ExpiryNeverOrphansAConcurrentUpsert) {
+  int lost = 0;
+  for (int round = 0; round < 2000; ++round) {
+    ASSERT_TRUE(store_->Upsert("n", "rls://lrc0", 1000).ok());
+    std::thread expirer([&] {
+      uint64_t removed = 0;
+      EXPECT_TRUE(store_->ExpireOlderThan(1500, &removed).ok());
+    });
+    ASSERT_TRUE(store_->Upsert("n", "rls://lrc0", 2000).ok());
+    expirer.join();
+    std::vector<std::string> lrcs;
+    if (!store_->Query("n", &lrcs).ok()) ++lost;
+    uint64_t removed = 0;
+    ASSERT_TRUE(store_->ExpireOlderThan(2500, &removed).ok());
+  }
+  EXPECT_EQ(lost, 0) << "rounds whose fresh association lost its name row";
 }
 
 TEST_F(RliRelationalTest, RemoveIsIdempotent) {
@@ -135,6 +175,23 @@ TEST(RliBloomStoreTest, ReplacingFilterDropsOldBits) {
   std::vector<std::string> lrcs;
   EXPECT_EQ(store.Query("old-name", &lrcs).code(), ErrorCode::kNotFound);
   EXPECT_TRUE(store.Query("new-name", &lrcs).ok());
+}
+
+// A filter exactly max_age old is dropped; OldestStamp names the least
+// recently refreshed filter left.
+TEST(RliBloomStoreTest, OldestStampIsTheLeastRecentRefresh) {
+  rlscommon::ManualClock clock;
+  RliBloomStore store(&clock);
+  rlscommon::TimePoint oldest;
+  EXPECT_FALSE(store.OldestStamp(&oldest));
+  store.StoreFilter("rls://a", bloom::BloomFilter::ForEntries(100));
+  clock.Advance(std::chrono::seconds(10));
+  store.StoreFilter("rls://b", bloom::BloomFilter::ForEntries(100));
+  ASSERT_TRUE(store.OldestStamp(&oldest));
+  EXPECT_EQ(oldest, rlscommon::TimePoint{});
+  EXPECT_EQ(store.ExpireOlderThan(std::chrono::seconds(10)), 1u);
+  ASSERT_TRUE(store.OldestStamp(&oldest));
+  EXPECT_EQ(oldest, rlscommon::TimePoint{} + std::chrono::seconds(10));
 }
 
 TEST(RliBloomStoreTest, ExpirationUsesClock) {

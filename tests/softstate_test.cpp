@@ -1,9 +1,12 @@
 // End-to-end soft-state update tests: LRC servers pushing full,
 // incremental, Bloom and partitioned updates into RLI servers over the
-// in-process network (paper §3.2–3.5).
+// in-process network (paper §3.2–3.5). Every server runs on one
+// ManualClock: time moves only when a test advances it, and
+// WaitForParked() then waits until every periodic loop did its due work.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 
 #include "rls/client.h"
 #include "rls/rls_server.h"
@@ -11,6 +14,7 @@
 namespace rls {
 namespace {
 
+using namespace std::chrono_literals;
 using rlscommon::ErrorCode;
 
 class SoftStateTest : public ::testing::Test {
@@ -30,7 +34,7 @@ class SoftStateTest : public ::testing::Test {
     config.rli.accept_bloom = true;
     config.rli.timeout = timeout;
     EXPECT_TRUE(env_.CreateDatabase(config.rli.dsn).ok());
-    auto server = std::make_unique<RlsServer>(&network_, config, &env_);
+    auto server = std::make_unique<RlsServer>(&network_, config, &env_, &clock_);
     EXPECT_TRUE(server->Start().ok());
     return server;
   }
@@ -44,11 +48,16 @@ class SoftStateTest : public ::testing::Test {
     config.lrc.dsn = "mysql://" + UniqueName("lrc_db");
     config.lrc.update = std::move(update);
     EXPECT_TRUE(env_.CreateDatabase(config.lrc.dsn).ok());
-    auto server = std::make_unique<RlsServer>(&network_, config, &env_);
+    auto server = std::make_unique<RlsServer>(&network_, config, &env_, &clock_);
     EXPECT_TRUE(server->Start().ok());
     return server;
   }
 
+  /// Waits until `loops` periodic threads have done the work due by
+  /// the clock's Now() and sleep again.
+  void Settle(std::size_t loops) { ASSERT_TRUE(clock_.WaitForParked(loops, 10s)); }
+
+  rlscommon::ManualClock clock_;
   net::InProcTransport network_;
   dbapi::Environment env_;
 };
@@ -198,9 +207,14 @@ TEST_F(SoftStateTest, StaleEntriesExpireAtRli) {
   std::vector<std::string> lrcs;
   ASSERT_TRUE(rli->rli_relational()->Query("short-lived", &lrcs).ok());
 
-  // Let the soft state age past the 1 s timeout, then expire.
-  std::this_thread::sleep_for(std::chrono::milliseconds(1200));
-  rli->ExpireNow();
+  // The expire thread sleeps until the entry is a full timeout old: a
+  // millisecond short of it the entry stays, at the timeout it goes.
+  // Two loops wait on the clock: the RLI's expiry and the LRC's rounds.
+  clock_.Advance(999ms);
+  Settle(2);
+  ASSERT_TRUE(rli->rli_relational()->Query("short-lived", &lrcs).ok());
+  clock_.Advance(1ms);
+  Settle(2);
   EXPECT_EQ(rli->rli_relational()->Query("short-lived", &lrcs).code(),
             ErrorCode::kNotFound);
 
@@ -265,14 +279,17 @@ TEST_F(SoftStateTest, ImmediateSchedulerFlushesOnThreshold) {
                     ->CreateMapping("auto" + std::to_string(i), "p")
                     .ok());
   }
-  // The background scheduler must flush without an explicit call.
+  // The fifth change fills the batch: the background scheduler flushes
+  // it without an explicit call and with no time passing.
+  Settle(1);
   std::vector<std::string> lrcs;
-  bool seen = false;
-  for (int tries = 0; tries < 100 && !seen; ++tries) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    seen = rli->rli_relational()->Query("auto0", &lrcs).ok();
-  }
-  EXPECT_TRUE(seen) << "scheduler never flushed pending immediate updates";
+  EXPECT_TRUE(rli->rli_relational()->Query("auto0", &lrcs).ok())
+      << "scheduler never flushed the full immediate batch";
+  // Whatever the full batch left pending goes out one interval later.
+  clock_.Advance(50ms);
+  Settle(1);
+  EXPECT_TRUE(rli->rli_relational()->Query("auto5", &lrcs).ok())
+      << "scheduler never flushed the open batch at its interval";
 }
 
 TEST_F(SoftStateTest, UpdateToBloomOnlyRliRejectsUncompressed) {

@@ -235,6 +235,33 @@ TEST_F(EngineTest, OrderedIndexDrivesRangeDelete) {
   EXPECT_EQ(rs.at(0, 0).AsInt(), 5);
 }
 
+// Ascending ORDER BY an ordered-index column of one unfiltered table
+// walks the index: the rows come out as the sort gives them, with LIMIT
+// and OFFSET, and a row moves with its updated key.
+TEST_F(EngineTest, OrderByOrderedIndexColumnMatchesSort) {
+  Exec("CREATE TABLE t_map (lfn_id INT, lrc_id INT, updatetime TIMESTAMP)");
+  Exec("CREATE ORDERED INDEX idx_time ON t_map (updatetime)");
+  for (int i : {7, 3, 9, 1, 5}) {
+    Exec("INSERT INTO t_map (lfn_id, lrc_id, updatetime) VALUES (?, 1, ?)",
+         {Value::Int(i), Value::Timestamp(i * 1000)});
+  }
+  Exec("UPDATE t_map SET updatetime = ? WHERE lfn_id = ?",
+       {Value::Timestamp(10000), Value::Int(1)});
+  auto ids = [&](const std::string& sql) {
+    std::vector<int64_t> out;
+    for (const auto& row : Exec(sql).rows) out.push_back(row[0].AsInt());
+    return out;
+  };
+  EXPECT_EQ(ids("SELECT lfn_id FROM t_map ORDER BY updatetime"),
+            (std::vector<int64_t>{3, 5, 7, 9, 1}));
+  EXPECT_EQ(ids("SELECT lfn_id FROM t_map ORDER BY updatetime LIMIT 2"),
+            (std::vector<int64_t>{3, 5}));
+  EXPECT_EQ(ids("SELECT lfn_id FROM t_map ORDER BY updatetime LIMIT 2 OFFSET 3"),
+            (std::vector<int64_t>{9, 1}));
+  EXPECT_EQ(ids("SELECT lfn_id FROM t_map ORDER BY updatetime DESC LIMIT 1"),
+            (std::vector<int64_t>{1}));
+}
+
 TEST_F(EngineTest, SelectFromMissingTableFails) {
   auto s = TryExec("SELECT * FROM nope");
   EXPECT_EQ(s.code(), ErrorCode::kDatabase);
