@@ -3,15 +3,18 @@
 // The paper's PostgreSQL 7.2.4 does not physically remove deleted rows;
 // a periodic VACUUM must collect them, and until it runs, add rates
 // decay steadily. Our PostgreSQL profile reproduces the mechanism: dead
-// tuples stay in heap pages, and index entries tombstone instead of
-// erase, so probe chains lengthen every trial. A VACUUM rebuild restores
-// the rate to its maximum.
+// tuples stay in heap pages, and a delete marks its index entries dead
+// instead of erasing them. A lookup of a churned name still returns
+// every dead version, and each costs a heap fetch to decide visibility,
+// so every trial pays for one more dead version per name. A VACUUM
+// rebuild restores the rate to its maximum.
 #include "bench/harness.h"
 
 namespace {
 
 /// One trial: add the SAME `n` mappings (fresh each cycle), then delete
-/// them — dead versions pile up exactly in the probed index buckets.
+/// them — dead versions pile up under exactly the names the next trial
+/// looks up.
 double ChurnTrial(rlsbench::Testbed& bed, rls::RlsServer* lrc, int threads,
                   uint64_t n, int cycle) {
   const uint64_t per_worker = std::max<uint64_t>(1, n / threads);
@@ -63,8 +66,8 @@ int main() {
     for (int cycle = 0; cycle < kCycles; ++cycle) {
       for (int trial = 0; trial < kTrialsPerCycle; ++trial) {
         // SAME names every trial within a cycle: each re-add/re-delete
-        // piles another dead version into exactly the buckets and heap
-        // pages the next trial probes — the paper's churn pattern.
+        // leaves another dead version of exactly the index keys and heap
+        // rows the next trial looks up — the paper's churn pattern.
         const double rate =
             ChurnTrial(bed, lrc, threads, churn, cycle + threads * 1000);
         rdb::Database* db = bed.env()->Find(lrc->lrc_store()->pool().dsn());

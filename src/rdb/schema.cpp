@@ -62,4 +62,11 @@ rlscommon::Status DecodeRow(std::string_view data, std::size_t num_columns, Row*
   return rlscommon::Status::Ok();
 }
 
+bool EncodedColumnEquals(std::string_view data, std::size_t column, const Value& key) {
+  for (std::size_t i = 0; i < column; ++i) {
+    if (!Value::SkipEncoded(&data)) return false;
+  }
+  return key.EqualsEncoded(data);
+}
+
 }  // namespace rdb

@@ -54,4 +54,10 @@ class TableSchema {
 void EncodeRow(const Row& row, std::string* out);
 rlscommon::Status DecodeRow(std::string_view data, std::size_t num_columns, Row* out);
 
+/// True if column `column` of the encoded row `data` equals `key`
+/// (Value::Compare semantics), read in place: the hash index's probe
+/// compares keys this way, without decoding the row or allocating.
+/// Truncated or malformed bytes read as no match.
+bool EncodedColumnEquals(std::string_view data, std::size_t column, const Value& key);
+
 }  // namespace rdb

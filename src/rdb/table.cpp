@@ -26,7 +26,8 @@ Status Table::CreateIndex(const std::string& index_name, const std::string& colu
   entry.kind = kind;
   entry.unique = unique;
   if (kind == IndexKind::kHash) {
-    entry.hash = std::make_unique<HashIndex>(profile_->index_delete_mode(), unique);
+    entry.hash = std::make_unique<HashIndex>(&heap_, *col, profile_->index_delete_mode(),
+                                             unique);
   } else {
     entry.ordered = std::make_unique<OrderedIndex>();
   }

@@ -73,8 +73,54 @@ std::string Value::ToString() const {
 }
 
 namespace {
+
 enum Tag : uint8_t { kTagNull = 0, kTagInt = 1, kTagDouble = 2, kTagString = 3, kTagTimestamp = 4 };
+
+/// Splits the encoded value at the front of `*data` into its tag and
+/// payload and consumes it; false if it is truncated or malformed.
+bool SplitEncoded(std::string_view* data, uint8_t* tag, std::string_view* payload) {
+  if (data->empty()) return false;
+  *tag = static_cast<uint8_t>((*data)[0]);
+  std::string_view rest = data->substr(1);
+  std::size_t len = 0;
+  switch (*tag) {
+    case kTagNull:
+      break;
+    case kTagInt:
+    case kTagTimestamp:
+    case kTagDouble:
+      len = 8;
+      break;
+    case kTagString: {
+      if (rest.size() < 4) return false;
+      uint32_t n = 0;
+      std::memcpy(&n, rest.data(), 4);
+      rest.remove_prefix(4);
+      len = n;
+      break;
+    }
+    default:
+      return false;
+  }
+  if (rest.size() < len) return false;
+  *payload = rest.substr(0, len);
+  *data = rest.substr(len);
+  return true;
 }
+
+/// The numeric value of a split int, timestamp or double payload.
+Value NumericFromPayload(uint8_t tag, std::string_view payload) {
+  if (tag == kTagDouble) {
+    double d = 0;
+    std::memcpy(&d, payload.data(), 8);
+    return Value::Double(d);
+  }
+  int64_t v = 0;
+  std::memcpy(&v, payload.data(), 8);
+  return tag == kTagTimestamp ? Value::Timestamp(v) : Value::Int(v);
+}
+
+}  // namespace
 
 void Value::Encode(std::string* out) const {
   if (is_null()) {
@@ -96,44 +142,37 @@ void Value::Encode(std::string* out) const {
 }
 
 rlscommon::Status Value::Decode(std::string_view* data, Value* out) {
-  using rlscommon::Status;
-  if (data->empty()) return Status::Protocol("truncated value");
-  uint8_t tag = static_cast<uint8_t>((*data)[0]);
-  data->remove_prefix(1);
-  switch (tag) {
-    case kTagNull:
-      *out = Value::Null();
-      return Status::Ok();
-    case kTagInt:
-    case kTagTimestamp: {
-      if (data->size() < 8) return Status::Protocol("truncated int value");
-      int64_t v;
-      std::memcpy(&v, data->data(), 8);
-      data->remove_prefix(8);
-      *out = (tag == kTagTimestamp) ? Value::Timestamp(v) : Value::Int(v);
-      return Status::Ok();
-    }
-    case kTagDouble: {
-      if (data->size() < 8) return Status::Protocol("truncated double value");
-      double v;
-      std::memcpy(&v, data->data(), 8);
-      data->remove_prefix(8);
-      *out = Value::Double(v);
-      return Status::Ok();
-    }
-    case kTagString: {
-      if (data->size() < 4) return Status::Protocol("truncated string length");
-      uint32_t len;
-      std::memcpy(&len, data->data(), 4);
-      data->remove_prefix(4);
-      if (data->size() < len) return Status::Protocol("truncated string value");
-      *out = Value::String(std::string(data->substr(0, len)));
-      data->remove_prefix(len);
-      return Status::Ok();
-    }
-    default:
-      return Status::Protocol("unknown value tag");
+  uint8_t tag = 0;
+  std::string_view payload;
+  if (!SplitEncoded(data, &tag, &payload)) {
+    return rlscommon::Status::Protocol("truncated or malformed value");
   }
+  if (tag == kTagNull) {
+    *out = Value::Null();
+  } else if (tag == kTagString) {
+    *out = Value::String(std::string(payload));
+  } else {
+    *out = NumericFromPayload(tag, payload);
+  }
+  return rlscommon::Status::Ok();
+}
+
+bool Value::SkipEncoded(std::string_view* data) {
+  uint8_t tag = 0;
+  std::string_view payload;
+  return SplitEncoded(data, &tag, &payload);
+}
+
+bool Value::EqualsEncoded(std::string_view data) const {
+  uint8_t tag = 0;
+  std::string_view payload;
+  if (!SplitEncoded(&data, &tag, &payload)) return false;
+  // Compare()'s classes: NULL, strings, and numbers across int/double.
+  if (tag == kTagNull || is_null()) return tag == kTagNull && is_null();
+  if (tag == kTagString || is_string()) {
+    return tag == kTagString && is_string() && payload == AsString();
+  }
+  return Compare(NumericFromPayload(tag, payload)) == 0;
 }
 
 }  // namespace rdb

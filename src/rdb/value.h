@@ -75,6 +75,14 @@ class Value {
   void Encode(std::string* out) const;
   static rlscommon::Status Decode(std::string_view* data, Value* out);
 
+  /// In-place readers of that encoding: no decode, no allocation, and
+  /// nothing read past `data`. SkipEncoded consumes the value at the
+  /// front of `*data`; EqualsEncoded is true if `data` starts with a
+  /// value that compares equal to this one. Truncated or malformed bytes
+  /// make both return false.
+  static bool SkipEncoded(std::string_view* data);
+  bool EqualsEncoded(std::string_view data) const;
+
  private:
   using Storage = std::variant<std::monostate, int64_t, double, std::string>;
   explicit Value(Storage s) : data_(std::move(s)) {}

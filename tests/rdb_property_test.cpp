@@ -2,13 +2,17 @@
 // against an in-memory reference model, under BOTH backend profiles,
 // with interleaved VACUUMs — plus WAL recovery idempotence: replaying
 // the log (once, twice, or with commits in between) never diverges
-// from the model.
+// from the model. Both check every hash index against the heap rows as
+// they go.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "rdb/database.h"
@@ -25,6 +29,87 @@ TableSchema KvSchema() {
   });
 }
 
+/// The model table's indexes: both unique columns, and `value`, whose
+/// small range gives its non-unique index many rows per key.
+void CreateKvIndexes(Table* table) {
+  ASSERT_TRUE(table->CreateIndex("pk", "id", IndexKind::kHash, true).ok());
+  ASSERT_TRUE(table->CreateIndex("by_key", "key", IndexKind::kHash, true).ok());
+  ASSERT_TRUE(table->CreateIndex("by_value", "value", IndexKind::kHash, false).ok());
+}
+
+constexpr uint64_t kKeys = 400;   // ~200 live rows: the id and key indexes grow 16 -> 256+ slots
+constexpr uint64_t kValues = 32;  // many rows per `value` key
+
+/// Index/heap agreement: for every hash index of `table` and every key
+/// the heap holds in that column, a lookup returns exactly the rows
+/// holding it — the live ones, plus the dead ones under the tombstone
+/// mode — so every live row is found through every index. ContainsKey
+/// sees the live rows only, the entry counts match the heap, and the
+/// keys the index holds (one slot each, however many rows) fill at most
+/// 3/4 of its slots.
+::testing::AssertionResult IndexesMatchHeap(const Table& table) {
+  const TableSchema& schema = table.schema();
+  for (std::size_t column = 0; column < schema.num_columns(); ++column) {
+    const std::string& name = schema.columns()[column].name;
+    const HashIndex* index = table.FindHashIndex(name);
+    if (!index) continue;
+    const bool tombstones = index->delete_mode() == IndexDeleteMode::kTombstone;
+    std::map<Value, std::pair<std::vector<Rid>, std::vector<Rid>>> rows;  // live, dead
+    std::size_t live = 0, dead = 0;
+    bool read_ok = true;
+    table.Scan([&](Rid rid, SlotState st) {
+      Row row;
+      if (!table.ReadRow(rid, &row).ok()) {
+        read_ok = false;
+        return false;
+      }
+      auto& [live_rids, dead_rids] = rows[row[column]];
+      if (st == SlotState::kLive) {
+        live_rids.push_back(rid);
+        ++live;
+      } else {
+        dead_rids.push_back(rid);
+        ++dead;
+      }
+      return true;
+    });
+    if (!read_ok) return ::testing::AssertionFailure() << "unreadable row";
+    std::size_t keys = 0;  // keys the index holds: one slot each
+    for (auto& [key, live_and_dead] : rows) {
+      auto& [expected, dead_rids] = live_and_dead;
+      const bool has_live = !expected.empty();
+      if (tombstones) expected.insert(expected.end(), dead_rids.begin(), dead_rids.end());
+      if (!expected.empty()) ++keys;
+      std::vector<Rid> got;
+      index->Lookup(key, &got);
+      std::sort(got.begin(), got.end());
+      std::sort(expected.begin(), expected.end());
+      if (got != expected) {
+        return ::testing::AssertionFailure()
+               << "index on " << name << ": lookup of " << key.ToString() << " returned "
+               << got.size() << " rids, the heap holds " << expected.size();
+      }
+      if (index->ContainsKey(key) != has_live) {
+        return ::testing::AssertionFailure()
+               << "index on " << name << ": ContainsKey(" << key.ToString()
+               << ") != " << has_live;
+      }
+    }
+    const IndexStats& stats = index->stats();
+    if (stats.live_entries != live || stats.tombstones != (tombstones ? dead : 0)) {
+      return ::testing::AssertionFailure()
+             << "index on " << name << " counts " << stats.live_entries << " live and "
+             << stats.tombstones << " dead entries; the heap holds " << live << " live and "
+             << dead << " dead rows";
+    }
+    if (keys * 4 > index->slot_count() * 3) {
+      return ::testing::AssertionFailure() << "index on " << name << " holds " << keys
+                                           << " keys in " << index->slot_count() << " slots";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 struct Model {
   // key -> (id, value); unique key index semantics.
   std::map<std::string, std::pair<int64_t, int64_t>> rows;
@@ -38,8 +123,7 @@ TEST_P(RdbModelProperty, RandomOpsMatchModel) {
   BackendProfile profile;
   profile.kind = kind;
   Table table(KvSchema(), &profile);
-  ASSERT_TRUE(table.CreateIndex("pk", "id", IndexKind::kHash, true).ok());
-  ASSERT_TRUE(table.CreateIndex("by_key", "key", IndexKind::kHash, true).ok());
+  CreateKvIndexes(&table);
 
   Model model;
   rlscommon::Xoshiro256 rng(seed);
@@ -57,12 +141,12 @@ TEST_P(RdbModelProperty, RandomOpsMatchModel) {
   };
 
   for (int step = 0; step < 3000; ++step) {
-    const std::string key = "k" + std::to_string(rng.Below(40));
+    const std::string key = "k" + std::to_string(rng.Below(kKeys));
     switch (rng.Below(5)) {
       case 0: {  // insert
         Rid rid;
         int64_t id = 0;
-        const int64_t value = static_cast<int64_t>(rng.Below(1000));
+        const int64_t value = static_cast<int64_t>(rng.Below(kValues));
         rlscommon::Status s = table.Insert({Value::Null(), Value::String(key), Value::Int(value)},
                                 &rid, &id);
         const bool expect_ok = !model.rows.count(key);
@@ -85,7 +169,7 @@ TEST_P(RdbModelProperty, RandomOpsMatchModel) {
         if (find_rid(key, &rid)) {
           Row row;
           ASSERT_TRUE(table.ReadRow(rid, &row).ok());
-          const int64_t fresh = static_cast<int64_t>(rng.Below(1000));
+          const int64_t fresh = static_cast<int64_t>(rng.Below(kValues));
           row[2] = Value::Int(fresh);
           Rid new_rid;
           ASSERT_TRUE(table.Update(rid, row, &new_rid).ok());
@@ -106,13 +190,21 @@ TEST_P(RdbModelProperty, RandomOpsMatchModel) {
         break;
       }
       case 4: {  // occasional vacuum
-        if (rng.Below(10) == 0) table.Vacuum();
+        if (rng.Below(10) == 0) {
+          table.Vacuum();
+          ASSERT_TRUE(IndexesMatchHeap(table)) << "after vacuum, step " << step;
+        }
         break;
       }
+    }
+    if (step % 10 == 0) {
+      ASSERT_TRUE(IndexesMatchHeap(table)) << "step " << step;
     }
   }
 
   // Final sweep: model and table agree exactly.
+  ASSERT_TRUE(IndexesMatchHeap(table));
+  EXPECT_GE(table.FindHashIndex("key")->slot_count(), 256u);
   EXPECT_EQ(table.live_rows(), model.rows.size());
   for (const auto& [key, expected] : model.rows) {
     Rid rid;
@@ -125,6 +217,7 @@ TEST_P(RdbModelProperty, RandomOpsMatchModel) {
   table.Vacuum();
   EXPECT_EQ(table.live_rows(), model.rows.size());
   EXPECT_EQ(table.dead_rows(), 0u);
+  EXPECT_TRUE(IndexesMatchHeap(table));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -192,9 +285,7 @@ class RecoveryIdempotenceProperty : public ::testing::TestWithParam<uint64_t> {
 
   static void InitSchema(Database* db) {
     ASSERT_TRUE(db->CreateTable(KvSchema()).ok());
-    Table* table = db->GetTable("kv");
-    ASSERT_TRUE(table->CreateIndex("pk", "id", IndexKind::kHash, true).ok());
-    ASSERT_TRUE(table->CreateIndex("by_key", "key", IndexKind::kHash, true).ok());
+    CreateKvIndexes(db->GetTable("kv"));
   }
 
   /// Runs `steps` random mutations, logging each as one committed
@@ -214,8 +305,8 @@ class RecoveryIdempotenceProperty : public ::testing::TestWithParam<uint64_t> {
       return false;
     };
     for (int step = 0; step < steps; ++step) {
-      const std::string key = "k" + std::to_string(rng->Below(30));
-      const int64_t value = static_cast<int64_t>(rng->Below(1000));
+      const std::string key = "k" + std::to_string(rng->Below(kKeys));
+      const int64_t value = static_cast<int64_t>(rng->Below(kValues));
       std::string payload;
       switch (rng->Below(4)) {
         case 0:
@@ -303,9 +394,11 @@ TEST_P(RecoveryIdempotenceProperty, ReplayNeverDiverges) {
     InitSchema(&db);
     ASSERT_TRUE(db.Recover().ok());
     EXPECT_EQ(Dump(&db), model) << "seed " << seed;
+    EXPECT_TRUE(IndexesMatchHeap(*db.GetTable("kv"))) << "after replay, seed " << seed;
     lsn_after_replay = db.wal().last_lsn();
     ASSERT_TRUE(db.Recover().ok());
     EXPECT_EQ(Dump(&db), model) << "double replay diverged, seed " << seed;
+    EXPECT_TRUE(IndexesMatchHeap(*db.GetTable("kv"))) << "after double replay";
     EXPECT_EQ(db.wal().last_lsn(), lsn_after_replay);
   }
 
@@ -321,6 +414,7 @@ TEST_P(RecoveryIdempotenceProperty, ReplayNeverDiverges) {
     InitSchema(&db);
     ASSERT_TRUE(db.Recover().ok());
     EXPECT_EQ(Dump(&db), model) << "replay-then-commit diverged, seed " << seed;
+    EXPECT_TRUE(IndexesMatchHeap(*db.GetTable("kv"))) << "after the second replay";
   }
   ::unlink(wal.c_str());
   ::unlink((wal + ".ckpt").c_str());
