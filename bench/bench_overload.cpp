@@ -214,8 +214,9 @@ int main() {
   std::printf("priority probe through the storm: %llu ok, %llu failed\n",
               static_cast<unsigned long long>(probe_ok.load()),
               static_cast<unsigned long long>(probe_failed.load()));
-  std::printf("server stats: %llu served, %llu shed\n",
-              static_cast<unsigned long long>(lrc->Stats().requests_served),
-              static_cast<unsigned long long>(lrc->Stats().requests_shed));
+  const rls::GetStatsResponse stats = lrc->GetStatsSnapshot();
+  std::printf("server stats: %.0f served, %.0f shed\n",
+              obs::SampleValue(stats.metrics, "rpc_requests_total", obs::kAnyLabels),
+              obs::SampleValue(stats.metrics, "rpc_shed_total", obs::kAnyLabels));
   return 0;
 }

@@ -135,37 +135,7 @@ void Testbed::WriteServerSnapshots() {
     return;
   }
   for (auto& server : servers_) {
-    const rls::GetStatsResponse snap = server->GetStatsSnapshot();
-    char extra[1024];
-    std::snprintf(extra, sizeof(extra),
-                  "\"server\": \"%s\", \"role\": \"%s\", \"uptime_seconds\": %.3f, "
-                  "\"lfn_count\": %llu, \"mapping_count\": %llu, "
-                  "\"requests_served\": %llu, \"requests_shed\": %llu, "
-                  "\"updates_received\": %llu, "
-                  "\"updates_sent\": %llu, \"bloom_filters\": %llu, "
-                  "\"wal_recovery_enabled\": %u, \"wal_recovered_txns\": %llu, "
-                  "\"wal_torn_tail_bytes\": %llu, "
-                  "\"wal_checksum_failures\": %llu, "
-                  "\"wal_group_commit\": %u, \"wal_commits\": %llu, "
-                  "\"wal_syncs\": %llu, \"wal_group_commits\": %llu",
-                  server->url().c_str(), snap.role.c_str(), snap.uptime_seconds,
-                  static_cast<unsigned long long>(snap.vitals.lfn_count),
-                  static_cast<unsigned long long>(snap.vitals.mapping_count),
-                  static_cast<unsigned long long>(snap.vitals.requests_served),
-                  static_cast<unsigned long long>(snap.vitals.requests_shed),
-                  static_cast<unsigned long long>(snap.vitals.updates_received),
-                  static_cast<unsigned long long>(snap.vitals.updates_sent),
-                  static_cast<unsigned long long>(snap.vitals.bloom_filters),
-                  static_cast<unsigned>(snap.wal.enabled),
-                  static_cast<unsigned long long>(snap.wal.recovered_txns),
-                  static_cast<unsigned long long>(snap.wal.torn_tail_bytes),
-                  static_cast<unsigned long long>(snap.wal.checksum_failures),
-                  static_cast<unsigned>(snap.wal.group_commit),
-                  static_cast<unsigned long long>(snap.wal.commits),
-                  static_cast<unsigned long long>(snap.wal.syncs),
-                  static_cast<unsigned long long>(snap.wal.group_commits));
-    const std::string line = server->metrics_registry()->RenderJson(extra);
-    std::fprintf(f, "%s\n", line.c_str());
+    std::fprintf(f, "%s\n", server->RenderStatsJson().c_str());
   }
   std::fclose(f);
 }

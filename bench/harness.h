@@ -61,9 +61,9 @@ class Table {
 /// its curve on either fabric from the same binary.
 ///
 /// When RLS_BENCH_JSON names a file, the destructor appends one JSON
-/// line per server — the full obs registry snapshot plus vitals — so
-/// server-side metrics land next to the client-side rates with zero
-/// changes to individual benches.
+/// line per server — RlsServer::RenderStatsJson, the line the JSONL
+/// exporter writes — so server-side metrics land next to the client-side
+/// rates with zero changes to individual benches.
 class Testbed {
  public:
   Testbed();

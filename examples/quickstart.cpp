@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "dbapi/dbapi.h"
+#include "obs/metrics.h"
 #include "rls/client.h"
 #include "rls/rls_server.h"
 
@@ -97,12 +98,12 @@ int main() {
   // --- 7. Server statistics (monitoring interface).
   rls::GetStatsResponse stats;
   ThrowIfError(lrc_client->GetStats(&stats));
-  std::printf("LRC stats: %llu logical names, %llu mappings, %llu requests, "
-              "%llu updates sent\n",
-              static_cast<unsigned long long>(stats.vitals.lfn_count),
-              static_cast<unsigned long long>(stats.vitals.mapping_count),
-              static_cast<unsigned long long>(stats.vitals.requests_served),
-              static_cast<unsigned long long>(stats.vitals.updates_sent));
+  std::printf("LRC stats: %.0f logical names, %.0f mappings, %.0f requests, "
+              "%.0f updates sent\n",
+              obs::SampleValue(stats.metrics, "lrc_logical_names"),
+              obs::SampleValue(stats.metrics, "lrc_mappings"),
+              obs::SampleValue(stats.metrics, "rpc_requests_total", obs::kAnyLabels),
+              obs::SampleValue(stats.metrics, "ss_updates_sent_total", obs::kAnyLabels));
 
   lrc.Stop();
   rli.Stop();

@@ -7,8 +7,10 @@
 //
 // Without an argument, a built-in two-LRC/one-RLI topology is used.
 #include <cstdio>
+#include <string_view>
 
 #include "common/config.h"
+#include "obs/metrics.h"
 #include "rls/bootstrap.h"
 #include "rls/client.h"
 
@@ -40,15 +42,18 @@ server.lrc1.update_bloom_expected_entries 10000
 server.lrc1.update_rli   rls://rli0.example.org
 )";
 
-void PrintStats(const char* label, const rls::ServerStats& stats) {
-  std::printf("%-24s lfns=%-6llu mappings=%-6llu requests=%-5llu "
-              "updates_sent=%llu updates_recv=%llu bloom_filters=%llu\n",
-              label, static_cast<unsigned long long>(stats.lfn_count),
-              static_cast<unsigned long long>(stats.mapping_count),
-              static_cast<unsigned long long>(stats.requests_served),
-              static_cast<unsigned long long>(stats.updates_sent),
-              static_cast<unsigned long long>(stats.updates_received),
-              static_cast<unsigned long long>(stats.bloom_filters));
+void PrintStats(const char* label, const rls::GetStatsResponse& stats) {
+  auto value = [&](std::string_view name, std::string_view labels = "") {
+    return obs::SampleValue(stats.metrics, name, labels);
+  };
+  const bool lrc = stats.role != "rli";  // an LRC reports its own catalog
+  std::printf("%-24s lfns=%-6.0f mappings=%-6.0f requests=%-5.0f "
+              "updates_sent=%.0f updates_recv=%.0f bloom_filters=%.0f\n",
+              label, value(lrc ? "lrc_logical_names" : "rli_logical_names"),
+              value(lrc ? "lrc_mappings" : "rli_associations"),
+              value("rpc_requests_total", obs::kAnyLabels),
+              value("ss_updates_sent_total", obs::kAnyLabels),
+              value("rli_updates_received_total"), value("rli_bloom_filters"));
 }
 
 }  // namespace
@@ -101,7 +106,7 @@ int main(int argc, char** argv) {
     ThrowIfError(admin->Ping());
     rls::GetStatsResponse stats;
     ThrowIfError(admin->GetStats(&stats));
-    PrintStats(name.c_str(), stats.vitals);
+    PrintStats(name.c_str(), stats);
   }
 
   // --- Per-method latency metrics from one busy LRC.
@@ -114,7 +119,7 @@ int main(int argc, char** argv) {
     for (const rls::MetricSample& m : stats.metrics) {
       if (m.name != "rpc_request_latency_us") continue;
       std::printf("%-32s count=%-6llu mean=%.0fus p50=%lluus p95=%lluus p99=%lluus\n",
-                  m.labels.c_str(), static_cast<unsigned long long>(m.count),
+                  m.labels.c_str(), static_cast<unsigned long long>(m.value),
                   m.mean_us, static_cast<unsigned long long>(m.p50_us),
                   static_cast<unsigned long long>(m.p95_us),
                   static_cast<unsigned long long>(m.p99_us));

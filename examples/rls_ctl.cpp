@@ -15,7 +15,8 @@
 //   query <lfn>                 mappings for one logical name
 //   wildcard <pattern> [limit]  '*'/'?' pattern query
 //   exists <lfn>                0 if mapped, 1 if not
-//   stats                       server vitals
+//   stats                       catalog size, requests and updates
+//                               (GetStats registry samples)
 //   metrics                     per-method latency histograms
 //   rlilist                     RLIs this LRC updates
 //   force-update                flush pending updates to the RLIs now
@@ -26,8 +27,10 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "rls/client.h"
 
 namespace {
@@ -39,7 +42,8 @@ int Usage() {
                "       delete <lfn> <pfn> | query <lfn> |\n"
                "       wildcard <pattern> [limit] | exists <lfn> |\n"
                "       stats | metrics | rlilist | force-update\n"
-               "  RLI: rli-query <lfn> | lrclist\n");
+               "  RLI: rli-query <lfn> | lrclist\n"
+               "  stats and metrics print samples of the server's GetStats registry\n");
   return 2;
 }
 
@@ -125,15 +129,17 @@ int main(int argc, char** argv) {
   } else if (command == "stats") {
     rls::GetStatsResponse stats;
     Check(lrc->GetStats(&stats));
-    const rls::ServerStats& vitals = stats.vitals;
-    std::printf("lfns=%llu mappings=%llu requests_served=%llu "
-                "updates_sent=%llu updates_received=%llu bloom_filters=%llu\n",
-                static_cast<unsigned long long>(vitals.lfn_count),
-                static_cast<unsigned long long>(vitals.mapping_count),
-                static_cast<unsigned long long>(vitals.requests_served),
-                static_cast<unsigned long long>(vitals.updates_sent),
-                static_cast<unsigned long long>(vitals.updates_received),
-                static_cast<unsigned long long>(vitals.bloom_filters));
+    auto value = [&](std::string_view name, std::string_view labels = "") {
+      return obs::SampleValue(stats.metrics, name, labels);
+    };
+    const bool lrc_role = stats.role != "rli";  // an LRC reports its own catalog
+    std::printf("lfns=%.0f mappings=%.0f requests_served=%.0f "
+                "updates_sent=%.0f updates_received=%.0f bloom_filters=%.0f\n",
+                value(lrc_role ? "lrc_logical_names" : "rli_logical_names"),
+                value(lrc_role ? "lrc_mappings" : "rli_associations"),
+                value("rpc_requests_total", obs::kAnyLabels),
+                value("ss_updates_sent_total", obs::kAnyLabels),
+                value("rli_updates_received_total"), value("rli_bloom_filters"));
   } else if (command == "metrics") {
     rls::GetStatsResponse stats;
     Check(lrc->GetStats(&stats));
@@ -141,7 +147,7 @@ int main(int argc, char** argv) {
       if (m.name != "rpc_request_latency_us") continue;
       std::printf("%-32s count=%-6llu mean=%.0fus p50=%lluus p95=%lluus "
                   "p99=%lluus\n",
-                  m.labels.c_str(), static_cast<unsigned long long>(m.count),
+                  m.labels.c_str(), static_cast<unsigned long long>(m.value),
                   m.mean_us, static_cast<unsigned long long>(m.p50_us),
                   static_cast<unsigned long long>(m.p95_us),
                   static_cast<unsigned long long>(m.p99_us));

@@ -2,19 +2,21 @@
 """Bench trajectory gate: compare a bench JSONL snapshot to a pinned baseline.
 
 Each input is the RLS_BENCH_JSON output of a bench binary — one JSON
-object per line, one line per server, carrying vitals plus every obs
-registry instrument. The gate protects the perf trajectory:
+object per line, one line per server ({"server", "role", "metrics"}, the
+line the JSONL exporter writes), carrying every obs registry instrument.
+Every figure below is read from those samples. The gate protects the
+perf trajectory:
 
-  * structural counters (lfn_count, mapping_count) must match exactly —
-    a drift means the bench is measuring a different workload;
+  * structural samples (lrc_logical_names, lrc_mappings) must match
+    exactly — a drift means the bench is measuring a different workload;
   * hot-path latency histograms (--metrics, default the per-method RPC
     request latency, rpc_request_latency_us{method}) must not slip:
     current mean > baseline mean * (1 + tolerance) on any matched series
     fails. Series of other instruments in a baseline are not gated.
     Getting faster never fails the gate.
 
-With --throughput the gate compares requests_served / uptime_seconds
-instead of latency means: current throughput < baseline * (1 - tolerance)
+With --throughput the gate compares sum(rpc_requests_total) /
+server_uptime_seconds instead of latency means: current throughput < baseline * (1 - tolerance)
 fails. When a snapshot file carries several lines for the same server
 (RLS_BENCH_JSON appends), the per-server MEDIAN throughput is compared —
 callers run each variant several times back to back, and the median is
@@ -35,12 +37,23 @@ HOT_PATH_METRICS = (
     "rpc_request_latency_us",
 )
 
-STRUCTURAL_KEYS = ("lfn_count", "mapping_count")
+STRUCTURAL_SAMPLES = ("lrc_logical_names", "lrc_mappings")
+
+
+def sample(obj, name, labels=""):
+    """Value of the sample name{labels}; labels=None sums the family.
+    None when the line has no such sample."""
+    values = [m.get("value", m.get("count", 0)) for m in obj.get("metrics", [])
+              if m.get("name") == name and (labels is None or m.get("labels", "") == labels)]
+    if not values:
+        return None
+    return sum(values)
 
 
 def throughput(obj):
-    uptime = obj.get("uptime_seconds", 0)
-    return obj.get("requests_served", 0) / uptime if uptime > 0 else 0
+    uptime = sample(obj, "server_uptime_seconds") or 0
+    requests = sample(obj, "rpc_requests_total", labels=None) or 0
+    return requests / uptime if uptime > 0 else 0
 
 
 def median(values):
@@ -82,7 +95,7 @@ def main():
     parser.add_argument("--metrics", nargs="*", default=list(HOT_PATH_METRICS),
                         help="histogram metric names to gate on")
     parser.add_argument("--throughput", action="store_true",
-                        help="gate on requests_served/uptime_seconds instead "
+                        help="gate on sum(rpc_requests_total)/server_uptime_seconds instead "
                              "of latency means (median over each server's lines)")
     args = parser.parse_args()
 
@@ -97,11 +110,11 @@ def main():
             failures.append(f"{server}: missing from current run")
             continue
         base_obj, cur_obj = base_lines[-1], cur_lines[-1]
-        for key in STRUCTURAL_KEYS:
-            if base_obj.get(key) != cur_obj.get(key):
+        for name in STRUCTURAL_SAMPLES:
+            base_value, cur_value = sample(base_obj, name), sample(cur_obj, name)
+            if base_value != cur_value:
                 failures.append(
-                    f"{server}: {key} changed "
-                    f"{base_obj.get(key)} -> {cur_obj.get(key)} "
+                    f"{server}: {name} changed {base_value} -> {cur_value} "
                     f"(bench no longer measures the same workload)")
         if args.throughput:
             base_tput = median([throughput(o) for o in base_lines])

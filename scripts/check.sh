@@ -24,14 +24,17 @@
 # Chrome trace-event JSON (schema + per-request stage coverage, via
 # scripts/trace_summarize.py --validate), and compares the recorder-on
 # run against a recorder-off run of the same bench so enabling tracing
-# can never cost more than 5% on the hot path. Both runs happen on this
-# machine back to back, so the comparison is baseline-free.
+# can never cost more than 5% on the hot path: throughput is each
+# server's sum of rpc_requests_total over server_uptime_seconds, read
+# from the registry samples of its RLS_BENCH_JSON line. Both runs happen
+# on this machine back to back, so the comparison is baseline-free.
 #
 # The extra opt-in `bench` config is the perf-trajectory gate: it runs
 # the fig04/fig06/fig10/fig11 hot-path benches under a pinned environment and
 # compares their JSONL snapshots against the baselines pinned in
 # bench/baselines/ (scripts/bench_compare.py; >15% hot-path latency
-# slippage fails). It is opt-in rather than default because absolute
+# slippage fails, and so does any change of the lrc_logical_names or
+# lrc_mappings samples). It is opt-in rather than default because absolute
 # latencies only compare meaningfully on the machine that produced the
 # baselines. Refresh baselines after an intentional perf change with:
 #   scripts/check.sh bench-rebaseline
@@ -127,8 +130,9 @@ run_trace_gate() {
   local off="$dir/TRACE_fig06_off.json" on="$dir/TRACE_fig06_on.json"
   local trace="$dir/trace_fig06.json"
   rm -f "$off" "$on" "$trace"
-  # Interleaved A/B, five runs per variant: RLS_BENCH_JSON appends, and
-  # the --throughput compare takes each variant's median run, so the
+  # Interleaved A/B, five runs per variant: RLS_BENCH_JSON appends one
+  # registry line per server and run, and the --throughput compare takes
+  # each variant's median run, so the
   # scheduler noise of a single run at gate scale (easily 10-20% either
   # way) cannot decide the verdict.
   local round

@@ -287,7 +287,6 @@ void RpcServer::ExecuteRequest(const std::shared_ptr<Connection>& conn,
         msg.trace_id);
     if (!status.ok()) metrics->errors->Increment();
   }
-  requests_.fetch_add(1, std::memory_order_relaxed);
   if (!status.ok()) {
     reply.flags |= Message::kFlagError;
     reply.payload.clear();
@@ -313,7 +312,6 @@ Status RpcServer::Enqueue(Pending pending, bool priority) {
     const std::size_t bound =
         priority ? options_.priority_queue_depth : options_.queue_depth;
     if (bound > 0 && lane.size() >= bound) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
       if (shed_queue_full_) shed_queue_full_->Increment();
       return Status::Unavailable("server overloaded: request queue full")
           .WithRetryAfter(options_.shed_retry_after);

@@ -78,8 +78,9 @@ struct ServerOptions {
 
   /// When set, the server registers per-method instruments here:
   ///   rpc_requests_total{method=...}, rpc_errors_total{method=...},
-  ///   rpc_request_latency_us{method=...}, rpc_active_connections.
-  /// The registry must outlive the server.
+  ///   rpc_request_latency_us{method=...}, rpc_active_connections,
+  ///   rpc_shed_total{reason="queue_full"}. The registry must outlive the
+  /// server; it is the server's only count of requests and sheds.
   obs::Registry* metrics = nullptr;
 
   /// Renders an opcode as the `method` label value (e.g. rls::OpName).
@@ -124,10 +125,6 @@ class RpcServer {
   void Stop();
 
   const std::string& address() const { return address_; }
-  uint64_t requests_served() const { return requests_.load(std::memory_order_relaxed); }
-  /// Requests rejected at the run queue (queue-full sheds). Rejections
-  /// made by the admission hook itself are counted by its owner.
-  uint64_t requests_shed() const { return shed_.load(std::memory_order_relaxed); }
   std::size_t active_connections() const;
 
  private:
@@ -194,8 +191,6 @@ class RpcServer {
   std::string address_;
   ServerOptions options_;
   RpcHandler handler_;
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> shed_{0};
   std::atomic<bool> stopping_{false};
   bool started_ = false;
 

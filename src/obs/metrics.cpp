@@ -76,6 +76,7 @@ Snapshot Registry::TakeSnapshot() const {
       sample.value = static_cast<double>(inst.gauge->Value());
     } else if (inst.histogram) {
       sample.hist = inst.histogram->GetSnapshot();
+      sample.value = static_cast<double>(sample.hist.count);
       sample.exemplar_us = inst.histogram->exemplar_us();
       sample.exemplar_trace = inst.histogram->exemplar_trace();
     }
@@ -102,38 +103,7 @@ std::string FormatValue(double v) {
   return buf;
 }
 
-std::string Series(const std::string& name, const std::string& labels) {
-  if (labels.empty()) return name;
-  return name + "{" + labels + "}";
-}
-
 }  // namespace
-
-std::string Registry::RenderPrometheus() const {
-  Snapshot snapshot = TakeSnapshot();
-  std::string out;
-  for (const Sample& s : snapshot.samples) {
-    switch (s.kind) {
-      case MetricKind::kCounter:
-      case MetricKind::kGauge:
-        out += Series(s.name, s.labels) + " " + FormatValue(s.value) + "\n";
-        break;
-      case MetricKind::kHistogram: {
-        const auto& h = s.hist;
-        out += Series(s.name + "_count", s.labels) + " " +
-               std::to_string(h.count) + "\n";
-        out += Series(s.name + "_mean", s.labels) + " " + FormatValue(h.mean_us) + "\n";
-        out += Series(s.name + "_p50", s.labels) + " " + std::to_string(h.p50_us) + "\n";
-        out += Series(s.name + "_p95", s.labels) + " " + std::to_string(h.p95_us) + "\n";
-        out += Series(s.name + "_p99", s.labels) + " " + std::to_string(h.p99_us) + "\n";
-        out += Series(s.name + "_p999", s.labels) + " " + std::to_string(h.p999_us) + "\n";
-        out += Series(s.name + "_max", s.labels) + " " + std::to_string(h.max_us) + "\n";
-        break;
-      }
-    }
-  }
-  return out;
-}
 
 std::string Registry::RenderJson(const std::string& extra) const {
   Snapshot snapshot = TakeSnapshot();
@@ -166,8 +136,7 @@ std::string Registry::RenderJson(const std::string& extra) const {
                     s.hist.p99_us, s.hist.p999_us, s.hist.max_us);
       out += buf;
       // Exemplar of the slowest sample, when one was offered — the
-      // trace id a reader feeds to GetTraces. Histogram JSON only; the
-      // Prometheus exposition is unchanged.
+      // trace id a reader feeds to GetTraces.
       if (s.exemplar_trace != 0) {
         std::snprintf(buf, sizeof(buf),
                       ", \"exemplar_us\": %" PRIu64

@@ -5,9 +5,9 @@
 // style of the Qserv replication registry and MDS2 (Zhang et al.): each
 // component registers instruments once (under a mutex), then updates
 // them on the hot path with plain atomic operations — no lock is ever
-// taken on a counter increment. Snapshot() renders the whole registry as
-// a structured list; RenderPrometheus() emits the text exposition format
-// for scraping, and RenderJson() one JSON object for the JSONL exporter.
+// taken on a counter increment. TakeSnapshot() renders the whole registry
+// as a structured list, which SampleValue() reads, and RenderJson() as
+// one JSON object for the JSONL exporter.
 #pragma once
 
 #include <atomic>
@@ -18,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/histogram.h"
@@ -90,7 +91,7 @@ struct Sample {
   std::string name;
   std::string labels;  // rendered label list, e.g. method="lrc_add" (may be empty)
   MetricKind kind = MetricKind::kCounter;
-  double value = 0;  // counter / gauge value
+  double value = 0;  // counter / gauge value; a histogram's sample count
   rlscommon::LatencyHistogram::Snapshot hist;  // histogram kind only
   uint64_t exemplar_us = 0;     // histogram kind only; 0 = no exemplar
   uint64_t exemplar_trace = 0;  // trace id of the slowest sample
@@ -103,6 +104,28 @@ struct Snapshot {
 /// Renders one label pair for instrument registration: Label("method",
 /// "lrc_add") -> method="lrc_add".
 std::string Label(std::string_view key, std::string_view value);
+
+/// SampleValue's `labels` argument that sums a family over its label sets.
+inline constexpr std::string_view kAnyLabels = "*";
+
+/// The one sample lookup, over a Snapshot's samples or the metrics of a
+/// GetStats reply: the value of `name` with exactly `labels`, or with
+/// kAnyLabels the sum of `name` over every label set; 0 when nothing
+/// matches.
+template <typename Samples>
+double SampleValue(const Samples& samples, std::string_view name,
+                   std::string_view labels = "") {
+  double sum = 0;
+  for (const auto& sample : samples) {
+    if (sample.name != name) continue;
+    if (labels == kAnyLabels) {
+      sum += sample.value;
+    } else if (sample.labels == labels) {
+      return sample.value;
+    }
+  }
+  return sum;
+}
 
 /// Instrument registry. Registration (Get*/RegisterCallback) takes a
 /// mutex and returns a stable pointer; repeated Get* with the same
@@ -128,10 +151,6 @@ class Registry {
 
   /// All instruments, sorted by (name, labels) — deterministic.
   Snapshot TakeSnapshot() const;
-
-  /// Prometheus text exposition of TakeSnapshot(). Histograms render
-  /// their summary as _count/_mean/_p50/_p95/_p99/_max series.
-  std::string RenderPrometheus() const;
 
   /// One JSON object {"metrics": [...]}; extra top-level fields from
   /// `extra` (pre-rendered "key": value fragments) are spliced in front.

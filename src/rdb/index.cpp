@@ -108,7 +108,7 @@ bool HashIndex::Insert(const Value& key, Rid rid) {
     }
     steps += AddRow(&groups_[e.page], row);
   }
-  stats_.probe_steps.fetch_add(steps, std::memory_order_relaxed);
+  stats_.probe_steps += steps;
   if (inserted) ++stats_.live_entries;
   return inserted;
 }
@@ -137,12 +137,11 @@ void HashIndex::Erase(const Value& key, Rid rid) {
     --stats_.live_entries;
     break;
   }
-  stats_.probe_steps.fetch_add(steps, std::memory_order_relaxed);
+  stats_.probe_steps += steps;
 }
 
-void HashIndex::Lookup(const Value& key, std::vector<Rid>* out) const {
+void HashIndex::Lookup(const Value& key, std::vector<Rid>* out, uint64_t* steps_out) const {
   const uint64_t hash = key.Hash();
-  stats_.probes.fetch_add(1, std::memory_order_relaxed);
   uint64_t steps = 0;
   const Entry& e = slots_[FindKey(key, hash, &steps)];
   // Dead entries (tombstone mode only) are returned too: like a
@@ -156,16 +155,12 @@ void HashIndex::Lookup(const Value& key, std::vector<Rid>* out) const {
   } else if (Occupied(e)) {
     out->push_back(e.rid());
   }
-  stats_.probe_steps.fetch_add(steps, std::memory_order_relaxed);
+  if (steps_out) *steps_out += steps;
 }
 
 bool HashIndex::ContainsKey(const Value& key) const {
-  const uint64_t hash = key.Hash();
-  stats_.probes.fetch_add(1, std::memory_order_relaxed);
   uint64_t steps = 0;
-  const bool found = HasLive(slots_[FindKey(key, hash, &steps)]);
-  stats_.probe_steps.fetch_add(steps, std::memory_order_relaxed);
-  return found;
+  return HasLive(slots_[FindKey(key, key.Hash(), &steps)]);
 }
 
 void HashIndex::Clear() {

@@ -38,10 +38,9 @@
 //
 // Writes are not thread-safe (the owning engine takes an exclusive
 // statement lock); concurrent Lookup/ContainsKey calls under a shared
-// lock are safe — the probe counters they maintain are relaxed atomics.
+// lock are safe — they write nothing shared.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -58,15 +57,12 @@ enum class IndexDeleteMode {
   kTombstone,  // PostgreSQL profile
 };
 
-/// Statistics used by tests and the vacuum policy. The probe counters
-/// are updated from const read paths that run concurrently under the
-/// engine's shared statement lock, so they are relaxed atomics; the
-/// entry counters only change under the exclusive (write) lock.
+/// Statistics used by tests and the vacuum policy. They change only
+/// under the engine's exclusive (write) lock: reads count nothing.
 struct IndexStats {
   uint64_t live_entries = 0;
   uint64_t tombstones = 0;
-  std::atomic<uint64_t> probes{0};       // lookups performed
-  std::atomic<uint64_t> probe_steps{0};  // entries visited, all probes
+  uint64_t probe_steps = 0;  // entries visited by Insert and Erase
 };
 
 /// Open-addressed hash index mapping the keys of one heap column to Rids
@@ -108,7 +104,8 @@ class HashIndex {
   /// Appends the rids of the entries whose key equals `key`, in the
   /// order they were inserted (an erase moves the key's last rid into
   /// the gap): live ones, and under the tombstone mode dead ones too.
-  void Lookup(const Value& key, std::vector<Rid>* out) const;
+  /// Adds the entries it visited to `*steps` when given (tests).
+  void Lookup(const Value& key, std::vector<Rid>* out, uint64_t* steps = nullptr) const;
 
   /// True if a live entry with this key exists.
   bool ContainsKey(const Value& key) const;
@@ -158,7 +155,7 @@ class HashIndex {
   std::size_t used_slots_ = 0;  // keys in slots_, live or dead
   std::vector<Group> groups_;
   std::vector<uint32_t> free_groups_;
-  mutable IndexStats stats_;
+  IndexStats stats_;
 };
 
 /// Ordered index over one column supporting range scans.

@@ -1,6 +1,8 @@
 #include "rdb/value.h"
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "bloom/hashing.h"
 
@@ -49,6 +51,10 @@ int Value::Compare(const Value& other) const {
     return c < 0 ? -1 : (c > 0 ? 1 : 0);
   }
   const double l = NumericValue(), r = other.NumericValue();
+  // NaN sorts above every number and equals itself (PostgreSQL's rule),
+  // so an ordered index holding one keeps a strict weak order.
+  const bool lnan = std::isnan(l), rnan = std::isnan(r);
+  if (lnan || rnan) return (lnan ? 1 : 0) - (rnan ? 1 : 0);
   if (l < r) return -1;
   if (l > r) return 1;
   return 0;
@@ -58,8 +64,11 @@ uint64_t Value::Hash() const {
   if (is_null()) return 0x6e756c6cULL;
   if (is_string()) return bloom::Mix64(AsString(), 0x5472ULL);
   // Hash numerics through their double image so Int(3) == Double(3.0)
-  // hash identically (consistent with Compare).
+  // hash identically (consistent with Compare), -0.0 as 0.0, and every
+  // NaN as one image.
   double d = NumericValue();
+  if (d == 0) d = 0;
+  if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
   char buf[8];
   std::memcpy(buf, &d, 8);
   return bloom::Mix64(std::string_view(buf, 8), 0x4e554dULL);

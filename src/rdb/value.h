@@ -58,8 +58,9 @@ class Value {
   /// True if this value can be stored in a column of `type`.
   bool TypeMatches(ColumnType type) const;
 
-  /// Total ordering used by indexes and ORDER BY: NULL < numbers < strings;
-  /// numbers compare numerically across int/double.
+  /// Total ordering used by indexes and ORDER BY: NULL < numbers < NaN <
+  /// strings; numbers compare numerically across int/double (-0.0 equals
+  /// 0.0), and every NaN equals every other.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }

@@ -11,23 +11,24 @@ using rlscommon::Status;
 AdmissionController::AdmissionController(const ServerLimits& limits,
                                          rlscommon::Clock* clock,
                                          obs::Registry* registry)
-    : limits_(limits), clock_(clock), registry_(registry) {
+    : limits_(limits),
+      clock_(clock),
+      registry_(registry),
+      admitted_normal_(
+          registry->GetCounter("admission_admitted_total", obs::Label("lane", "normal"))),
+      admitted_priority_(
+          registry->GetCounter("admission_admitted_total", obs::Label("lane", "priority"))),
+      // The same family as the RPC server's queue-full sheds.
+      shed_rate_limit_(
+          registry->GetCounter("rpc_shed_total", obs::Label("reason", "rate_limit"))) {
   if (limits_.per_dn_burst <= 0) limits_.per_dn_burst = limits_.per_dn_rate;
-  if (registry_) {
-    admitted_normal_ = registry_->GetCounter("admission_admitted_total",
-                                             obs::Label("lane", "normal"));
-    admitted_priority_ = registry_->GetCounter("admission_admitted_total",
-                                               obs::Label("lane", "priority"));
-    shed_rate_limit_ = registry_->GetCounter("admission_shed_total",
-                                             obs::Label("reason", "rate_limit"));
-  }
 }
 
 net::AdmitDecision AdmissionController::Admit(const gsi::AuthContext& context,
                                               uint16_t opcode) {
   const OpSpec* op = FindOp(opcode);
   if (op && op->priority()) {
-    if (admitted_priority_) admitted_priority_->Increment();
+    admitted_priority_->Increment();
     return {Status::Ok(), /*priority=*/true};
   }
   if (limits_.per_dn_rate > 0) {
@@ -43,13 +44,10 @@ net::AdmitDecision AdmissionController::Admit(const gsi::AuthContext& context,
     if (fresh) {
       bucket.tokens = limits_.per_dn_burst;
       bucket.last = now;
-      if (registry_) {
-        const std::string label = obs::Label(
-            "dn", context.dn.empty() ? "anonymous" : context.dn);
-        bucket.requests =
-            registry_->GetCounter("admission_dn_requests_total", label);
-        bucket.shed = registry_->GetCounter("admission_dn_shed_total", label);
-      }
+      const std::string label =
+          obs::Label("dn", context.dn.empty() ? "anonymous" : context.dn);
+      bucket.requests = registry_->GetCounter("admission_dn_requests_total", label);
+      bucket.shed = registry_->GetCounter("admission_dn_shed_total", label);
     } else {
       const double dt =
           std::chrono::duration<double>(now - bucket.last).count();
@@ -59,11 +57,10 @@ net::AdmitDecision AdmissionController::Admit(const gsi::AuthContext& context,
         bucket.last = now;
       }
     }
-    if (bucket.requests) bucket.requests->Increment();
+    bucket.requests->Increment();
     if (bucket.tokens < cost) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      if (shed_rate_limit_) shed_rate_limit_->Increment();
-      if (bucket.shed) bucket.shed->Increment();
+      shed_rate_limit_->Increment();
+      bucket.shed->Increment();
       // Tell the client when its bucket will actually hold `cost`
       // tokens again; never less than the configured floor.
       const double deficit_ms =
@@ -79,7 +76,7 @@ net::AdmitDecision AdmissionController::Admit(const gsi::AuthContext& context,
     }
     bucket.tokens -= cost;
   }
-  if (admitted_normal_) admitted_normal_->Increment();
+  admitted_normal_->Increment();
   return {Status::Ok(), /*priority=*/false};
 }
 

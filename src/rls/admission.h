@@ -21,7 +21,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -75,6 +74,7 @@ struct ServerLimits {
 /// The admission policy behind net::ServerOptions::admission: routes
 /// protected traffic to the priority lane and charges everything else
 /// against per-DN token buckets. Thread-safe; one instance per server.
+/// Its counts live in `registry`, which must outlive it.
 class AdmissionController {
  public:
   AdmissionController(const ServerLimits& limits, rlscommon::Clock* clock,
@@ -86,9 +86,6 @@ class AdmissionController {
   /// The admission decision for one authenticated request.
   net::AdmitDecision Admit(const gsi::AuthContext& context, uint16_t opcode);
 
-  /// Requests this controller rejected (rate-limit sheds).
-  uint64_t shed_total() const { return shed_.load(std::memory_order_relaxed); }
-
  private:
   struct Bucket {
     double tokens = 0;
@@ -99,13 +96,12 @@ class AdmissionController {
 
   ServerLimits limits_;
   rlscommon::Clock* clock_;
-  obs::Registry* registry_;  // nullable
+  obs::Registry* registry_;
 
-  obs::Counter* admitted_normal_ = nullptr;
-  obs::Counter* admitted_priority_ = nullptr;
-  obs::Counter* shed_rate_limit_ = nullptr;
+  obs::Counter* admitted_normal_;
+  obs::Counter* admitted_priority_;
+  obs::Counter* shed_rate_limit_;  // rpc_shed_total{reason="rate_limit"}
 
-  std::atomic<uint64_t> shed_{0};
   std::mutex mu_;
   std::map<std::string, Bucket> buckets_;
 };

@@ -256,7 +256,7 @@ struct BloomUpdate {
 
 // ---------------------------------------------------------------------
 // Introspection (kServerGetStats), the one stats RPC. Wire form of the
-// obs::Registry samples plus server vitals.
+// obs::Registry samples.
 // ---------------------------------------------------------------------
 
 /// One registry instrument. `kind` mirrors obs::MetricKind (0=counter,
@@ -265,8 +265,7 @@ struct MetricSample {
   std::string name;
   std::string labels;  // rendered label list, e.g. method="lrc_add"
   uint8_t kind = 0;
-  double value = 0;
-  uint64_t count = 0;
+  double value = 0;  // counter / gauge value; a histogram's sample count
   double mean_us = 0;
   uint64_t p50_us = 0;
   uint64_t p95_us = 0;
@@ -278,7 +277,7 @@ struct MetricSample {
   uint64_t exemplar_us = 0;
   uint64_t exemplar_trace = 0;
 
-  NET_WIRE_FIELDS(name, labels, kind, value, count, mean_us, p50_us, p95_us,
+  NET_WIRE_FIELDS(name, labels, kind, value, mean_us, p50_us, p95_us,
                   p99_us, p999_us, max_us, exemplar_us, exemplar_trace)
 };
 
@@ -295,52 +294,21 @@ struct TargetStatus {
                   consecutive_failures, full_resends)
 };
 
-/// What open-time WAL replay did on the server's LRC database. All-zero
-/// with enabled=0 when the server's LRC log is a scratch log.
-struct WalRecoveryStatus {
-  uint8_t enabled = 0;           // crash-safe WAL profile active
-  uint64_t recovered_txns = 0;   // committed transactions replayed at open
-  uint64_t records_applied = 0;  // row mutations reapplied
-  uint64_t snapshot_rows = 0;    // rows restored from the checkpoint sidecar
-  uint64_t torn_tail_bytes = 0;  // bytes dropped at the torn/corrupt tail
-  uint64_t checksum_failures = 0;
-  uint64_t last_lsn = 0;         // highest LSN seen (replayed or committed)
-  uint64_t recover_micros = 0;   // wall time of open-time replay
-  // Commit-scheduling vitals (live, not replay): with group commit on,
-  // syncs stays far below commits — the batching the durability-ceiling
-  // experiment measures.
-  uint8_t group_commit = 0;      // WAL batch cap above one (group commit)
-  uint64_t commits = 0;          // transactions committed since open
-  uint64_t syncs = 0;            // fdatasyncs issued
-  uint64_t group_commits = 0;    // batches written by group leaders
-
-  NET_WIRE_FIELDS(enabled, recovered_txns, records_applied, snapshot_rows,
-                  torn_tail_bytes, checksum_failures, last_lsn, recover_micros,
-                  group_commit, commits, syncs, group_commits)
-};
-
-/// Full introspection snapshot: vitals + per-target freshness + every
-/// registry instrument. The nested vitals and WAL status go inline.
+/// Full introspection snapshot: who the server is, per-target freshness
+/// and every registry instrument. Every count lives in `metrics`, one
+/// sample each (obs::SampleValue reads them); the trace id stays a field
+/// because 64 bits do not fit a double.
 struct GetStatsResponse {
   std::string role;  // "lrc", "rli", "lrc+rli"
-  double uptime_seconds = 0;
   /// Compile-time build description ("release", "debug+tsan", ...) so a
   /// reader knows whether the numbers came from a sanitizer build.
   std::string build_flags;
-  ServerStats vitals;
   uint64_t last_update_trace_id = 0;  // trace of last soft-state update received
-  // Span-recorder vitals (process-global flight recorder). Dropped spans
-  // are surfaced here so wrap-around losses are visible, never silent.
-  uint64_t trace_depth = 0;
-  uint64_t trace_dropped = 0;
-  uint64_t trace_capacity = 0;
-  WalRecoveryStatus wal;
   std::vector<TargetStatus> targets;
   std::vector<MetricSample> metrics;
 
-  NET_WIRE_MESSAGE(GetStatsResponse, role, uptime_seconds, build_flags, vitals,
-                   last_update_trace_id, trace_depth, trace_dropped,
-                   trace_capacity, wal, targets, metrics)
+  NET_WIRE_MESSAGE(GetStatsResponse, role, build_flags, last_update_trace_id, targets,
+                   metrics)
 };
 
 // ---------------------------------------------------------------------

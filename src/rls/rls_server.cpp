@@ -86,8 +86,7 @@ Status RlsServer::Start() {
     if (!s.ok()) return s;
     lrc_store_->pool().BindMetrics(&registry_, "lrc");
     update_manager_ = std::make_unique<UpdateManager>(
-        network_, lrc_store_.get(), config_.url, config_.lrc.update, clock_);
-    update_manager_->BindMetrics(&registry_);
+        network_, lrc_store_.get(), config_.url, config_.lrc.update, &registry_, clock_);
     lrc_store_->SetChangeObserver([this](const std::string& lfn, bool added) {
       update_manager_->OnMappingChange(lfn, added);
     });
@@ -189,70 +188,73 @@ std::string RlsServer::role() const {
 }
 
 void RlsServer::RegisterGauges() {
-  registry_.RegisterCallback("server_uptime_seconds", "", [this] {
+  auto gauge = [this](std::string name, std::function<double()> read) {
+    registry_.RegisterCallback(name, "", std::move(read));
+    gauges_.push_back(std::move(name));
+  };
+  gauge("server_uptime_seconds", [this] {
     return std::chrono::duration<double>(clock_->Now() - start_time_).count();
   });
   if (lrc_store_) {
-    registry_.RegisterCallback("lrc_logical_names", "", [this] {
-      return static_cast<double>(lrc_store_->LogicalNameCount());
-    });
-    registry_.RegisterCallback("lrc_mappings", "", [this] {
-      return static_cast<double>(lrc_store_->MappingCount());
-    });
+    gauge("lrc_logical_names",
+          [this] { return static_cast<double>(lrc_store_->LogicalNameCount()); });
+    gauge("lrc_mappings", [this] { return static_cast<double>(lrc_store_->MappingCount()); });
   }
   if (lrc_store_ && lrc_store_->database()) {
     rdb::Database* db = lrc_store_->database();
-    // WAL commit-scheduling instruments: batch-size distribution, time a
-    // committer spends parked for its group's sync (exemplar = slowest
-    // waiter's trace, the `wal_sync` stage in its breakdown), and
-    // batches flushed.
+    // WAL commit-scheduling instruments: batch-size distribution (its
+    // count is the number of batches flushed) and time a committer
+    // spends parked for its group's sync (exemplar = slowest waiter's
+    // trace, the `wal_sync` stage in its breakdown).
     obs::Histogram* group_size = registry_.GetHistogram("wal_group_size");
     obs::Histogram* sync_wait = registry_.GetHistogram("wal_sync_wait_us");
-    obs::Counter* group_commits = registry_.GetCounter("wal_group_commits_total");
     rdb::WalObserver wal_observer;
-    wal_observer.group_commit = [group_size, group_commits](uint64_t frames,
-                                                            uint64_t) {
+    wal_observer.group_commit = [group_size](uint64_t frames, uint64_t) {
       group_size->RecordMicros(frames);  // dimensionless: commits per batch
-      group_commits->Increment();
     };
     wal_observer.sync_wait = [sync_wait](uint64_t wait_us, uint64_t trace_id) {
       sync_wait->RecordMicros(wait_us);
       sync_wait->OfferExemplar(wait_us, trace_id);
     };
     db->wal().SetObserver(std::move(wal_observer));
-    registry_.RegisterCallback("wal_recovered_txns", "", [db] {
-      return static_cast<double>(db->recovery_stats().recovered_txns);
-    });
-    registry_.RegisterCallback("wal_torn_tail_bytes", "", [db] {
-      return static_cast<double>(db->recovery_stats().torn_tail_bytes);
-    });
-    registry_.RegisterCallback("wal_checksum_failures", "", [db] {
+    // What open-time replay did (all zero for a scratch log), then the
+    // live commit counts.
+    auto recovery = [&](std::string name, uint64_t rdb::RecoveryStats::*field) {
+      gauge(std::move(name),
+            [db, field] { return static_cast<double>(db->recovery_stats().*field); });
+    };
+    gauge("wal_recovery_enabled", [db] { return db->recovery_stats().enabled ? 1.0 : 0.0; });
+    recovery("wal_recovered_txns", &rdb::RecoveryStats::recovered_txns);
+    recovery("wal_records_applied", &rdb::RecoveryStats::records_applied);
+    recovery("wal_snapshot_rows", &rdb::RecoveryStats::snapshot_rows);
+    recovery("wal_torn_tail_bytes", &rdb::RecoveryStats::torn_tail_bytes);
+    recovery("wal_recover_us", &rdb::RecoveryStats::recover_micros);
+    gauge("wal_checksum_failures", [db] {
       return static_cast<double>(db->recovery_stats().checksum_failures +
                                  db->wal().checksum_failures());
     });
-    registry_.RegisterCallback("wal_commits", "", [db] {
-      return static_cast<double>(db->wal().commits());
-    });
-    registry_.RegisterCallback("wal_syncs", "", [db] {
-      return static_cast<double>(db->wal().syncs());
-    });
+    gauge("wal_last_lsn", [db] { return static_cast<double>(db->wal().last_lsn()); });
+    // Above one = group commit.
+    gauge("wal_group_max_commits",
+          [db] { return static_cast<double>(db->wal().group_max_commits()); });
+    gauge("wal_commits", [db] { return static_cast<double>(db->wal().commits()); });
+    gauge("wal_syncs", [db] { return static_cast<double>(db->wal().syncs()); });
   }
   if (rli_relational_) {
-    registry_.RegisterCallback("rli_associations", "", [this] {
-      return static_cast<double>(rli_relational_->AssociationCount());
-    });
+    gauge("rli_logical_names",
+          [this] { return static_cast<double>(rli_relational_->LogicalNameCount()); });
+    gauge("rli_associations",
+          [this] { return static_cast<double>(rli_relational_->AssociationCount()); });
   }
   if (rli_bloom_) {
-    registry_.RegisterCallback("rli_bloom_filters", "", [this] {
-      return static_cast<double>(rli_bloom_->filter_count());
-    });
+    gauge("rli_bloom_filters", [this] { return static_cast<double>(rli_bloom_->filter_count()); });
   }
-  registry_.RegisterCallback("trace_recorder_depth", "", [] {
-    return static_cast<double>(obs::SpanRecorder::Global().GetStats().depth);
-  });
-  registry_.RegisterCallback("trace_recorder_dropped", "", [] {
-    return static_cast<double>(obs::SpanRecorder::Global().GetStats().dropped);
-  });
+  gauge("trace_recorder_depth",
+        [] { return static_cast<double>(obs::SpanRecorder::Global().GetStats().depth); });
+  gauge("trace_recorder_dropped",
+        [] { return static_cast<double>(obs::SpanRecorder::Global().GetStats().dropped); });
+  gauge("trace_recorder_capacity",
+        [] { return static_cast<double>(obs::SpanRecorder::Global().GetStats().capacity); });
 }
 
 void RlsServer::UnregisterGauges() {
@@ -262,67 +264,21 @@ void RlsServer::UnregisterGauges() {
   if (lrc_store_ && lrc_store_->database()) {
     lrc_store_->database()->wal().SetObserver({});
   }
-  registry_.UnregisterCallback("server_uptime_seconds", "");
-  registry_.UnregisterCallback("lrc_logical_names", "");
-  registry_.UnregisterCallback("lrc_mappings", "");
-  registry_.UnregisterCallback("wal_recovered_txns", "");
-  registry_.UnregisterCallback("wal_torn_tail_bytes", "");
-  registry_.UnregisterCallback("wal_checksum_failures", "");
-  registry_.UnregisterCallback("wal_commits", "");
-  registry_.UnregisterCallback("wal_syncs", "");
-  registry_.UnregisterCallback("rli_associations", "");
-  registry_.UnregisterCallback("rli_bloom_filters", "");
-  registry_.UnregisterCallback("trace_recorder_depth", "");
-  registry_.UnregisterCallback("trace_recorder_dropped", "");
+  for (const std::string& name : gauges_) registry_.UnregisterCallback(name, "");
+  gauges_.clear();
 }
 
 std::string RlsServer::RenderStatsJson() const {
-  const double uptime =
-      std::chrono::duration<double>(clock_->Now() - start_time_).count();
-  std::string extra = "\"server\": \"" + config_.url + "\", \"role\": \"" +
-                      role() + "\", \"uptime_seconds\": " +
-                      std::to_string(uptime);
-  return registry_.RenderJson(extra);
+  return registry_.RenderJson("\"server\": \"" + config_.url + "\", \"role\": \"" + role() +
+                              "\"");
 }
 
 GetStatsResponse RlsServer::GetStatsSnapshot() const {
   GetStatsResponse resp;
   resp.role = role();
-  resp.uptime_seconds =
-      std::chrono::duration<double>(clock_->Now() - start_time_).count();
   resp.build_flags = rlscommon::BuildDescription();
-  resp.vitals = Stats();
-  resp.last_update_trace_id =
-      last_update_trace_id_.load(std::memory_order_relaxed);
-  const obs::SpanRecorder::Stats rstats = obs::SpanRecorder::Global().GetStats();
-  resp.trace_depth = rstats.depth;
-  resp.trace_dropped = rstats.dropped;
-  resp.trace_capacity = rstats.capacity;
-  if (lrc_store_ && lrc_store_->database()) {
-    rdb::Database* db = lrc_store_->database();
-    const rdb::RecoveryStats& rec = db->recovery_stats();
-    resp.wal.enabled = rec.enabled ? 1 : 0;
-    resp.wal.recovered_txns = rec.recovered_txns;
-    resp.wal.records_applied = rec.records_applied;
-    resp.wal.snapshot_rows = rec.snapshot_rows;
-    resp.wal.torn_tail_bytes = rec.torn_tail_bytes;
-    resp.wal.checksum_failures =
-        rec.checksum_failures + db->wal().checksum_failures();
-    resp.wal.last_lsn = db->wal().last_lsn();
-    resp.wal.recover_micros = rec.recover_micros;
-    resp.wal.group_commit = db->wal().group_max_commits() > 1 ? 1 : 0;
-    resp.wal.commits = db->wal().commits();
-    resp.wal.syncs = db->wal().syncs();
-    resp.wal.group_commits = db->wal().group_commits();
-  }
-  if (update_manager_) {
-    for (const TargetFreshness& f : update_manager_->TargetStatuses()) {
-      resp.targets.push_back(TargetStatus{f.address, f.updates_sent,
-                                          f.seconds_since_last, f.healthy,
-                                          f.consecutive_failures,
-                                          f.full_resends});
-    }
-  }
+  resp.last_update_trace_id = last_update_trace_id_.load(std::memory_order_relaxed);
+  if (update_manager_) resp.targets = update_manager_->TargetStatuses();
   obs::Snapshot snapshot = registry_.TakeSnapshot();
   resp.metrics.reserve(snapshot.samples.size());
   for (const obs::Sample& sample : snapshot.samples) {
@@ -332,7 +288,6 @@ GetStatsResponse RlsServer::GetStatsSnapshot() const {
     m.kind = static_cast<uint8_t>(sample.kind);
     m.value = sample.value;
     if (sample.kind == obs::MetricKind::kHistogram) {
-      m.count = sample.hist.count;
       m.mean_us = sample.hist.mean_us;
       m.p50_us = sample.hist.p50_us;
       m.p95_us = sample.hist.p95_us;
@@ -345,30 +300,6 @@ GetStatsResponse RlsServer::GetStatsSnapshot() const {
     resp.metrics.push_back(std::move(m));
   }
   return resp;
-}
-
-ServerStats RlsServer::Stats() const {
-  ServerStats stats;
-  if (lrc_store_) {
-    stats.lfn_count = lrc_store_->LogicalNameCount();
-    stats.mapping_count = lrc_store_->MappingCount();
-  } else if (rli_relational_) {
-    stats.lfn_count = rli_relational_->LogicalNameCount();
-    stats.mapping_count = rli_relational_->AssociationCount();
-  }
-  if (rpc_server_) {
-    stats.requests_served = rpc_server_->requests_served();
-    stats.requests_shed = rpc_server_->requests_shed();
-  }
-  if (admission_) stats.requests_shed += admission_->shed_total();
-  stats.updates_received = rli_updates_received_->Value();
-  if (update_manager_) {
-    UpdateStats us = update_manager_->stats();
-    stats.updates_sent = us.full_updates_sent + us.incremental_updates_sent +
-                         us.bloom_updates_sent;
-  }
-  if (rli_bloom_) stats.bloom_filters = rli_bloom_->filter_count();
-  return stats;
 }
 
 rlscommon::TimePoint RlsServer::ExpireNow() {

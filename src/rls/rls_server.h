@@ -120,13 +120,14 @@ class RlsServer {
   RliBloomStore* rli_bloom() { return rli_bloom_.get(); }
   UpdateManager* update_manager() { return update_manager_.get(); }
 
-  /// Vitals: the `vitals` block of GetStats.
-  ServerStats Stats() const;
-
   /// Full introspection snapshot (what kServerGetStats serves).
   GetStatsResponse GetStatsSnapshot() const;
 
-  /// The server's metrics registry (tests, exporters).
+  /// The registry as one JSON line {"server", "role", "metrics"}: what
+  /// the JSONL exporter and the bench harness write.
+  std::string RenderStatsJson() const;
+
+  /// The server's metrics registry: the one place its counts live.
   obs::Registry* metrics_registry() { return &registry_; }
 
   /// Role string for introspection ("lrc", "rli", "lrc+rli").
@@ -161,9 +162,8 @@ class RlsServer {
   template <Op Code>
   void ForwardToParents(const RequestOf<Code>& request);
   void ExpireLoop();
-  std::string RenderStatsJson() const;
-  /// Registers the registry gauges and installs the WAL observer;
-  /// UnregisterGauges undoes both.
+  /// Registers the registry's callback gauges and installs the WAL
+  /// observer; UnregisterGauges undoes both.
   void RegisterGauges();
   void UnregisterGauges();
 
@@ -190,6 +190,7 @@ class RlsServer {
   std::vector<std::pair<UpdateTarget, std::unique_ptr<net::RpcClient>>> parents_;
 
   // Registry instruments (owned by registry_).
+  std::vector<std::string> gauges_;  // callback gauges RegisterGauges made
   obs::Counter* rli_updates_received_ = nullptr;
   obs::Counter* rli_expired_entries_ = nullptr;
   obs::Histogram* ss_receive_lag_ = nullptr;

@@ -105,18 +105,4 @@ struct BulkResult {
   NET_WIRE_FIELDS(index, code)
 };
 
-/// Summary statistics a server reports (admin/monitoring).
-struct ServerStats {
-  uint64_t lfn_count = 0;
-  uint64_t mapping_count = 0;
-  uint64_t requests_served = 0;
-  uint64_t updates_received = 0;   // RLI: soft-state updates
-  uint64_t updates_sent = 0;       // LRC: soft-state updates
-  uint64_t bloom_filters = 0;      // RLI: resident compressed summaries
-  uint64_t requests_shed = 0;      // overload: admission/queue rejections
-
-  NET_WIRE_FIELDS(lfn_count, mapping_count, requests_served, updates_received,
-                  updates_sent, bloom_filters, requests_shed)
-};
-
 }  // namespace rls

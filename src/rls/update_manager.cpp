@@ -25,12 +25,28 @@ std::string_view UpdateModeName(UpdateMode mode) {
 
 UpdateManager::UpdateManager(net::Transport* network, LrcStore* store,
                              std::string lrc_url, UpdateConfig config,
-                             rlscommon::Clock* clock)
+                             obs::Registry* registry, rlscommon::Clock* clock)
     : network_(network),
       store_(store),
       lrc_url_(std::move(lrc_url)),
       config_(std::move(config)),
-      clock_(clock) {
+      clock_(clock),
+      registry_(registry),
+      metric_full_sent_(registry->GetCounter("ss_updates_sent_total", obs::Label("mode", "full"))),
+      metric_incremental_sent_(
+          registry->GetCounter("ss_updates_sent_total", obs::Label("mode", "incremental"))),
+      metric_bloom_sent_(
+          registry->GetCounter("ss_updates_sent_total", obs::Label("mode", "bloom"))),
+      metric_names_sent_(registry->GetCounter("ss_names_sent_total")),
+      metric_bytes_sent_(registry->GetCounter("ss_bytes_sent_total")),
+      metric_bloom_bits_set_(registry->GetGauge("ss_bloom_bits_set")),
+      metric_bloom_build_us_(registry->GetGauge("ss_bloom_build_us")),
+      metric_update_duration_(registry->GetHistogram("ss_update_duration_us")),
+      metric_send_failures_(registry->GetCounter("ss_send_failures_total")),
+      metric_target_unhealthy_(registry->GetCounter("ss_target_unhealthy_total")),
+      metric_target_recovered_(registry->GetCounter("ss_target_recovered_total")),
+      metric_full_resends_(registry->GetCounter("ss_full_resends_total")),
+      metric_unhealthy_targets_(registry->GetGauge("ss_unhealthy_targets")) {
   for (const UpdateTarget& target : config_.targets) {
     targets_.push_back(std::make_shared<TargetState>(target));
   }
@@ -55,46 +71,22 @@ void UpdateManager::Stop() {
   if (scheduler_.joinable()) scheduler_.join();
 }
 
-void UpdateManager::BindMetrics(obs::Registry* registry) {
-  metrics_registry_ = registry;
-  metric_full_sent_ =
-      registry->GetCounter("ss_updates_sent_total", obs::Label("mode", "full"));
-  metric_incremental_sent_ = registry->GetCounter(
-      "ss_updates_sent_total", obs::Label("mode", "incremental"));
-  metric_bloom_sent_ =
-      registry->GetCounter("ss_updates_sent_total", obs::Label("mode", "bloom"));
-  metric_names_sent_ = registry->GetCounter("ss_names_sent_total");
-  metric_bytes_sent_ = registry->GetCounter("ss_bytes_sent_total");
-  metric_bloom_bits_set_ = registry->GetGauge("ss_bloom_bits_set");
-  metric_update_duration_ = registry->GetHistogram("ss_update_duration_us");
-  metric_send_failures_ = registry->GetCounter("ss_send_failures_total");
-  metric_target_unhealthy_ = registry->GetCounter("ss_target_unhealthy_total");
-  metric_target_recovered_ = registry->GetCounter("ss_target_recovered_total");
-  metric_full_resends_ = registry->GetCounter("ss_full_resends_total");
-  metric_unhealthy_targets_ = registry->GetGauge("ss_unhealthy_targets");
-}
-
 std::vector<UpdateManager::TargetPtr> UpdateManager::SnapshotTargets() const {
   std::lock_guard<std::mutex> lock(targets_mu_);
   return targets_;
 }
 
-std::vector<TargetFreshness> UpdateManager::TargetStatuses() const {
+std::vector<TargetStatus> UpdateManager::TargetStatuses() const {
   const rlscommon::TimePoint now = clock_->Now();
-  std::vector<TargetFreshness> out;
+  std::vector<TargetStatus> out;
   for (const TargetPtr& state : SnapshotTargets()) {
-    TargetFreshness f;
-    f.address = state->target.address;
     std::lock_guard<std::mutex> lock(state->mu);
-    f.updates_sent = state->updates_sent;
-    if (state->ever_updated) {
-      f.seconds_since_last =
-          std::chrono::duration<double>(now - state->last_update).count();
-    }
-    f.healthy = state->healthy;
-    f.consecutive_failures = state->consecutive_failures;
-    f.full_resends = state->full_resends;
-    out.push_back(std::move(f));
+    const double since_last =
+        state->ever_updated ? std::chrono::duration<double>(now - state->last_update).count()
+                            : -1;
+    out.push_back(TargetStatus{state->target.address, state->updates_sent, since_last,
+                               state->healthy, state->consecutive_failures,
+                               state->full_resends});
   }
   return out;
 }
@@ -118,8 +110,8 @@ void UpdateManager::RecordSendSuccess(TargetState* state, bool complete_update) 
   if (recovered) {
     RLS_INFO("update") << lrc_url_ << " target " << state->target.address
                        << " recovered";
-    if (metric_target_recovered_) metric_target_recovered_->Increment();
-    if (metric_unhealthy_targets_) metric_unhealthy_targets_->Add(-1);
+    metric_target_recovered_->Increment();
+    metric_unhealthy_targets_->Add(-1);
   }
 }
 
@@ -145,18 +137,14 @@ void UpdateManager::RecordSendFailure(TargetState* state) {
       went_unhealthy = true;
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.send_failures;
-  }
   // The recovery resend this failure owes is a new deadline.
   WakeScheduler();
-  if (metric_send_failures_) metric_send_failures_->Increment();
+  metric_send_failures_->Increment();
   if (went_unhealthy) {
     RLS_WARN("update") << lrc_url_ << " target " << state->target.address
                        << " marked unhealthy";
-    if (metric_target_unhealthy_) metric_target_unhealthy_->Increment();
-    if (metric_unhealthy_targets_) metric_unhealthy_targets_->Add(1);
+    metric_target_unhealthy_->Increment();
+    metric_unhealthy_targets_->Add(1);
   }
 }
 
@@ -223,7 +211,7 @@ void UpdateManager::RemoveTarget(const std::string& address) {
       }
     }
   }
-  if (removed && metric_unhealthy_targets_) {
+  if (removed) {
     std::lock_guard<std::mutex> lock(removed->mu);
     if (!removed->healthy) metric_unhealthy_targets_->Add(-1);
   }
@@ -238,7 +226,7 @@ Status UpdateManager::ClientFor(TargetState* state, net::RpcClient** out) {
     options.call_timeout = config_.rpc_timeout;
     options.retry = config_.rpc_retry;
     options.retry_seed = config_.retry_seed;
-    options.metrics = metrics_registry_;
+    options.metrics = registry_;
     Status s = net::RpcClient::Connect(network_, state->target.address, options,
                                        &state->client);
     if (!s.ok()) return s;
@@ -275,11 +263,7 @@ Status UpdateManager::SendCompleteUpdate(TargetState* state, bool recovery) {
         std::lock_guard<std::mutex> lock(state->mu);
         ++state->full_resends;
       }
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.full_resends;
-      }
-      if (metric_full_resends_) metric_full_resends_->Increment();
+      metric_full_resends_->Increment();
     }
   } else {
     RecordSendFailure(state);
@@ -297,11 +281,7 @@ Status UpdateManager::ForceFullUpdate() {
     Status s = SendCompleteUpdate(state.get(), /*recovery=*/false);
     if (!s.ok() && status.ok()) status = s;
   }
-  if (metric_update_duration_) metric_update_duration_->Record(watch.Elapsed());
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.last_update_seconds = watch.ElapsedSeconds();
-  }
+  metric_update_duration_->Record(watch.Elapsed());
   // A full update supersedes any pending incremental state.
   if (config_.mode != UpdateMode::kBloom) {
     std::lock_guard<std::mutex> lock(pending_mu_);
@@ -316,6 +296,9 @@ Status UpdateManager::FlushImmediate() {
     // Bloom mode's "incremental" flush is simply resending the filter.
     return ForceFullUpdate();
   }
+  // Held from taking the batch through its sends, so a flush that finds
+  // the batch already taken by another waits for that batch to land.
+  std::lock_guard<std::mutex> flush(flush_mu_);
   std::vector<std::string> added, removed;
   rlscommon::TraceContext batch_trace;
   {
@@ -396,8 +379,8 @@ Status UpdateManager::RebuildBloomFilter() {
     counting_ = std::move(fresh);
     bloom_built_ = true;
   }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.last_bloom_generate_seconds = watch.ElapsedSeconds();
+  metric_bloom_build_us_->Set(
+      std::chrono::duration_cast<std::chrono::microseconds>(watch.Elapsed()).count());
   return Status::Ok();
 }
 
@@ -447,15 +430,9 @@ Status UpdateManager::SendFullUncompressed(TargetState* state,
   s = Invoke<kSsFullEnd>(*client, {lrc_url_, update_id});
   if (!s.ok()) return s;
 
-  if (metric_full_sent_) metric_full_sent_->Increment();
-  if (metric_names_sent_) metric_names_sent_->Increment(names_sent);
-  if (metric_bytes_sent_) {
-    metric_bytes_sent_->Increment(client->bytes_sent() - bytes_before);
-  }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.full_updates_sent;
-  stats_.names_sent += names_sent;
-  stats_.bytes_sent = client->bytes_sent();
+  metric_full_sent_->Increment();
+  metric_names_sent_->Increment(names_sent);
+  metric_bytes_sent_->Increment(client->bytes_sent() - bytes_before);
   return Status::Ok();
 }
 
@@ -480,10 +457,7 @@ Status UpdateManager::SendBloom(TargetState* state) {
     std::lock_guard<std::mutex> lock(bloom_mu_);
     bloom::BloomFilter snapshot = counting_.ToBloomFilter();
     snapshot.Serialize(&update.filter_bytes);
-    if (metric_bloom_bits_set_) {
-      metric_bloom_bits_set_->Set(
-          static_cast<int64_t>(snapshot.CountSetBits()));
-    }
+    metric_bloom_bits_set_->Set(static_cast<int64_t>(snapshot.CountSetBits()));
   }
 
   net::RpcClient* client = nullptr;
@@ -494,13 +468,8 @@ Status UpdateManager::SendBloom(TargetState* state) {
   s = Invoke<kSsBloom>(*client, update);
   if (!s.ok()) return s;
 
-  if (metric_bloom_sent_) metric_bloom_sent_->Increment();
-  if (metric_bytes_sent_) {
-    metric_bytes_sent_->Increment(client->bytes_sent() - bytes_before);
-  }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.bloom_updates_sent;
-  stats_.bytes_sent = client->bytes_sent();
+  metric_bloom_sent_->Increment();
+  metric_bytes_sent_->Increment(client->bytes_sent() - bytes_before);
   return Status::Ok();
 }
 
@@ -519,23 +488,23 @@ Status UpdateManager::SendIncremental(TargetState* state,
   const uint64_t bytes_before = client->bytes_sent();
   s = Invoke<kSsIncremental>(*client, update);
   if (!s.ok()) return s;
-  if (metric_incremental_sent_) metric_incremental_sent_->Increment();
-  if (metric_names_sent_) {
-    metric_names_sent_->Increment(added.size() + removed.size());
-  }
-  if (metric_bytes_sent_) {
-    metric_bytes_sent_->Increment(client->bytes_sent() - bytes_before);
-  }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.incremental_updates_sent;
-  stats_.names_sent += added.size() + removed.size();
-  stats_.bytes_sent = client->bytes_sent();
+  metric_incremental_sent_->Increment();
+  metric_names_sent_->Increment(added.size() + removed.size());
+  metric_bytes_sent_->Increment(client->bytes_sent() - bytes_before);
   return Status::Ok();
 }
 
 UpdateStats UpdateManager::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  return UpdateStats{
+      .full_updates_sent = metric_full_sent_->Value(),
+      .incremental_updates_sent = metric_incremental_sent_->Value(),
+      .bloom_updates_sent = metric_bloom_sent_->Value(),
+      .names_sent = metric_names_sent_->Value(),
+      .bytes_sent = metric_bytes_sent_->Value(),
+      .send_failures = metric_send_failures_->Value(),
+      .full_resends = metric_full_resends_->Value(),
+      .last_bloom_generate_seconds = metric_bloom_build_us_->Value() / 1e6,
+  };
 }
 
 rlscommon::TimePoint UpdateManager::RecoveryPass() {

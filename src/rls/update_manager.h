@@ -32,6 +32,7 @@
 #include "net/rpc.h"
 #include "obs/metrics.h"
 #include "rls/lrc_store.h"
+#include "rls/protocol.h"
 
 namespace rls {
 
@@ -90,33 +91,27 @@ struct UpdateConfig {
   uint64_t retry_seed = 0xd1ce;
 };
 
-/// Statistics for EXPERIMENTS.md tables (Table 3 columns).
+/// Statistics for EXPERIMENTS.md tables (Table 3 columns): a read of the
+/// manager's registry instruments, named beside each field.
 struct UpdateStats {
-  uint64_t full_updates_sent = 0;
-  uint64_t incremental_updates_sent = 0;
-  uint64_t bloom_updates_sent = 0;
-  uint64_t names_sent = 0;
-  uint64_t bytes_sent = 0;
-  uint64_t send_failures = 0;            // failed update RPCs (any kind)
-  uint64_t full_resends = 0;             // recovery resends after failure
-  double last_update_seconds = 0;        // paper: "measured from the LRC's perspective"
-  double last_bloom_generate_seconds = 0;
-};
-
-/// Per-target soft-state freshness (introspection / kServerGetStats).
-struct TargetFreshness {
-  std::string address;
-  uint64_t updates_sent = 0;
-  double seconds_since_last = -1;  // <0 = never updated
-  bool healthy = true;
-  uint32_t consecutive_failures = 0;
-  uint64_t full_resends = 0;
+  uint64_t full_updates_sent = 0;         // ss_updates_sent_total{mode="full"}
+  uint64_t incremental_updates_sent = 0;  // ss_updates_sent_total{mode="incremental"}
+  uint64_t bloom_updates_sent = 0;        // ss_updates_sent_total{mode="bloom"}
+  uint64_t names_sent = 0;                // ss_names_sent_total
+  uint64_t bytes_sent = 0;                // ss_bytes_sent_total, every target
+  uint64_t send_failures = 0;             // ss_send_failures_total
+  uint64_t full_resends = 0;              // ss_full_resends_total
+  double last_bloom_generate_seconds = 0;  // ss_bloom_build_us
 };
 
 class UpdateManager {
  public:
+  /// Registers the manager's instruments in `registry`, which must
+  /// outlive it: ss_updates_sent_total{mode=...}, ss_names_sent_total,
+  /// ss_bytes_sent_total, ss_bloom_bits_set, ss_bloom_build_us,
+  /// ss_update_duration_us, and the target-health counters.
   UpdateManager(net::Transport* network, LrcStore* store, std::string lrc_url,
-                UpdateConfig config,
+                UpdateConfig config, obs::Registry* registry,
                 rlscommon::Clock* clock = rlscommon::SystemClock::Instance());
   ~UpdateManager();
 
@@ -138,11 +133,14 @@ class UpdateManager {
   void RemoveTarget(const std::string& address);
 
   /// Sends one full update round now (mode-dependent payload). Blocks
-  /// until every target acknowledged; the elapsed time lands in stats.
+  /// until every target acknowledged; the elapsed time lands in
+  /// ss_update_duration_us.
   rlscommon::Status ForceFullUpdate();
 
   /// Sends pending incremental changes now (immediate/bloom bookkeeping
-  /// is flushed too). No-op when nothing is pending.
+  /// is flushed too). Returns once every change pending at the call has
+  /// been sent or has failed, also when a concurrent flush (the
+  /// scheduler's) took the batch first.
   rlscommon::Status FlushImmediate();
 
   /// (Re)builds the Bloom filter from the store — the one-time cost the
@@ -151,14 +149,8 @@ class UpdateManager {
 
   UpdateStats stats() const;
 
-  /// Registers this manager's instruments in `registry`:
-  /// ss_updates_sent_total{mode=...}, ss_names_sent_total,
-  /// ss_bytes_sent_total, ss_bloom_bits_set, ss_update_duration_us.
-  /// The registry must outlive the manager; call before Start().
-  void BindMetrics(obs::Registry* registry);
-
   /// Per-target freshness snapshot for introspection.
-  std::vector<TargetFreshness> TargetStatuses() const;
+  std::vector<TargetStatus> TargetStatuses() const;
 
   const std::string& lrc_url() const { return lrc_url_; }
   UpdateMode mode() const { return config_.mode; }
@@ -235,8 +227,27 @@ class UpdateManager {
   UpdateConfig config_;
   rlscommon::Clock* clock_;
 
+  // Instruments (owned by registry_); the manager keeps no other count.
+  obs::Registry* registry_;
+  obs::Counter* metric_full_sent_;
+  obs::Counter* metric_incremental_sent_;
+  obs::Counter* metric_bloom_sent_;
+  obs::Counter* metric_names_sent_;
+  obs::Counter* metric_bytes_sent_;
+  obs::Gauge* metric_bloom_bits_set_;
+  obs::Gauge* metric_bloom_build_us_;
+  obs::Histogram* metric_update_duration_;
+  obs::Counter* metric_send_failures_;
+  obs::Counter* metric_target_unhealthy_;
+  obs::Counter* metric_target_recovered_;
+  obs::Counter* metric_full_resends_;
+  obs::Gauge* metric_unhealthy_targets_;
+
   mutable std::mutex targets_mu_;  // guards the vector, not the states
   std::vector<TargetPtr> targets_;
+
+  // Held by FlushImmediate from taking the batch through its sends.
+  std::mutex flush_mu_;
 
   // Pending incremental changes; +1 = added, -1 = removed, 0 = cancelled.
   std::mutex pending_mu_;
@@ -251,24 +262,7 @@ class UpdateManager {
   bloom::CountingBloomFilter counting_;
   bool bloom_built_ = false;
 
-  mutable std::mutex stats_mu_;
-  UpdateStats stats_;
   std::atomic<uint64_t> next_update_id_{1};
-
-  // Optional instruments (owned by the bound registry); null = unbound.
-  obs::Registry* metrics_registry_ = nullptr;
-  obs::Counter* metric_full_sent_ = nullptr;
-  obs::Counter* metric_incremental_sent_ = nullptr;
-  obs::Counter* metric_bloom_sent_ = nullptr;
-  obs::Counter* metric_names_sent_ = nullptr;
-  obs::Counter* metric_bytes_sent_ = nullptr;
-  obs::Gauge* metric_bloom_bits_set_ = nullptr;
-  obs::Histogram* metric_update_duration_ = nullptr;
-  obs::Counter* metric_send_failures_ = nullptr;
-  obs::Counter* metric_target_unhealthy_ = nullptr;
-  obs::Counter* metric_target_recovered_ = nullptr;
-  obs::Counter* metric_full_resends_ = nullptr;
-  obs::Gauge* metric_unhealthy_targets_ = nullptr;
 
   std::mutex scheduler_mu_;
   std::condition_variable scheduler_cv_;

@@ -128,8 +128,8 @@ TEST(ConcurrencyTest, MixedWorkloadKeepsInvariants) {
   EXPECT_EQ(resolvable, all.size());  // wildcard view == per-name view
   GetStatsResponse stats;
   ASSERT_TRUE(checker->GetStats(&stats).ok());
-  EXPECT_EQ(stats.vitals.lfn_count, names.size());
-  EXPECT_EQ(stats.vitals.mapping_count, all.size());
+  EXPECT_EQ(obs::SampleValue(stats.metrics, "lrc_logical_names"), names.size());
+  EXPECT_EQ(obs::SampleValue(stats.metrics, "lrc_mappings"), all.size());
 
   // The immediate-mode scheduler kept feeding the RLI throughout; one
   // final flush + full update must reconcile the index completely.

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include "net/rpc.h"
+#include "obs/metrics.h"
 
 namespace net {
 
 /// Echo RPC server listening on "echo"; opcode 900 sleeps `work` first.
+/// Its counts live in `registry`.
 struct EchoServer {
   explicit EchoServer(Transport* transport,
                       std::chrono::milliseconds work = std::chrono::milliseconds(0),
@@ -20,6 +22,7 @@ struct EchoServer {
     ServerOptions options;
     options.name = "echo";
     options.workers = workers;
+    options.metrics = &registry;
     server = std::make_unique<RpcServer>(
         transport, "echo", options,
         [work](const gsi::AuthContext&, uint16_t opcode,
@@ -30,6 +33,13 @@ struct EchoServer {
         });
     EXPECT_TRUE(server->Start().ok());
   }
+  /// Requests the server executed.
+  double requests() const {
+    return obs::SampleValue(registry.TakeSnapshot().samples, "rpc_requests_total",
+                            obs::kAnyLabels);
+  }
+
+  obs::Registry registry;  // outlives the server
   std::unique_ptr<RpcServer> server;
 };
 

@@ -107,8 +107,8 @@ TEST(ServerMetricsTest, MethodsTrackOperations) {
   std::map<std::string, uint64_t> counts;
   for (const rls::MetricSample& m : stats.metrics) {
     if (m.name != "rpc_request_latency_us") continue;
-    counts[m.labels] = m.count;
-    if (m.count > 0) {
+    counts[m.labels] = static_cast<uint64_t>(m.value);  // a histogram's value is its count
+    if (m.value > 0) {
       EXPECT_GT(m.max_us, 0u) << m.labels;
     }
   }
@@ -123,7 +123,7 @@ TEST(ServerMetricsTest, CodecRoundTrip) {
   m.name = "rpc_request_latency_us";
   m.labels = "method=\"lrc_query_lfn\"";
   m.kind = 2;
-  m.count = 7;
+  m.value = 7;
   m.mean_us = 12.5;
   m.p50_us = 8;
   m.p95_us = 64;
@@ -140,7 +140,7 @@ TEST(ServerMetricsTest, CodecRoundTrip) {
   ASSERT_EQ(decoded.metrics.size(), 1u);
   const rls::MetricSample& d = decoded.metrics[0];
   EXPECT_EQ(d.labels, m.labels);
-  EXPECT_EQ(d.count, 7u);
+  EXPECT_EQ(d.value, 7);
   EXPECT_DOUBLE_EQ(d.mean_us, 12.5);
   EXPECT_EQ(d.p999_us, 192u);
   EXPECT_EQ(d.max_us, 255u);

@@ -278,9 +278,18 @@ RpcHandler EchoHandler() {
   };
 }
 
+/// Requests `registry`'s server executed.
+double RequestsServed(const obs::Registry& registry) {
+  return obs::SampleValue(registry.TakeSnapshot().samples, "rpc_requests_total",
+                          obs::kAnyLabels);
+}
+
 TEST(RpcTest, CallRoundTrip) {
   InProcTransport network;
-  RpcServer server(&network, "echo:1", ServerOptions{}, EchoHandler());
+  obs::Registry registry;
+  ServerOptions options;
+  options.metrics = &registry;
+  RpcServer server(&network, "echo:1", options, EchoHandler());
   ASSERT_TRUE(server.Start().ok());
 
   std::unique_ptr<RpcClient> client;
@@ -288,7 +297,7 @@ TEST(RpcTest, CallRoundTrip) {
   std::string response;
   ASSERT_TRUE(client->Call(5, "hello", &response).ok());
   EXPECT_EQ(response, "hello!");
-  EXPECT_EQ(server.requests_served(), 1u);
+  EXPECT_EQ(RequestsServed(registry), 1);
   server.Stop();
 }
 
@@ -362,7 +371,10 @@ TEST(RpcTest, SecuredServerRejectsAnonymous) {
 
 TEST(RpcTest, ManyConcurrentClients) {
   InProcTransport network;
-  RpcServer server(&network, "echo:3", ServerOptions{}, EchoHandler());
+  obs::Registry registry;
+  ServerOptions options;
+  options.metrics = &registry;
+  RpcServer server(&network, "echo:3", options, EchoHandler());
   ASSERT_TRUE(server.Start().ok());
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -381,7 +393,7 @@ TEST(RpcTest, ManyConcurrentClients) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(server.requests_served(), 16u * 50u);
+  EXPECT_EQ(RequestsServed(registry), 16 * 50);
   server.Stop();
 }
 

@@ -4,14 +4,21 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <regex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/harness.h"
+#include "common/clock.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
+#include "obs/span_recorder.h"
 #include "obs/trace.h"
 #include "rls/bootstrap.h"
 #include "rls/client.h"
@@ -46,26 +53,23 @@ TEST(RegistryTest, SameNameAndLabelsReturnsSameInstrument) {
   EXPECT_EQ(registry.size(), 2u);
 }
 
-TEST(RegistryTest, PrometheusRenderingGolden) {
+TEST(RegistryTest, SampleValueReadsEveryKind) {
   Registry registry;
   registry.GetCounter("adds_total")->Increment(3);
   registry.GetGauge("queue_depth")->Set(-2);
   registry.GetCounter("hits_total", Label("pool", "lrc"))->Increment();
+  registry.GetCounter("hits_total", Label("pool", "rli"))->Increment(4);
   Histogram* hist = registry.GetHistogram("latency_us");
   hist->RecordMicros(100);
   hist->RecordMicros(100);
-  const std::string expected =
-      "adds_total 3\n"
-      "hits_total{pool=\"lrc\"} 1\n"
-      "latency_us_count 2\n"
-      "latency_us_mean 100\n"
-      "latency_us_p50 127\n"
-      "latency_us_p95 127\n"
-      "latency_us_p99 127\n"
-      "latency_us_p999 127\n"
-      "latency_us_max 127\n"
-      "queue_depth -2\n";
-  EXPECT_EQ(registry.RenderPrometheus(), expected);
+  const Snapshot snap = registry.TakeSnapshot();
+  EXPECT_EQ(SampleValue(snap.samples, "adds_total"), 3);
+  EXPECT_EQ(SampleValue(snap.samples, "queue_depth"), -2);
+  EXPECT_EQ(SampleValue(snap.samples, "hits_total", Label("pool", "lrc")), 1);
+  EXPECT_EQ(SampleValue(snap.samples, "hits_total", kAnyLabels), 5) << "sums the family";
+  EXPECT_EQ(SampleValue(snap.samples, "hits_total"), 0) << "no unlabeled series";
+  EXPECT_EQ(SampleValue(snap.samples, "latency_us"), 2) << "a histogram's value is its count";
+  EXPECT_EQ(SampleValue(snap.samples, "missing_total", kAnyLabels), 0);
 }
 
 TEST(RegistryTest, JsonRenderingSplicesExtraFields) {
@@ -219,11 +223,11 @@ TEST(GetStatsTest, SnapshotSpansAllSubsystems) {
   rls::GetStatsResponse stats;
   ASSERT_TRUE(client->GetStats(&stats).ok());
   EXPECT_EQ(stats.role, "lrc+rli");
-  EXPECT_GE(stats.uptime_seconds, 0.0);
-  EXPECT_EQ(stats.vitals.mapping_count, 1u);
-  EXPECT_GT(stats.vitals.requests_served, 0u);
-  EXPECT_GE(stats.vitals.updates_sent, 1u);
-  EXPECT_GE(stats.vitals.updates_received, 1u);
+  EXPECT_GE(SampleValue(stats.metrics, "server_uptime_seconds"), 0.0);
+  EXPECT_EQ(SampleValue(stats.metrics, "lrc_mappings"), 1);
+  EXPECT_GT(SampleValue(stats.metrics, "rpc_requests_total", kAnyLabels), 0);
+  EXPECT_GE(SampleValue(stats.metrics, "ss_updates_sent_total", kAnyLabels), 1);
+  EXPECT_GE(SampleValue(stats.metrics, "rli_updates_received_total"), 1);
   ASSERT_EQ(stats.targets.size(), 1u);
   EXPECT_EQ(stats.targets[0].address, "obs:1");
   EXPECT_GE(stats.targets[0].updates_sent, 1u);
@@ -262,10 +266,9 @@ TEST(GetStatsTest, SnapshotSpansAllSubsystems) {
 }
 
 // Group-commit observability: a server with wal_group_commit on must
-// surface the batching counters through GetStats (WalRecoveryStatus)
-// and the wal_group_size / wal_sync_wait_us / wal_group_commits_total
-// instruments through the registry, and the codec must round-trip the
-// new fields.
+// surface its batching through GetStats' samples — wal_group_max_commits,
+// wal_commits, wal_syncs, and the wal_group_size / wal_sync_wait_us
+// histograms — and the codec must round-trip them.
 TEST(GetStatsTest, GroupCommitWalCountersSurface) {
   net::InProcTransport network;
   dbapi::Environment env;
@@ -301,16 +304,16 @@ TEST(GetStatsTest, GroupCommitWalCountersSurface) {
   ASSERT_TRUE(rls::LrcClient::Connect(&network, "obs:gc", {}, &client).ok());
   rls::GetStatsResponse stats;
   ASSERT_TRUE(client->GetStats(&stats).ok());
-  EXPECT_EQ(stats.wal.group_commit, 1);
-  EXPECT_GE(stats.wal.commits, 40u);
-  EXPECT_GE(stats.wal.group_commits, 1u);
-  EXPECT_LE(stats.wal.syncs, stats.wal.commits);
+  EXPECT_GT(SampleValue(stats.metrics, "wal_group_max_commits"), 1) << "group commit on";
+  EXPECT_GE(SampleValue(stats.metrics, "wal_commits"), 40);
+  EXPECT_GE(SampleValue(stats.metrics, "wal_group_size"), 1) << "batches flushed";
+  EXPECT_LE(SampleValue(stats.metrics, "wal_syncs"), SampleValue(stats.metrics, "wal_commits"));
 
   std::set<std::string> names;
   for (const rls::MetricSample& m : stats.metrics) names.insert(m.name);
   for (const char* name :
-       {"wal_group_size", "wal_sync_wait_us", "wal_group_commits_total",
-        "wal_commits", "wal_syncs"}) {
+       {"wal_group_size", "wal_sync_wait_us", "wal_group_max_commits", "wal_commits",
+        "wal_syncs"}) {
     EXPECT_TRUE(names.count(name)) << "missing metric " << name;
   }
 
@@ -318,11 +321,189 @@ TEST(GetStatsTest, GroupCommitWalCountersSurface) {
   stats.Encode(&bytes);
   rls::GetStatsResponse decoded;
   ASSERT_TRUE(rls::GetStatsResponse::Decode(bytes, &decoded).ok());
-  EXPECT_EQ(decoded.wal.group_commit, 1);
-  EXPECT_EQ(decoded.wal.commits, stats.wal.commits);
-  EXPECT_EQ(decoded.wal.syncs, stats.wal.syncs);
-  EXPECT_EQ(decoded.wal.group_commits, stats.wal.group_commits);
+  for (const char* name : {"wal_group_max_commits", "wal_commits", "wal_syncs", "wal_group_size"}) {
+    EXPECT_EQ(SampleValue(decoded.metrics, name), SampleValue(stats.metrics, name)) << name;
+  }
   server.Stop();
+}
+
+// Every value GetStats once carried in a field of its own is one
+// registry sample, equal to what its store, WAL or recorder reports: a
+// combined LRC+RLI server with a replayed group-commit WAL, a Bloom
+// store, a rate limit that sheds and the flight recorder on.
+TEST(GetStatsTest, EveryFormerFieldIsASample) {
+  const std::string wal_dir =
+      ::testing::TempDir() + "/rls_obs_stats_" + std::to_string(::getpid());
+  std::filesystem::remove_all(wal_dir);
+  ASSERT_TRUE(std::filesystem::create_directories(wal_dir));
+  rls::RlsServerConfig config;
+  config.address = "obs:all";
+  config.url = "obs:all";
+  config.lrc.enabled = true;
+  config.lrc.dsn = "mysql://obs_all_lrc";
+  config.lrc.wal_recovery = true;
+  config.lrc.wal_group_commit = true;
+  config.rli.enabled = true;
+  config.rli.dsn = "mysql://obs_all_rli";
+  {
+    // A first life leaves committed mappings in the log.
+    dbapi::Environment env;
+    ASSERT_TRUE(rls::EnsureDatabases(config, env, wal_dir).ok());
+    std::unique_ptr<rls::LrcStore> store;
+    ASSERT_TRUE(rls::LrcStore::Create(env, config.lrc.dsn, &store).ok());
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(store->CreateMapping("old" + std::to_string(i), "pfn").ok());
+    }
+  }
+
+  // The second life replays them.
+  rlscommon::ManualClock clock;
+  net::InProcTransport network(&clock);
+  dbapi::Environment env;
+  ASSERT_TRUE(rls::EnsureDatabases(config, env, wal_dir).ok());
+  config.lrc.update.mode = rls::UpdateMode::kBloom;
+  config.lrc.update.targets.push_back(rls::UpdateTarget{"obs:all"});  // self-update
+  config.limits.per_dn_rate = 1;  // the clock stands still: no refill
+  config.limits.per_dn_burst = 4;  // two creates at two tokens each
+  config.obs.trace_capacity = 64;
+  rls::RlsServer server(&network, config, &env, &clock);
+  ASSERT_TRUE(server.Start().ok());
+  clock.Advance(std::chrono::seconds(5));
+
+  std::unique_ptr<rls::LrcClient> client;
+  ASSERT_TRUE(rls::LrcClient::Connect(&network, "obs:all", {}, &client).ok());
+  int shed = 0;
+  for (int i = 0; i < 3; ++i) {
+    if (!client->Create("new" + std::to_string(i), "pfn").ok()) ++shed;
+  }
+  EXPECT_EQ(shed, 1);
+  ASSERT_TRUE(server.update_manager()->ForceFullUpdate().ok());
+  ASSERT_TRUE(server.rli_relational()->UpsertBatch({"r0", "r1", "r2"}, "rls://other",
+                                                   clock.NowMicros()).ok());
+
+  const rls::GetStatsResponse stats = server.GetStatsSnapshot();
+  std::set<std::string> names;
+  for (const rls::MetricSample& m : stats.metrics) names.insert(m.name);
+  for (const char* name :
+       {"server_uptime_seconds", "lrc_logical_names", "lrc_mappings", "rli_logical_names",
+        "rli_associations", "rli_bloom_filters", "rpc_requests_total", "rpc_shed_total",
+        "rli_updates_received_total", "ss_updates_sent_total", "trace_recorder_depth",
+        "trace_recorder_dropped", "trace_recorder_capacity", "wal_recovery_enabled",
+        "wal_recovered_txns", "wal_records_applied", "wal_snapshot_rows",
+        "wal_torn_tail_bytes", "wal_checksum_failures", "wal_last_lsn", "wal_recover_us",
+        "wal_group_max_commits", "wal_commits", "wal_syncs", "wal_group_size"}) {
+    EXPECT_TRUE(names.count(name)) << "missing metric " << name;
+  }
+  auto expect = [&](std::string_view name, double want, std::string_view labels = "") {
+    EXPECT_EQ(SampleValue(stats.metrics, name, labels), want) << name << "{" << labels << "}";
+  };
+  expect("server_uptime_seconds", 5);
+  rls::LrcStore* lrc = server.lrc_store();
+  expect("lrc_logical_names", static_cast<double>(lrc->LogicalNameCount()));
+  expect("lrc_mappings", static_cast<double>(lrc->MappingCount()));
+  EXPECT_EQ(lrc->MappingCount(), 7u) << "five replayed, two created";
+  expect("rli_logical_names", static_cast<double>(server.rli_relational()->LogicalNameCount()));
+  expect("rli_associations", static_cast<double>(server.rli_relational()->AssociationCount()));
+  expect("rli_bloom_filters", static_cast<double>(server.rli_bloom()->filter_count()));
+  EXPECT_EQ(server.rli_bloom()->filter_count(), 1u);
+
+  // Requests and sheds: the client's view, and the admission lanes'.
+  expect("rpc_shed_total", shed, obs::Label("reason", "rate_limit"));
+  expect("rpc_shed_total", shed, kAnyLabels);
+  expect("rpc_requests_total",
+         SampleValue(stats.metrics, "admission_admitted_total", kAnyLabels), kAnyLabels);
+  EXPECT_GT(SampleValue(stats.metrics, "rpc_requests_total", kAnyLabels), 0);
+  // The server's updates go to itself.
+  expect("rli_updates_received_total",
+         SampleValue(stats.metrics, "ss_updates_sent_total", kAnyLabels));
+  expect("ss_updates_sent_total", 1, obs::Label("mode", "bloom"));
+
+  const obs::SpanRecorder::Stats recorder = obs::SpanRecorder::Global().GetStats();
+  expect("trace_recorder_depth", static_cast<double>(recorder.depth));
+  expect("trace_recorder_dropped", static_cast<double>(recorder.dropped));
+  expect("trace_recorder_capacity", 64);
+
+  rdb::Database* db = lrc->database();
+  const rdb::RecoveryStats& rec = db->recovery_stats();
+  EXPECT_GT(rec.recovered_txns, 0u);
+  expect("wal_recovery_enabled", 1);
+  expect("wal_recovered_txns", static_cast<double>(rec.recovered_txns));
+  expect("wal_records_applied", static_cast<double>(rec.records_applied));
+  expect("wal_snapshot_rows", static_cast<double>(rec.snapshot_rows));
+  expect("wal_torn_tail_bytes", static_cast<double>(rec.torn_tail_bytes));
+  expect("wal_checksum_failures",
+         static_cast<double>(rec.checksum_failures + db->wal().checksum_failures()));
+  expect("wal_recover_us", static_cast<double>(rec.recover_micros));
+  expect("wal_last_lsn", static_cast<double>(db->wal().last_lsn()));
+  expect("wal_group_max_commits", static_cast<double>(db->wal().group_max_commits()));
+  expect("wal_commits", static_cast<double>(db->wal().commits()));
+  expect("wal_syncs", static_cast<double>(db->wal().syncs()));
+  expect("wal_group_size", static_cast<double>(db->wal().group_commits()));
+
+  server.Stop();
+  obs::SpanRecorder::Global().Disable();
+  std::filesystem::remove_all(wal_dir);
+}
+
+/// The top-level keys of one stats JSON line, then every metric's name.
+std::vector<std::string> JsonKeys(const std::string& line) {
+  std::vector<std::string> keys;
+  const std::string::size_type metrics = line.find("\"metrics\": [");
+  const std::regex key("\"(\\w+)\": ");
+  const std::string head = line.substr(0, metrics);
+  for (std::sregex_iterator it(head.begin(), head.end(), key), end; it != end; ++it) {
+    keys.push_back((*it)[1]);
+  }
+  keys.push_back("metrics");
+  const std::regex name("\"name\": \"(\\w+)\"");
+  for (std::sregex_iterator it(line.begin() + metrics, line.end(), name), end; it != end;
+       ++it) {
+    keys.push_back((*it)[1]);
+  }
+  return keys;
+}
+
+std::string ReadFirstLine(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);
+  return line;
+}
+
+// One renderer: the bench harness's RLS_BENCH_JSON line and the JSONL
+// exporter's line of a server alike carry the same keys.
+TEST(GetStatsTest, BenchAndExporterLinesHaveTheSameKeys) {
+  const std::string dir = ::testing::TempDir() + "/rls_obs_json_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  const std::string bench_path = dir + "/bench.jsonl";
+  ASSERT_EQ(::setenv("RLS_BENCH_JSON", bench_path.c_str(), 1), 0);
+  {
+    rlsbench::Testbed testbed;
+    testbed.StartLrc("lrc:json");
+  }  // the testbed appends its servers' lines as it goes
+  ::unsetenv("RLS_BENCH_JSON");
+
+  net::InProcTransport network;
+  dbapi::Environment env;
+  rls::RlsServerConfig config;
+  config.address = "lrc:json";
+  config.lrc.enabled = true;
+  config.lrc.dsn = "mysql://obs_json";
+  config.obs.export_path = dir + "/export.jsonl";
+  config.obs.export_period = std::chrono::hours(1);
+  ASSERT_TRUE(env.CreateDatabase(config.lrc.dsn, dir + "/obs_json.wal").ok());
+  rls::RlsServer server(&network, config, &env);
+  ASSERT_TRUE(server.Start().ok());
+  server.Stop();  // the exporter writes its final line
+
+  const std::string bench_line = ReadFirstLine(bench_path);
+  const std::string export_line = ReadFirstLine(config.obs.export_path);
+  EXPECT_EQ(bench_line.rfind("{\"server\": \"lrc:json\", \"role\": \"lrc\", \"metrics\": [", 0),
+            0u)
+      << bench_line;
+  EXPECT_EQ(JsonKeys(bench_line), JsonKeys(export_line));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(GetStatsTest, RequiresStatsPrivilege) {

@@ -135,7 +135,8 @@ TEST(OpTableTest, AdmissionMatrix) {
     if (protected_row) {
       // Drain the bucket with one read, and check that it is empty.
       row_limits.per_dn_burst = cost_of(Privilege::kLrcRead);
-      AdmissionController admission(row_limits, &clock, nullptr);
+      obs::Registry registry;
+      AdmissionController admission(row_limits, &clock, &registry);
       ASSERT_TRUE(admission.Admit(tenant, kLrcQueryLfn).status.ok());
       ASSERT_FALSE(admission.Admit(tenant, kLrcQueryLfn).status.ok());
       const net::AdmitDecision decision = admission.Admit(tenant, op.opcode);
@@ -144,19 +145,24 @@ TEST(OpTableTest, AdmissionMatrix) {
       continue;
     }
     row_limits.per_dn_burst = cost_of(*op.privilege);
-    AdmissionController admission(row_limits, &clock, nullptr);
+    obs::Registry registry;
+    AdmissionController admission(row_limits, &clock, &registry);
     const net::AdmitDecision first = admission.Admit(tenant, op.opcode);
     EXPECT_TRUE(first.status.ok()) << op.name;
     EXPECT_FALSE(first.priority) << op.name;
     const net::AdmitDecision second = admission.Admit(tenant, op.opcode);
     EXPECT_EQ(second.status.code(), ErrorCode::kUnavailable) << op.name;
-    EXPECT_EQ(admission.shed_total(), 1u) << op.name;
+    EXPECT_EQ(obs::SampleValue(registry.TakeSnapshot().samples, "rpc_shed_total",
+                               obs::Label("reason", "rate_limit")),
+              1)
+        << op.name;
   }
 
   // An opcode with no row is charged as a normal-lane read.
   ServerLimits unknown_limits = limits;
   unknown_limits.per_dn_burst = cost_of(Privilege::kLrcRead);
-  AdmissionController admission(unknown_limits, &clock, nullptr);
+  obs::Registry registry;
+  AdmissionController admission(unknown_limits, &clock, &registry);
   const net::AdmitDecision first = admission.Admit(tenant, 2);
   EXPECT_TRUE(first.status.ok());
   EXPECT_FALSE(first.priority);

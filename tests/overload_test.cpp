@@ -17,6 +17,7 @@
 #include "common/clock.h"
 #include "common/histogram.h"
 #include "net/rpc.h"
+#include "obs/metrics.h"
 #include "obs/span_recorder.h"
 #include "rls/admission.h"
 #include "rls/client.h"
@@ -53,10 +54,12 @@ INSTANTIATE_TEST_SUITE_P(Transports, OverloadTransportTest,
 
 TEST_P(OverloadTransportTest, QueueFullShedsWithRetryAfter) {
   net::Transport& network = *transport_;
+  obs::Registry registry;
   net::ServerOptions options;
   options.workers = 1;
   options.queue_depth = 1;
   options.shed_retry_after = std::chrono::milliseconds(25);
+  options.metrics = &registry;
   net::RpcServer server(&network, "srv:shed", options,
                         [](const gsi::AuthContext&, uint16_t,
                            const std::string&, std::string*) {
@@ -95,7 +98,9 @@ TEST_P(OverloadTransportTest, QueueFullShedsWithRetryAfter) {
   EXPECT_GT(ok.load(), 0);
   EXPECT_GT(shed.load(), 0);
   EXPECT_EQ(hinted.load(), shed.load());
-  EXPECT_EQ(server.requests_shed(), static_cast<uint64_t>(shed.load()));
+  EXPECT_EQ(obs::SampleValue(registry.TakeSnapshot().samples, "rpc_shed_total",
+                             obs::Label("reason", "queue_full")),
+            shed.load());
   server.Stop();
 }
 
@@ -221,7 +226,8 @@ TEST(OverloadTest, PerDnRateLimitIsolatesTenants) {
   }
 
   // Sheds are visible to operators through server stats.
-  EXPECT_GE(server.Stats().requests_shed, static_cast<uint64_t>(heavy_shed));
+  EXPECT_GE(obs::SampleValue(server.GetStatsSnapshot().metrics, "rpc_shed_total", obs::kAnyLabels),
+            heavy_shed);
   server.Stop();
 }
 
@@ -292,7 +298,7 @@ TEST_P(OverloadTransportTest, PriorityLaneSurvivesClientStorm) {
   ASSERT_EQ(lrcs.size(), 1u);
   EXPECT_EQ(lrcs[0], "lrc:storm-source");
   // And the shed counter made it into the introspection snapshot.
-  EXPECT_GT(snapshot.vitals.requests_shed, 0u);
+  EXPECT_GT(obs::SampleValue(snapshot.metrics, "rpc_shed_total", obs::kAnyLabels), 0);
   server.Stop();
 }
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
+#include <vector>
 
 #include "rdb/schema.h"
 
@@ -52,9 +56,10 @@ std::vector<Rid> LookupAll(const HashIndex& index, const Value& key) {
 /// Entries one Lookup of `key` visits: the key slots of its probe run up
 /// to its own, then the rows of its group.
 uint64_t ProbeSteps(const HashIndex& index, const Value& key) {
-  const uint64_t before = index.stats().probe_steps;
-  LookupAll(index, key);
-  return index.stats().probe_steps - before;
+  std::vector<Rid> rids;
+  uint64_t steps = 0;
+  index.Lookup(key, &rids, &steps);
+  return steps;
 }
 
 /// Int keys whose home slot in an array of `slots` slots is `home`
@@ -146,18 +151,16 @@ TEST(HashIndexTest, TombstonesSlowProbes) {
   HashIndex pg = pg_heap.Index(IndexDeleteMode::kTombstone);
   churn(&pg_heap, &pg);
   // Measure probe work for one lookup burst.
-  const uint64_t steps_before = pg.stats().probe_steps;
+  uint64_t pg_steps = 0;
   std::vector<Rid> rids;
-  for (int i = 0; i < 200; ++i) pg.Lookup(Value::Int(i), &rids);
-  const uint64_t pg_steps = pg.stats().probe_steps - steps_before;
+  for (int i = 0; i < 200; ++i) pg.Lookup(Value::Int(i), &rids, &pg_steps);
   EXPECT_EQ(rids.size(), 200u * 20) << "every dead version is returned";
 
   KeyHeap my_heap;
   HashIndex my = my_heap.Index(IndexDeleteMode::kErase);
   churn(&my_heap, &my);
-  const uint64_t my_before = my.stats().probe_steps;
-  for (int i = 0; i < 200; ++i) my.Lookup(Value::Int(i), &rids);
-  const uint64_t my_steps = my.stats().probe_steps - my_before;
+  uint64_t my_steps = 0;
+  for (int i = 0; i < 200; ++i) my.Lookup(Value::Int(i), &rids, &my_steps);
 
   EXPECT_GT(pg_steps, my_steps * 5) << "tombstones must dominate probe cost";
 }
@@ -211,6 +214,17 @@ TEST(HashIndexTest, NumericKeysCrossTypeConsistent) {
   EXPECT_EQ(LookupAll(index, Value::Timestamp(3)).size(), 1u);
   EXPECT_EQ(LookupAll(index, Value::Null()).size(), 1u);
   EXPECT_TRUE(LookupAll(index, Value::String("3")).empty());
+}
+
+TEST(HashIndexTest, NegativeZeroAndNaNKeysFindTheirRows) {
+  // -0.0 equals 0.0, and NaN equals NaN, so each must land on the other.
+  KeyHeap heap;
+  HashIndex index = heap.Index(IndexDeleteMode::kErase);
+  const Rid zero = AddIndexed(&heap, &index, Value::Double(0.0));
+  const Rid nan = AddIndexed(&heap, &index, Value::Double(std::nan("1")));
+  EXPECT_EQ(LookupAll(index, Value::Double(-0.0)), std::vector<Rid>{zero});
+  EXPECT_EQ(LookupAll(index, Value::Int(0)), std::vector<Rid>{zero});
+  EXPECT_EQ(LookupAll(index, Value::Double(-std::nan("2"))), std::vector<Rid>{nan});
 }
 
 TEST(HashIndexTest, RunWrapsPastTheEndAndShiftsBackOnErase) {
@@ -408,7 +422,8 @@ TEST(EncodedColumnEqualsTest, TruncatedRowsNeverMatchOrOverread) {
 TEST(ValueTest, EqualsEncodedAgreesWithCompare) {
   const Value values[] = {Value::Null(),      Value::Int(3),       Value::Double(3.0),
                           Value::Timestamp(3), Value::Int(-1),      Value::Double(2.5),
-                          Value::String(""),  Value::String("3"),  Value::String("abc")};
+                          Value::String(""),  Value::String("3"),  Value::String("abc"),
+                          Value::Int(0),      Value::Double(-0.0), Value::Double(std::nan(""))};
   for (const Value& a : values) {
     for (const Value& b : values) {
       std::string bytes;
@@ -449,6 +464,39 @@ TEST(OrderedIndexTest, EraseSpecificEntry) {
   index.Lookup(Value::Int(5), &rids);
   ASSERT_EQ(rids.size(), 1u);
   EXPECT_EQ(rids[0], R(0, 1));
+}
+
+TEST(OrderedIndexTest, WalksNaNAboveEveryNumber) {
+  // NaN can arrive from the wire as a float attribute; the multimap
+  // needs a strict weak order to keep its keys sorted.
+  OrderedIndex index;
+  const double keys[] = {3, std::nan(""), 1, -0.0, 2, std::nan(""), -1, 1e308};
+  for (std::size_t i = 0; i < std::size(keys); ++i) {
+    index.Insert(Value::Double(keys[i]), R(0, static_cast<uint16_t>(i)));
+  }
+  std::vector<uint16_t> walked;
+  index.Walk([&](Rid rid) {
+    walked.push_back(rid.slot);
+    return true;
+  });
+  // -1, -0.0, 1, 2, 3, 1e308, then both NaNs in insertion order.
+  EXPECT_EQ(walked, (std::vector<uint16_t>{6, 3, 2, 4, 0, 7, 1, 5}));
+  std::vector<Rid> rids;
+  index.Lookup(Value::Double(std::nan("")), &rids);
+  EXPECT_EQ(rids, (std::vector<Rid>{R(0, 1), R(0, 5)}));
+}
+
+TEST(ValueTest, HashAgreesWithCompareOnZeroAndNaN) {
+  EXPECT_EQ(Value::Double(-0.0).Hash(), Value::Double(0.0).Hash());
+  EXPECT_EQ(Value::Double(0.0).Hash(), Value::Int(0).Hash());
+  EXPECT_EQ(Value::Double(-0.0).Compare(Value::Int(0)), 0);
+  const Value nan = Value::Double(std::nan(""));
+  EXPECT_EQ(nan.Hash(), Value::Double(-std::nan("7")).Hash());
+  EXPECT_EQ(nan.Compare(Value::Double(std::nan("7"))), 0);
+  EXPECT_GT(nan.Compare(Value::Double(1e308)), 0);
+  EXPECT_LT(Value::Int(INT64_MAX).Compare(nan), 0);
+  EXPECT_LT(nan.Compare(Value::String("")), 0) << "strings still sort last";
+  EXPECT_GT(nan.Compare(Value::Null()), 0);
 }
 
 TEST(ValueTest, CompareOrdering) {

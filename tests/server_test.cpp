@@ -42,7 +42,8 @@ TEST_F(ServerTest, PingAndStats) {
   ASSERT_TRUE(client_->Ping().ok());
   GetStatsResponse stats;
   ASSERT_TRUE(client_->GetStats(&stats).ok());
-  EXPECT_EQ(stats.vitals.lfn_count, 0u);
+  EXPECT_EQ(stats.role, "lrc");
+  EXPECT_EQ(obs::SampleValue(stats.metrics, "lrc_logical_names"), 0);
 }
 
 TEST_F(ServerTest, MappingLifecycleOverRpc) {
@@ -93,7 +94,7 @@ TEST_F(ServerTest, BulkOperations) {
 
   ASSERT_TRUE(client_->BulkDelete(mappings, &result).ok());
   EXPECT_EQ(result.succeeded, 100u);
-  EXPECT_EQ(server_->Stats().lfn_count, 0u);
+  EXPECT_EQ(obs::SampleValue(server_->GetStatsSnapshot().metrics, "lrc_logical_names"), 0);
 }
 
 TEST_F(ServerTest, BulkQuerySkipsMissingNames) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 
 #include "rls/client.h"
 #include "rls/rls_server.h"
@@ -83,7 +84,7 @@ TEST_F(SoftStateTest, FullUncompressedUpdateFlow) {
   ASSERT_EQ(lrcs.size(), 1u);
   EXPECT_EQ(lrcs[0], "lrc:1");
   EXPECT_EQ(rli->rli_relational()->AssociationCount(), 50u);
-  EXPECT_EQ(rli->Stats().updates_received, 1u);
+  EXPECT_EQ(obs::SampleValue(rli->GetStatsSnapshot().metrics, "rli_updates_received_total"), 1);
   EXPECT_EQ(lrc->update_manager()->stats().full_updates_sent, 1u);
   EXPECT_EQ(lrc->update_manager()->stats().names_sent, 50u);
 }
@@ -108,6 +109,48 @@ TEST_F(SoftStateTest, IncrementalUpdateReflectsRecentChanges) {
   ASSERT_TRUE(lrc->update_manager()->FlushImmediate().ok());
   EXPECT_EQ(rli->rli_relational()->Query("a", &lrcs).code(), ErrorCode::kNotFound);
   ASSERT_TRUE(rli->rli_relational()->Query("b", &lrcs).ok());
+}
+
+// A full batch is the scheduler's to send at once. A FlushImmediate that
+// finds the batch already taken must still return only once it landed.
+TEST(SoftStateFlushTest, FlushWaitsForTheBatchTheSchedulerTook) {
+  rlscommon::ManualClock clock;
+  net::InProcTransport network(&clock);  // link delays sleep on the test clock
+  dbapi::Environment env;
+  RlsServerConfig rli_config;
+  rli_config.address = "rli:inflight";
+  rli_config.rli.enabled = true;
+  rli_config.rli.dsn = "mysql://inflight_rli";
+  ASSERT_TRUE(env.CreateDatabase(rli_config.rli.dsn).ok());
+  RlsServer rli(&network, rli_config, &env, &clock);
+  ASSERT_TRUE(rli.Start().ok());
+  RlsServerConfig lrc_config;
+  lrc_config.address = "lrc:inflight";
+  lrc_config.lrc.enabled = true;
+  lrc_config.lrc.dsn = "mysql://inflight_lrc";
+  lrc_config.lrc.update.mode = UpdateMode::kImmediate;
+  lrc_config.lrc.update.immediate_max_pending = 2;
+  // Every message takes a second of the test clock, so a send parks.
+  lrc_config.lrc.update.targets.push_back(
+      UpdateTarget{"rli:inflight", net::LinkModel{std::chrono::seconds(2), 0}});
+  ASSERT_TRUE(env.CreateDatabase(lrc_config.lrc.dsn).ok());
+  RlsServer lrc(&network, lrc_config, &env, &clock);
+  ASSERT_TRUE(lrc.Start().ok());
+
+  ASSERT_TRUE(lrc.lrc_store()->CreateMapping("a", "p1").ok());
+  ASSERT_TRUE(lrc.lrc_store()->CreateMapping("b", "p2").ok());
+  // The batch is full: the scheduler took it and sleeps in its send.
+  ASSERT_TRUE(clock.WaitForParked(1, 10s));
+  auto flushed =
+      std::async(std::launch::async, [&] { return lrc.update_manager()->FlushImmediate(); });
+  while (flushed.wait_for(10ms) != std::future_status::ready) clock.Advance(1s);
+  EXPECT_TRUE(flushed.get().ok());
+  std::vector<std::string> lrcs;
+  EXPECT_TRUE(rli.rli_relational()->Query("a", &lrcs).ok()) << "flush returned before the send";
+  EXPECT_TRUE(rli.rli_relational()->Query("b", &lrcs).ok());
+  // Drive the clock until the LRC stops, so a send still in flight ends.
+  auto stopped = std::async(std::launch::async, [&] { lrc.Stop(); });
+  while (stopped.wait_for(10ms) != std::future_status::ready) clock.Advance(1s);
 }
 
 TEST_F(SoftStateTest, AddThenDeleteCancelsOut) {
@@ -327,9 +370,9 @@ TEST_F(SoftStateTest, FullUpdateEndOnBloomOnlyRliIsUnsupported) {
   EXPECT_EQ(rpc->Call(kSsFullEnd, payload, &response).code(), ErrorCode::kUnsupported);
 
   const GetStatsResponse stats = rli->GetStatsSnapshot();
-  EXPECT_EQ(stats.vitals.updates_received, 0u);
+  EXPECT_EQ(obs::SampleValue(stats.metrics, "rli_updates_received_total"), 0);
   EXPECT_EQ(stats.last_update_trace_id, 0u);
-  EXPECT_EQ(root->GetStatsSnapshot().vitals.updates_received, 0u);
+  EXPECT_EQ(obs::SampleValue(root->GetStatsSnapshot().metrics, "rli_updates_received_total"), 0);
 }
 
 }  // namespace

@@ -400,8 +400,8 @@ TEST(GetTracesRpcTest, FlightRecorderIsQueryableOverTheWire) {
   // GetStats surfaces the recorder vitals and the build description.
   rls::GetStatsResponse stats;
   ASSERT_TRUE(client->GetStats(&stats).ok());
-  EXPECT_EQ(stats.trace_capacity, 1024u);
-  EXPECT_GT(stats.trace_depth, 0u);
+  EXPECT_EQ(SampleValue(stats.metrics, "trace_recorder_capacity"), 1024);
+  EXPECT_GT(SampleValue(stats.metrics, "trace_recorder_depth"), 0);
   EXPECT_FALSE(stats.build_flags.empty());
   // The per-stage histograms carry exemplar trace ids for slow buckets.
   bool saw_stage_metric = false;

@@ -146,7 +146,49 @@ TEST_F(UpdateManagerTest, StatsAccumulate) {
   EXPECT_EQ(stats.full_updates_sent, 1u);
   EXPECT_GE(stats.names_sent, 2u);  // 1 incremental + 1 full
   EXPECT_GT(stats.bytes_sent, 0u);
-  EXPECT_GE(stats.last_update_seconds, 0.0);
+  // The round's duration is a sample of ss_update_duration_us.
+  EXPECT_EQ(obs::SampleValue(lrc->GetStatsSnapshot().metrics, "ss_update_duration_us"), 1);
+}
+
+// stats().bytes_sent is ss_bytes_sent_total: the update bytes shipped to
+// every target, not one target's client total.
+TEST_F(UpdateManagerTest, BytesSentCountsEveryTarget) {
+  StartRli("um-rli:ba");
+  StartRli("um-rli:bb");
+  const UpdateTarget a{"um-rli:ba", net::LinkModel::Loopback(), {"lfn://a/*"}};
+  const UpdateTarget b{"um-rli:bb", net::LinkModel::Loopback(), {"lfn://b/*"}};
+  UpdateConfig update;
+  update.mode = UpdateMode::kPartitioned;
+  update.targets = {a, b};
+  RlsServer* lrc = StartLrc(update);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(lrc->lrc_store()->CreateMapping("lfn://a/" + std::to_string(i), "p").ok());
+  }
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(lrc->lrc_store()->CreateMapping("lfn://b/" + std::to_string(i), "p").ok());
+  }
+  UpdateManager* manager = lrc->update_manager();
+  auto shipped = [&] {
+    return obs::SampleValue(lrc->GetStatsSnapshot().metrics, "ss_bytes_sent_total");
+  };
+  ASSERT_TRUE(manager->ForceFullUpdate().ok());
+  const uint64_t both = manager->stats().bytes_sent;
+  EXPECT_EQ(both, shipped());
+
+  // The same round to each target alone (wire integers are fixed width,
+  // so a round's bytes do not depend on its update id or timestamp).
+  auto round_bytes = [&] {
+    const double before = shipped();
+    EXPECT_TRUE(manager->ForceFullUpdate().ok());
+    return shipped() - before;
+  };
+  manager->RemoveTarget(b.address);
+  const double to_a = round_bytes();
+  manager->RemoveTarget(a.address);
+  manager->AddTarget(b);
+  const double to_b = round_bytes();
+  EXPECT_GT(to_a, to_b);
+  EXPECT_EQ(both, to_a + to_b);
 }
 
 TEST_F(UpdateManagerTest, ForceUpdateWithoutModeFails) {

@@ -260,25 +260,8 @@ struct Golden<GetStatsResponse> {
   static GetStatsResponse Sample() {
     GetStatsResponse m;
     m.role = "lrc+rli";
-    m.uptime_seconds = 1.5;
     m.build_flags = "debug";
-    m.vitals = {1, 2, 3, 4, 5, 6, 7};
     m.last_update_trace_id = 8;
-    m.trace_depth = 9;
-    m.trace_dropped = 10;
-    m.trace_capacity = 11;
-    m.wal.enabled = 1;
-    m.wal.recovered_txns = 12;
-    m.wal.records_applied = 13;
-    m.wal.snapshot_rows = 14;
-    m.wal.torn_tail_bytes = 15;
-    m.wal.checksum_failures = 16;
-    m.wal.last_lsn = 17;
-    m.wal.recover_micros = 18;
-    m.wal.group_commit = 1;
-    m.wal.commits = 19;
-    m.wal.syncs = 20;
-    m.wal.group_commits = 21;
     TargetStatus target;
     target.address = "rli";
     target.updates_sent = 22;
@@ -292,7 +275,6 @@ struct Golden<GetStatsResponse> {
     metric.labels = "l=\"v\"";
     metric.kind = 2;
     metric.value = 3.0;
-    metric.count = 25;
     metric.mean_us = 4.0;
     metric.p50_us = 26;
     metric.p95_us = 27;
@@ -305,16 +287,11 @@ struct Golden<GetStatsResponse> {
     return m;
   }
   static constexpr const char* kHex =
-      "070000006c72632b726c69000000000000f83f0500000064656275670100000000000000"
-      "020000000000000003000000000000000400000000000000050000000000000006000000"
-      "000000000700000000000000080000000000000009000000000000000a00000000000000"
-      "0b00000000000000010c000000000000000d000000000000000e000000000000000f0000"
-      "000000000010000000000000001100000000000000120000000000000001130000000000"
-      "0000140000000000000015000000000000000100000003000000726c6916000000000000"
-      "00000000000000d03f0017000000180000000000000001000000010000006d050000006c"
-      "3d227622020000000000000840190000000000000000000000000010401a000000000000"
-      "001b000000000000001c000000000000001d000000000000001e000000000000001f0000"
-      "00000000002000000000000000";
+      "070000006c72632b726c6905000000646562756708000000000000000100000003000000"
+      "726c691600000000000000000000000000d03f0017000000180000000000000001000000"
+      "010000006d050000006c3d22762202000000000000084000000000000010401a00000000"
+      "0000001b000000000000001c000000000000001d000000000000001e000000000000001f"
+      "000000000000002000000000000000";
 };
 
 template <>
