@@ -8,6 +8,7 @@
 #include "common/workload.h"
 #include "net/serialize.h"
 #include "rls/protocol.h"
+#include "rls/rli_store.h"
 #include "sql/engine.h"
 
 namespace {
@@ -55,28 +56,39 @@ void BM_BloomQueryMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomQueryMiss);
 
-/// Probing N resident filters per query — the Fig. 10 mechanism.
+/// The RLI's query over N resident filters — the Fig. 10 mechanism, the
+/// loop the server runs. Each filter summarizes 100k names (1 Mbit, the
+/// perfbench geometry), so 100 of them (12.5 MB) outgrow the L2 cache.
+/// A second argument of 1 gives the filters distinct sizes (50k to 149k
+/// names), as LRCs that size their filters from their own catalogs do.
 void BM_BloomMultiFilterProbe(benchmark::State& state) {
   const int filters = static_cast<int>(state.range(0));
-  std::vector<bloom::BloomFilter> resident;
-  rlscommon::NameGenerator gen("micro");
+  const bool distinct = state.range(1) != 0;
+  rls::RliBloomStore store;
   for (int f = 0; f < filters; ++f) {
-    bloom::BloomFilter filter = bloom::BloomFilter::ForEntries(10000);
-    for (uint64_t i = 0; i < 10000; ++i) filter.Insert(gen.LogicalName(i));
-    resident.push_back(std::move(filter));
+    const uint64_t count = distinct ? 50000 + 997 * static_cast<uint64_t>(f) : 100000;
+    rlscommon::NameGenerator gen("micro" + std::to_string(f));
+    bloom::BloomFilter filter = bloom::BloomFilter::ForEntries(count);
+    for (uint64_t i = 0; i < count; ++i) filter.Insert(gen.LogicalName(i));
+    store.StoreFilter("rls://lrc" + std::to_string(f), std::move(filter));
   }
-  uint64_t i = 0;
+  // Names of the first filter's LRC, made before timing.
+  rlscommon::NameGenerator gen("micro0");
+  std::vector<std::string> names;
+  for (uint64_t i = 0; i < 4096; ++i) names.push_back(gen.LogicalName(i * 12));
+  std::vector<std::string> lrcs;
+  std::size_t i = 0;
   for (auto _ : state) {
-    const bloom::HashPair h = bloom::HashKey(gen.LogicalName(i++ % 10000));
-    int hits = 0;
-    for (const auto& filter : resident) {
-      if (filter.ContainsHashed(h)) ++hits;
-    }
-    benchmark::DoNotOptimize(hits);
+    benchmark::DoNotOptimize(store.Query(names[i++ % names.size()], &lrcs));
+    benchmark::DoNotOptimize(lrcs.data());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_BloomMultiFilterProbe)->Arg(1)->Arg(10)->Arg(100);
+BENCHMARK(BM_BloomMultiFilterProbe)
+    ->Args({1, 0})
+    ->Args({10, 0})
+    ->Args({100, 0})
+    ->Args({100, 1});
 
 void BM_SqlInsert(benchmark::State& state) {
   rdb::Database db("micro", rdb::BackendProfile::MySQL());

@@ -35,6 +35,10 @@ bool ReadU64(std::string_view& data, uint64_t* v) {
   return true;
 }
 
+/// 64-bit words that hold `num_bits` bits; (num_bits + 63) / 64 would
+/// wrap to 0 for the largest counts.
+uint64_t WordsFor(uint64_t num_bits) { return num_bits / 64 + (num_bits % 64 != 0); }
+
 }  // namespace
 
 BloomParams SizeForEntries(uint64_t expected_entries) {
@@ -54,7 +58,7 @@ double ExpectedFalsePositiveRate(const BloomParams& params, uint64_t entries) {
 }
 
 BloomFilter::BloomFilter(BloomParams params) : params_(params) {
-  words_.assign((params_.num_bits + 63) / 64, 0);
+  words_.assign(WordsFor(params_.num_bits), 0);
 }
 
 BloomFilter BloomFilter::ForEntries(uint64_t expected_entries) {
@@ -64,9 +68,10 @@ BloomFilter BloomFilter::ForEntries(uint64_t expected_entries) {
 void BloomFilter::Insert(std::string_view key) { InsertHashed(HashKey(key)); }
 
 void BloomFilter::InsertHashed(const HashPair& h) {
-  for (uint32_t i = 0; i < params_.num_hashes; ++i) {
-    uint64_t bit = IndexHash(h, i, params_.num_bits);
-    words_[bit >> 6] |= (1ULL << (bit & 63));
+  const BitPositions at(h, params_.num_bits, params_.num_hashes);
+  for (uint32_t i = 0; i < at.size(); ++i) {
+    const uint64_t bit = at[i];
+    words_[bit >> 6] |= 1ULL << (bit & 63);
   }
   ++insert_count_;
 }
@@ -76,10 +81,10 @@ bool BloomFilter::Contains(std::string_view key) const {
 }
 
 bool BloomFilter::ContainsHashed(const HashPair& h) const {
-  if (params_.num_bits == 0) return false;
-  for (uint32_t i = 0; i < params_.num_hashes; ++i) {
-    uint64_t bit = IndexHash(h, i, params_.num_bits);
-    if (!(words_[bit >> 6] & (1ULL << (bit & 63)))) return false;
+  const BitPositions at(h, params_.num_bits, params_.num_hashes);
+  if (at.size() == 0) return false;
+  for (uint32_t i = 0; i < at.size(); ++i) {
+    if (!TestBit(at[i])) return false;
   }
   return true;
 }
@@ -133,8 +138,9 @@ rlscommon::Status BloomFilter::Deserialize(std::string_view data, BloomFilter* o
   if (params.num_hashes == 0 || params.num_hashes > 32) {
     return rlscommon::Status::Protocol("unreasonable Bloom hash count");
   }
-  const std::size_t word_count = (params.num_bits + 63) / 64;
-  if (data.size() != word_count * 8) {
+  // An LRC never sends fewer than SizeForEntries' 1024 bits.
+  if (params.num_bits == 0) return rlscommon::Status::Protocol("empty Bloom filter");
+  if (data.size() != WordsFor(params.num_bits) * 8) {
     return rlscommon::Status::Protocol("Bloom filter body size mismatch");
   }
   BloomFilter filter(params);
@@ -167,9 +173,9 @@ void CountingBloomFilter::SetCounter(uint64_t index, uint8_t value) {
 }
 
 void CountingBloomFilter::Insert(std::string_view key) {
-  HashPair h = HashKey(key);
-  for (uint32_t i = 0; i < params_.num_hashes; ++i) {
-    uint64_t bit = IndexHash(h, i, params_.num_bits);
+  const BitPositions at(HashKey(key), params_.num_bits, params_.num_hashes);
+  for (uint32_t i = 0; i < at.size(); ++i) {
+    const uint64_t bit = at[i];
     uint8_t c = GetCounter(bit);
     if (c == 15) {
       saturated_ = true;  // stuck counter: never decremented below
@@ -180,9 +186,9 @@ void CountingBloomFilter::Insert(std::string_view key) {
 }
 
 void CountingBloomFilter::Remove(std::string_view key) {
-  HashPair h = HashKey(key);
-  for (uint32_t i = 0; i < params_.num_hashes; ++i) {
-    uint64_t bit = IndexHash(h, i, params_.num_bits);
+  const BitPositions at(HashKey(key), params_.num_bits, params_.num_hashes);
+  for (uint32_t i = 0; i < at.size(); ++i) {
+    const uint64_t bit = at[i];
     uint8_t c = GetCounter(bit);
     if (c == 15) continue;  // saturated: leave stuck (no false negatives)
     if (c > 0) SetCounter(bit, static_cast<uint8_t>(c - 1));
@@ -190,11 +196,10 @@ void CountingBloomFilter::Remove(std::string_view key) {
 }
 
 bool CountingBloomFilter::Contains(std::string_view key) const {
-  if (params_.num_bits == 0) return false;
-  HashPair h = HashKey(key);
-  for (uint32_t i = 0; i < params_.num_hashes; ++i) {
-    uint64_t bit = IndexHash(h, i, params_.num_bits);
-    if (GetCounter(bit) == 0) return false;
+  const BitPositions at(HashKey(key), params_.num_bits, params_.num_hashes);
+  if (at.size() == 0) return false;
+  for (uint32_t i = 0; i < at.size(); ++i) {
+    if (GetCounter(at[i]) == 0) return false;
   }
   return true;
 }

@@ -53,6 +53,10 @@ class BloomFilter {
   bool Contains(std::string_view key) const;
   bool ContainsHashed(const HashPair& h) const;
 
+  /// Whether bit `bit` (< num_bits()) is set: the test ContainsHashed
+  /// makes at each of a key's BitPositions.
+  bool TestBit(uint64_t bit) const { return (words_[bit >> 6] >> (bit & 63)) & 1; }
+
   /// Number of Insert calls (duplicates counted).
   uint64_t insert_count() const { return insert_count_; }
   uint64_t num_bits() const { return params_.num_bits; }

@@ -25,14 +25,34 @@ struct HashPair {
   uint64_t h2;
 };
 
-/// Hashes `key` once; index hashes are derived with IndexHash().
+/// Hashes `key` once; its bit positions come from BitPositions.
 HashPair HashKey(std::string_view key);
 
-/// i-th derived hash, reduced modulo `num_bits`.
-inline uint64_t IndexHash(const HashPair& h, uint32_t i, uint64_t num_bits) {
-  // h2 is forced odd so the stride is coprime with power-of-two sizes and
+/// The bit positions of one key in a filter of `num_bits` bits and
+/// `num_hashes` hashes, computed on demand: position i is
+/// (h1 + i * (h2 | 1)) mod num_bits. Every filter operation reads its
+/// positions here, and so does the RLI's probe of many filters. A filter
+/// with no bits has no positions (size 0), so it neither divides by zero
+/// nor holds a key.
+class BitPositions {
+ public:
+  BitPositions(const HashPair& h, uint64_t num_bits, uint32_t num_hashes)
+      : h1_(h.h1), stride_(h.h2 | 1), num_bits_(num_bits), size_(num_bits == 0 ? 0 : num_hashes) {}
+
+  uint32_t size() const { return size_; }
+
+  /// Position `i` < size().
+  uint64_t operator[](uint32_t i) const {
+    return (h1_ + static_cast<uint64_t>(i) * stride_) % num_bits_;
+  }
+
+ private:
+  uint64_t h1_;
+  // h2 forced odd, so the stride is coprime with power-of-two sizes and
   // never zero for any size.
-  return (h.h1 + static_cast<uint64_t>(i) * (h.h2 | 1)) % num_bits;
-}
+  uint64_t stride_;
+  uint64_t num_bits_;
+  uint32_t size_;
+};
 
 }  // namespace bloom

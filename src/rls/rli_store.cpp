@@ -1,6 +1,7 @@
 #include "rls/rli_store.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "rls/lrc_store.h"  // GlobToLike
 
@@ -268,9 +269,25 @@ uint64_t RliRelationalStore::LogicalNameCount() const {
   return static_cast<uint64_t>(rs.at(0, 0).AsInt());
 }
 
+namespace {
+
+/// Filters whose first probed bits a query reads before it reads any of
+/// their others: one bit each of a uint64_t.
+constexpr std::size_t kProbeBatch = 64;
+
+}  // namespace
+
 void RliBloomStore::StoreFilter(const std::string& lrc_url, bloom::BloomFilter filter) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  filters_[lrc_url] = Entry{std::move(filter), clock_->Now()};
+  const auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), lrc_url,
+      [](const Entry& entry, const std::string& url) { return entry.url < url; });
+  if (it != entries_.end() && it->url == lrc_url) {
+    it->filter = std::move(filter);
+    it->received = clock_->Now();
+  } else {
+    entries_.insert(it, Entry{lrc_url, std::move(filter), clock_->Now()});
+  }
 }
 
 Status RliBloomStore::Query(const std::string& lfn,
@@ -280,8 +297,22 @@ Status RliBloomStore::Query(const std::string& lfn,
   const bloom::HashPair hash = bloom::HashKey(lfn);
   lrcs->clear();
   std::shared_lock<std::shared_mutex> lock(mu_);
-  for (const auto& [url, entry] : filters_) {
-    if (entry.filter.ContainsHashed(hash)) lrcs->push_back(url);
+  for (std::size_t begin = 0; begin < entries_.size(); begin += kProbeBatch) {
+    const std::size_t end = std::min(begin + kProbeBatch, entries_.size());
+    // Read the first probed bit of every filter of the batch before any
+    // filter's other bits, so that their cache misses overlap; only the
+    // filters whose first bit is set go on to the others. A lone filter
+    // has no misses to overlap and goes straight to its own test.
+    uint64_t maybe = end - begin == 1;
+    for (std::size_t i = begin; i < end && end - begin > 1; ++i) {
+      const bloom::BloomFilter& filter = entries_[i].filter;
+      const bloom::BitPositions at(hash, filter.num_bits(), filter.num_hashes());
+      maybe |= uint64_t{at.size() > 0 && filter.TestBit(at[0])} << (i - begin);
+    }
+    for (; maybe != 0; maybe &= maybe - 1) {
+      const Entry& entry = entries_[begin + std::countr_zero(maybe)];
+      if (entry.filter.ContainsHashed(hash)) lrcs->push_back(entry.url);
+    }
   }
   if (lrcs->empty()) return Status::NotFound("no LRC claims: " + lfn);
   return Status::Ok();
@@ -290,43 +321,35 @@ Status RliBloomStore::Query(const std::string& lfn,
 Status RliBloomStore::ListLrcs(std::vector<std::string>* out) const {
   out->clear();
   std::shared_lock<std::shared_mutex> lock(mu_);
-  out->reserve(filters_.size());
-  for (const auto& [url, entry] : filters_) out->push_back(url);
+  out->reserve(entries_.size());
+  for (const Entry& entry : entries_) out->push_back(entry.url);
   return Status::Ok();
 }
 
 uint64_t RliBloomStore::ExpireOlderThan(rlscommon::Duration max_age) {
   const rlscommon::TimePoint cutoff = clock_->Now() - max_age;
   std::unique_lock<std::shared_mutex> lock(mu_);
-  uint64_t dropped = 0;
-  for (auto it = filters_.begin(); it != filters_.end();) {
-    if (it->second.received <= cutoff) {
-      it = filters_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  return dropped;
+  return std::erase_if(entries_,
+                       [cutoff](const Entry& entry) { return entry.received <= cutoff; });
 }
 
 bool RliBloomStore::OldestStamp(rlscommon::TimePoint* received) const {
   using rlscommon::TimePoint;
   std::shared_lock<std::shared_mutex> lock(mu_);
   *received = TimePoint::max();
-  for (const auto& [url, entry] : filters_) *received = std::min(*received, entry.received);
-  return !filters_.empty();
+  for (const Entry& entry : entries_) *received = std::min(*received, entry.received);
+  return !entries_.empty();
 }
 
 std::size_t RliBloomStore::filter_count() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return filters_.size();
+  return entries_.size();
 }
 
 uint64_t RliBloomStore::TotalFilterBits() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   uint64_t total = 0;
-  for (const auto& [url, entry] : filters_) total += entry.filter.num_bits();
+  for (const Entry& entry : entries_) total += entry.filter.num_bits();
   return total;
 }
 

@@ -10,11 +10,14 @@
 //     "no database is used ... all Bloom filters are stored in memory".
 //     Queries hash the logical name once and probe every resident filter,
 //     which is why query rates drop as the number of LRC filters grows
-//     (paper Fig. 10).
+//     (paper Fig. 10). The filters sit in one url-sorted array under one
+//     shared_mutex. A query takes the filters in batches of 64: it reads
+//     the first probed bit of each before it reads any filter's others,
+//     so their cache misses overlap, and only a filter whose first bit
+//     is set goes on to its other bits.
 #pragma once
 
 #include <chrono>
-#include <map>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -89,8 +92,9 @@ class RliBloomStore {
   /// Stores (replaces) the summary filter for one LRC.
   void StoreFilter(const std::string& lrc_url, bloom::BloomFilter filter);
 
-  /// LRC urls whose filter claims `lfn` (false positives possible at the
-  /// configured ~1% rate).
+  /// LRC urls whose filter claims `lfn`, in url order (false positives
+  /// possible at the configured ~1% rate). Replaces `lrcs`' contents;
+  /// NotFound when no filter claims the name.
   rlscommon::Status Query(const std::string& lfn, std::vector<std::string>* lrcs) const;
 
   rlscommon::Status ListLrcs(std::vector<std::string>* out) const;
@@ -109,13 +113,14 @@ class RliBloomStore {
 
  private:
   struct Entry {
+    std::string url;
     bloom::BloomFilter filter;
     rlscommon::TimePoint received;
   };
 
   rlscommon::Clock* clock_;
   mutable std::shared_mutex mu_;
-  std::map<std::string, Entry> filters_;
+  std::vector<Entry> entries_;  // sorted by url
 };
 
 }  // namespace rls

@@ -54,11 +54,13 @@ void MergeUnique(std::vector<std::string>* base, const std::vector<std::string>&
 }
 
 /// The LRCs an RLI's stores name for `lfn`, the relational store's
-/// first; false when neither store knows the name.
+/// first; false when neither store knows the name. A Bloom-only RLI's
+/// matches go straight into `lrcs`.
 bool QueryRliStores(const RliRelationalStore* relational, const RliBloomStore* bloom,
                     const std::string& lfn, std::vector<std::string>* lrcs) {
   lrcs->clear();
-  bool found = relational && relational->Query(lfn, lrcs).ok();
+  if (!relational) return bloom && bloom->Query(lfn, lrcs).ok();
+  bool found = relational->Query(lfn, lrcs).ok();
   std::vector<std::string> from_bloom;
   if (bloom && bloom->Query(lfn, &from_bloom).ok()) {
     MergeUnique(lrcs, from_bloom);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/workload.h"
 
 namespace bloom {
@@ -37,10 +40,13 @@ TEST(HashingTest, DeterministicAndSpread) {
 }
 
 TEST(HashingTest, IndexHashInRange) {
-  HashPair h = HashKey("some-key");
-  for (uint32_t i = 0; i < 16; ++i) {
-    EXPECT_LT(IndexHash(h, i, 1000), 1000u);
+  const BitPositions at(HashKey("some-key"), 1000, 16);
+  ASSERT_EQ(at.size(), 16u);
+  for (uint32_t i = 0; i < at.size(); ++i) {
+    EXPECT_LT(at[i], 1000u);
   }
+  // A filter with no bits has no positions to divide into.
+  EXPECT_EQ(BitPositions(HashKey("some-key"), 0, 3).size(), 0u);
 }
 
 TEST(BloomFilterTest, NoFalseNegatives) {
@@ -100,6 +106,63 @@ TEST(BloomFilterTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(BloomFilter::Deserialize(bytes, &out).ok());
   bytes[0] = 'X';  // bad magic
   EXPECT_FALSE(BloomFilter::Deserialize(bytes, &out).ok());
+}
+
+// A header's bit count must match its body exactly, and a filter needs
+// bits. (num_bits + 63) / 64 used to wrap for the top 63 counts, so a
+// 24-byte header with no body passed as a filter of 2^64 - 1 bits, and
+// the next query read far past its empty array.
+TEST(BloomFilterTest, DeserializeAcceptsOnlyABodyOfExactlyTheHeadersBits) {
+  std::vector<uint64_t> bit_counts = {0, 1, 63, 64, 65};
+  for (uint64_t top = ~uint64_t{0} - 63;; ++top) {
+    bit_counts.push_back(top);
+    if (top == ~uint64_t{0}) break;
+  }
+  std::string header;
+  BloomFilter::ForEntries(100).Serialize(&header);
+  header.resize(24);  // magic, num_bits, 3 hashes, insert count
+  for (const uint64_t num_bits : bit_counts) {
+    std::memcpy(header.data() + 4, &num_bits, sizeof(num_bits));
+    const uint64_t exact = (num_bits / 64 + (num_bits % 64 != 0)) * 8;
+    // Bodies of 2^61 bytes are not built; those counts get the empty one.
+    std::vector<uint64_t> body_sizes = {0};
+    if (exact <= 4096) body_sizes.insert(body_sizes.end(), {exact, exact + 8});
+    if (exact >= 8 && exact <= 4096) body_sizes.push_back(exact - 8);
+    for (const uint64_t body : body_sizes) {
+      SCOPED_TRACE("num_bits " + std::to_string(num_bits) + ", body " +
+                   std::to_string(body));
+      std::string bytes = header;
+      bytes.append(body, '\xff');
+      BloomFilter out;
+      const rlscommon::Status s = BloomFilter::Deserialize(bytes, &out);
+      if (num_bits == 0 || body != exact) {
+        EXPECT_EQ(s.code(), rlscommon::ErrorCode::kProtocol);
+        continue;
+      }
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      EXPECT_EQ(out.num_bits(), num_bits);
+      EXPECT_EQ(out.words().size() * 8, body);
+      EXPECT_TRUE(out.Contains("every bit is set"));
+      out.Clear();
+      EXPECT_FALSE(out.Contains("lfn"));
+      out.Insert("lfn");
+      EXPECT_TRUE(out.Contains("lfn"));
+    }
+  }
+}
+
+// A default-constructed filter has no bits: it takes inserts and holds
+// nothing, where an insert used to divide by zero.
+TEST(BloomFilterTest, ZeroBitFilterHoldsNothing) {
+  BloomFilter filter;
+  filter.Insert("lfn");
+  EXPECT_FALSE(filter.Contains("lfn"));
+  EXPECT_EQ(filter.insert_count(), 1u);
+  CountingBloomFilter counting;
+  counting.Insert("lfn");
+  EXPECT_FALSE(counting.Contains("lfn"));
+  counting.Remove("lfn");
+  EXPECT_EQ(counting.ToBloomFilter().CountSetBits(), 0u);
 }
 
 TEST(BloomFilterTest, WireSizeMatchesPaperScale) {

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <thread>
+#include <vector>
+
+#include "common/workload.h"
 
 namespace rls {
 namespace {
@@ -206,6 +211,103 @@ TEST(RliBloomStoreTest, ExpirationUsesClock) {
   ASSERT_TRUE(store.ListLrcs(&lrcs).ok());
   ASSERT_EQ(lrcs.size(), 1u);
   EXPECT_EQ(lrcs[0], "rls://fresh");
+}
+
+// Every answer is the url-ordered list of filters that hold the name by
+// their own ContainsHashed, over 67 filters (one full probe batch of 64
+// and a partial one) of three interleaved geometries; two share a bit
+// count and differ only in hash count.
+TEST(RliBloomStoreTest, EveryAnswerIsTheFiltersThatHoldTheName) {
+  RliBloomStore store;
+  rlscommon::NameGenerator present("present");
+  rlscommon::NameGenerator absent("absent");
+  constexpr int kFilters = 67;
+  constexpr uint64_t kNames = 10000;
+  std::map<std::string, bloom::BloomFilter> reference;
+  // Stored in reverse url order, so the store must sort.
+  for (int f = kFilters - 1; f >= 0; --f) {
+    bloom::BloomFilter filter = f % 3 == 0   ? bloom::BloomFilter::ForEntries(1000)
+                                : f % 3 == 1 ? bloom::BloomFilter::ForEntries(100000)
+                                             : bloom::BloomFilter({10000, 5});
+    for (uint64_t i = 0; i < kNames; ++i) {
+      if ((i + static_cast<uint64_t>(f)) % 4 == 0) filter.Insert(present.LogicalName(i));
+    }
+    const std::string url = "rls://lrc" + std::to_string(100 + f);
+    reference.emplace(url, filter);
+    store.StoreFilter(url, std::move(filter));
+  }
+  ASSERT_EQ(store.filter_count(), static_cast<std::size_t>(kFilters));
+
+  uint64_t answered = 0;
+  std::vector<std::string> lrcs;
+  for (const rlscommon::NameGenerator* names : {&present, &absent}) {
+    for (uint64_t i = 0; i < kNames; ++i) {
+      const std::string name = names->LogicalName(i);
+      const bloom::HashPair hash = bloom::HashKey(name);
+      std::vector<std::string> expected;
+      for (const auto& [url, filter] : reference) {
+        if (filter.ContainsHashed(hash)) expected.push_back(url);
+      }
+      const rlscommon::Status s = store.Query(name, &lrcs);
+      if (expected.empty()) {
+        ASSERT_EQ(s.code(), ErrorCode::kNotFound) << name;
+        continue;
+      }
+      ASSERT_TRUE(s.ok()) << name;
+      ASSERT_EQ(lrcs, expected) << name;
+      ++answered;
+    }
+  }
+  // Present names hit several filters each; the overfull ones also
+  // answer for absent names.
+  EXPECT_GT(answered, kNames);
+}
+
+// A concurrency checker: readers query a name that every version of
+// filter "a" holds while a writer replaces "a" and stores and expires
+// urls on both sides of it, so "a" moves within the array. No answer
+// may miss "a".
+TEST(RliBloomStoreTest, ConcurrentReadersNeverMissAFilterBeingReplaced) {
+  rlscommon::ManualClock clock;
+  RliBloomStore store(&clock);
+  auto filter_for = [](int round, uint64_t entries) {
+    bloom::BloomFilter filter = bloom::BloomFilter::ForEntries(entries);
+    filter.Insert("held-by-a");
+    filter.Insert("round-" + std::to_string(round));
+    return filter;
+  };
+  store.StoreFilter("rls://a", filter_for(0, 1000));
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> misses{0};
+  std::atomic<uint64_t> queries{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      std::vector<std::string> lrcs;
+      // Each reader checks at least a few hundred answers, writer or not.
+      for (int n = 0; !done.load() || n < 200; ++n) {
+        const rlscommon::Status s = store.Query("held-by-a", &lrcs);
+        if (!s.ok() || std::find(lrcs.begin(), lrcs.end(), "rls://a") == lrcs.end()) {
+          misses.fetch_add(1);
+        }
+        queries.fetch_add(1);
+      }
+    });
+  }
+  for (int round = 1; round <= 300; ++round) {
+    clock.Advance(std::chrono::seconds(1));
+    // Alternate geometries, so "a" changes geometry too.
+    store.StoreFilter("rls://a", filter_for(round, round % 2 ? 100000 : 1000));
+    for (const char* side : {"rls://0-", "rls://b-", "rls://z-"}) {
+      store.StoreFilter(side + std::to_string(round), filter_for(round, 1000));
+    }
+    // Drops the previous round's others; "a" was stored just now.
+    store.ExpireOlderThan(std::chrono::milliseconds(500));
+  }
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(misses.load(), 0u) << "of " << queries.load() << " queries";
+  EXPECT_EQ(store.filter_count(), 4u);
 }
 
 TEST(RliBloomStoreTest, TotalBitsTracksMemoryFootprint) {

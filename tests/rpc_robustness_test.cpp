@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <map>
 #include <set>
 #include <thread>
@@ -13,6 +14,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "bloom/bloom_filter.h"
 #include "common/rng.h"
 #include "net/rpc.h"
 #include "net/serialize.h"
@@ -99,15 +101,33 @@ TEST_F(RobustnessTest, HostileCountPrefixesRejected) {
   auto s = rpc_->Call(kLrcBulkCreate, payload, &response);
   EXPECT_EQ(s.code(), ErrorCode::kProtocol);
 
-  // A Bloom update whose header promises more bits than the body holds.
-  payload.clear();
-  net::Writer w2(&payload);
-  w2.Str("rls://attacker");
-  std::string fake_filter = "BLM1";
-  fake_filter.resize(24, '\xff');  // huge num_bits, no body
-  w2.Str(fake_filter);
-  s = rpc_->Call(kSsBloom, payload, &response);
-  EXPECT_FALSE(s.ok());
+  // Bloom updates whose well-formed header promises more bits than the
+  // body holds, or no bits at all, fail with PROTOCOL, and the RLI goes
+  // on answering. 2^64 - 1 bits once wrapped the word count to 0 and was
+  // stored; the next query read far past the empty array.
+  std::string header;
+  bloom::BloomFilter::ForEntries(1000).Serialize(&header);
+  header.resize(24);  // magic, num_bits, 3 hashes, insert count; no body
+  for (const uint64_t num_bits : {~uint64_t{0}, uint64_t{0}}) {
+    BloomUpdate update;
+    update.lrc_url = "rls://attacker-" + std::to_string(num_bits);
+    update.filter_bytes = header;
+    std::memcpy(update.filter_bytes.data() + 4, &num_bits, sizeof(num_bits));
+    EXPECT_EQ(Invoke<kSsBloom>(*rpc_, update).code(), ErrorCode::kProtocol) << num_bits;
+  }
+  NameQueryRequest query;
+  query.name = "lfn-held";
+  StringListResponse reply;
+  EXPECT_EQ(Invoke<kRliQueryLfn>(*rpc_, query, &reply).code(), ErrorCode::kNotFound);
+
+  bloom::BloomFilter honest = bloom::BloomFilter::ForEntries(1000);
+  honest.Insert("lfn-held");
+  BloomUpdate update;
+  update.lrc_url = "rls://honest";
+  honest.Serialize(&update.filter_bytes);
+  ASSERT_TRUE(Invoke<kSsBloom>(*rpc_, update).ok());
+  ASSERT_TRUE(Invoke<kRliQueryLfn>(*rpc_, query, &reply).ok());
+  EXPECT_EQ(reply.values, std::vector<std::string>{"rls://honest"});
 }
 
 TEST_F(RobustnessTest, RequestsBeforeAuthRejected) {
