@@ -3,8 +3,10 @@
 // Not a paper figure — the paper stops at the saturation knee (Figs. 4-7
 // show rates flattening once the server is busy); this bench pushes past
 // it to validate the overload-protection layer. A protected LRC
-// (bounded run queue + worker pool) is offered a Zipf-skewed storm with
-// client churn and add/delete bursts at 4x its concurrency capacity.
+// (execution slots with a bounded wait line: at most `workers` handlers
+// run at once, each on its connection's thread) is offered a Zipf-skewed
+// storm with client churn and add/delete bursts at 4x its concurrency
+// capacity.
 // Reported: p50/p95/p99/p999 of ADMITTED requests (unloaded vs storm),
 // shed fraction, and the success rate of a GetStats priority probe
 // running through the storm — the lane that must never starve.
@@ -24,9 +26,9 @@
 
 namespace {
 
-constexpr int kWorkers = 4;        // server execution capacity
-constexpr int kQueueDepth = 4;     // normal-lane bound
-constexpr int kStormClients = 16;  // 4x the worker capacity
+constexpr int kWorkers = 4;        // execution slots
+constexpr int kQueueDepth = 4;     // readers that may wait for a slot
+constexpr int kStormClients = 16;  // 4x the slots
 
 struct PhaseResult {
   rlscommon::LatencyHistogram admitted;
@@ -117,8 +119,8 @@ int main() {
       "Overload storm: Zipf queries + churn + bursts at 4x capacity",
       "beyond Figs. 4-7 (past the saturation knee)",
       "protected LRC: workers=" + std::to_string(kWorkers) +
-          " queue_depth=" + std::to_string(kQueueDepth) +
-          " storm_clients=" + std::to_string(kStormClients));
+          " execution slots, queue_depth=" + std::to_string(kQueueDepth) +
+          " waiting readers, storm_clients=" + std::to_string(kStormClients));
 
   rlsbench::Testbed bed;
   rls::ServerLimits limits;

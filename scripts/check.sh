@@ -209,17 +209,20 @@ for config in "${configs[@]}"; do
     # delivery (replies and close notices run the client's callbacks on
     # the server's threads) and the async client multiplexer over both
     # are the raciest code in the tree; make their TSan pass an explicit
-    # gate. The overload tests' /Tcp cases race worker-pool replies
-    # against that batching; the /InProc cases of the async-client,
-    # overload and chaos suites race them against the client's
-    # lifecycle. The Clock cases and the soft-state history checker's
-    # /..._Tcp and /..._InProc cases race the periodic loops' mutexes
-    # against ManualClock's waiter bookkeeping. The RliBloomStore cases
-    # race the RLI's batched filter probe against filter replacement and
-    # expiry. (These also ran in the full suite above — this re-run is
-    # the named gate so a filter typo can't silently drop them.)
-    echo "=== [$config] transport + clock + Bloom store gate (tcp_transport_test, Tcp/InProc cases, Clock and RliBloomStore tests)"
-    ctest --test-dir "$dir" --output-on-failure -R 'Tcp|InProc|Clock|RliBloomStore'
+    # gate. The /InProc cases of the async-client, overload and chaos
+    # suites race server replies against the client's lifecycle, and
+    # the /Tcp cases race them against that batching. The ExecutionSlot
+    # cases are the execution slots' checker: readers of many
+    # connections take, wait for, hand over and give back slots while
+    # Stop() ends the waits. The Clock cases and the soft-state history
+    # checker's /..._Tcp and /..._InProc cases race the periodic loops'
+    # mutexes against ManualClock's waiter bookkeeping. The RliBloomStore
+    # cases race the RLI's batched filter probe against filter
+    # replacement and expiry. (These also ran in the full suite above —
+    # this re-run is the named gate so a filter typo can't silently drop
+    # them.)
+    echo "=== [$config] transport + execution slot + clock + Bloom store gate (tcp_transport_test, Tcp/InProc cases, ExecutionSlot, Clock and RliBloomStore tests)"
+    ctest --test-dir "$dir" --output-on-failure -R 'Tcp|InProc|Clock|RliBloomStore|ExecutionSlot'
   fi
 done
 

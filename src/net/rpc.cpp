@@ -56,12 +56,12 @@ Status RpcServer::Start() {
         "rpc_shed_total", obs::Label("reason", "queue_full"));
   }
   {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    queue_closed_ = false;
+    std::lock_guard<std::mutex> lock(slot_mu_);
+    free_slots_ = options_.workers;
+    slots_closed_ = false;
   }
-  // Listen first, so a failed start leaves no worker thread and no
-  // callback capturing `this` behind. A request admitted before the
-  // workers below exist waits in the run queue.
+  // Listen first, so a failed start leaves no callback capturing `this`
+  // behind.
   Status s = network_->Listen(address_, [this](ConnectionPtr conn) {
     std::shared_ptr<Connection> shared(conn.release());
     std::vector<std::thread> finished;
@@ -81,9 +81,6 @@ Status RpcServer::Start() {
   });
   if (!s.ok()) return s;
   started_ = true;
-  for (int i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
   if (options_.metrics) {
     options_.metrics->RegisterCallback(
         "rpc_active_connections", "",
@@ -91,13 +88,8 @@ Status RpcServer::Start() {
     if (options_.workers > 0) {
       options_.metrics->RegisterCallback(
           "rpc_queue_depth", obs::Label("lane", "normal"), [this] {
-            std::lock_guard<std::mutex> lock(queue_mu_);
-            return static_cast<double>(normal_queue_.size());
-          });
-      options_.metrics->RegisterCallback(
-          "rpc_queue_depth", obs::Label("lane", "priority"), [this] {
-            std::lock_guard<std::mutex> lock(queue_mu_);
-            return static_cast<double>(priority_queue_.size());
+            std::lock_guard<std::mutex> lock(slot_mu_);
+            return static_cast<double>(waiters_.size());
           });
     }
   }
@@ -111,12 +103,18 @@ void RpcServer::Stop() {
     if (options_.workers > 0) {
       options_.metrics->UnregisterCallback("rpc_queue_depth",
                                            obs::Label("lane", "normal"));
-      options_.metrics->UnregisterCallback("rpc_queue_depth",
-                                           obs::Label("lane", "priority"));
     }
   }
   stopping_.store(true);
   network_->StopListening(address_);
+  // Readers waiting for a slot are not in Recv, so closing their
+  // connections would not wake them: end their waits first.
+  {
+    std::lock_guard<std::mutex> lock(slot_mu_);
+    slots_closed_ = true;
+    for (SlotWaiter* waiter : waiters_) waiter->cv.notify_one();
+    waiters_.clear();
+  }
   std::vector<std::shared_ptr<Connection>> conns;
   std::vector<std::thread> threads;
   {
@@ -131,15 +129,6 @@ void RpcServer::Stop() {
   // notice, and with it the client's callbacks, on this thread.
   for (const auto& conn : conns) conn->Close();
   for (std::thread& t : threads) t.join();
-  // Connection threads are gone, so no more enqueues: close the run
-  // queue, let workers drain what was already admitted, then join them.
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    queue_closed_ = true;
-  }
-  queue_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-  workers_.clear();
   {
     std::lock_guard<std::mutex> lock(mu_);
     connections_.clear();
@@ -207,7 +196,7 @@ obs::Histogram* RpcServer::StageHistogram(OpMetrics* metrics,
 
 void RpcServer::RecordStageLatencies(OpMetrics* metrics, const obs::Span& span,
                                      uint64_t trace_id) {
-  // Lock-free on the steady-state path: every worker records the same
+  // Lock-free on the steady-state path: every request records the same
   // handful of stages per method, so after warm-up the published table
   // answers each lookup with a short linear scan. Histograms themselves
   // are atomic-based and need no external lock.
@@ -241,7 +230,8 @@ void RpcServer::RecordStageLatencies(OpMetrics* metrics, const obs::Span& span,
 void RpcServer::ExecuteRequest(const std::shared_ptr<Connection>& conn,
                                const gsi::AuthContext& context, Message msg,
                                std::chrono::steady_clock::time_point recv_time,
-                               std::chrono::steady_clock::time_point admit_time) {
+                               std::chrono::steady_clock::time_point admit_time,
+                               bool slotted) {
   Message reply;
   reply.request_id = msg.request_id;
   reply.opcode = msg.opcode;
@@ -270,11 +260,12 @@ void RpcServer::ExecuteRequest(const std::shared_ptr<Connection>& conn,
                                 : std::string_view(fallback),
                  recv_time);
     span->Hop("admission", admit_time);
-    span->Hop("queue_wait");  // admit -> a worker picked it up (inline: ~0)
+    span->Hop("queue_wait");  // admit -> slot granted (no slot taken: ~0)
   }
 
   rlscommon::Stopwatch timer;
   Status status = handler_(context, msg.opcode, msg.payload, &reply.payload);
+  if (slotted) ReleaseSlot();
   if (span) span->Hop("handler");  // handler time not claimed by inner hops
   const auto handler_elapsed = timer.Elapsed();
   if (metrics) {
@@ -302,61 +293,51 @@ void RpcServer::ExecuteRequest(const std::shared_ptr<Connection>& conn,
   }
 }
 
-Status RpcServer::Enqueue(Pending pending, bool priority) {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (queue_closed_) {
-      return Status::Unavailable("server shutting down");
-    }
-    std::deque<Pending>& lane = priority ? priority_queue_ : normal_queue_;
-    const std::size_t bound =
-        priority ? options_.priority_queue_depth : options_.queue_depth;
-    if (bound > 0 && lane.size() >= bound) {
-      if (shed_queue_full_) shed_queue_full_->Increment();
-      return Status::Unavailable("server overloaded: request queue full")
-          .WithRetryAfter(options_.shed_retry_after);
-    }
-    lane.push_back(std::move(pending));
+Status RpcServer::AcquireSlot() {
+  std::unique_lock<std::mutex> lock(slot_mu_);
+  if (slots_closed_) return Status::Unavailable("server shutting down");
+  // A free slot means nobody waits: ReleaseSlot hands a slot to a
+  // waiter before it frees one.
+  if (free_slots_ > 0) {
+    --free_slots_;
+    return Status::Ok();
   }
-  queue_cv_.notify_one();
+  if (options_.queue_depth > 0 && waiters_.size() >= options_.queue_depth) {
+    if (shed_queue_full_) shed_queue_full_->Increment();
+    return Status::Unavailable("server overloaded: request queue full")
+        .WithRetryAfter(options_.shed_retry_after);
+  }
+  SlotWaiter self;
+  waiters_.push_back(&self);
+  self.cv.wait(lock, [&] { return self.granted || slots_closed_; });
+  // Stop() took this waiter off the line without a slot.
+  if (!self.granted) return Status::Unavailable("server shutting down");
   return Status::Ok();
 }
 
-void RpcServer::WorkerLoop() {
-  for (;;) {
-    Pending pending;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
-        return queue_closed_ || !priority_queue_.empty() ||
-               !normal_queue_.empty();
-      });
-      // Priority lane first: under storm load the normal lane is long
-      // (or shedding) while soft-state/admin work must keep flowing.
-      if (!priority_queue_.empty()) {
-        pending = std::move(priority_queue_.front());
-        priority_queue_.pop_front();
-      } else if (!normal_queue_.empty()) {
-        pending = std::move(normal_queue_.front());
-        normal_queue_.pop_front();
-      } else {
-        return;  // closed and drained
-      }
-    }
-    ExecuteRequest(pending.conn, pending.context, std::move(pending.msg),
-                   pending.recv_time, pending.admit_time);
+void RpcServer::ReleaseSlot() {
+  std::lock_guard<std::mutex> lock(slot_mu_);
+  if (waiters_.empty()) {
+    ++free_slots_;
+    return;
   }
+  // The slot passes to the oldest waiter without becoming free. Notified
+  // under the lock: the waiter's condition variable lives on its stack.
+  SlotWaiter* next = waiters_.front();
+  waiters_.pop_front();
+  next->granted = true;
+  next->cv.notify_one();
 }
 
 void RpcServer::ServeConnection(std::shared_ptr<Connection> conn, uint64_t id) {
   gsi::AuthContext context;
   bool authenticated = false;
-  const bool pooled = options_.workers > 0;
   Message msg;
   while (conn->Recv(&msg).ok()) {
-    // Transport-receive stamp: the request span starts here, so run-queue
-    // wait is charged to the request. With tracing off these two stamps
-    // (recv here, admit below) are the subsystem's whole per-request cost.
+    // Transport-receive stamp: the request span starts here, so the wait
+    // for a slot is charged to the request. With tracing off these two
+    // stamps (recv here, admit below) are the subsystem's whole
+    // per-request cost.
     const auto recv_time = std::chrono::steady_clock::now();
     Status status;
     bool priority = false;
@@ -374,14 +355,13 @@ void RpcServer::ServeConnection(std::shared_ptr<Connection> conn, uint64_t id) {
       }
       if (status.ok()) {
         const auto admit_time = std::chrono::steady_clock::now();
-        if (pooled) {
-          // Hand off to the worker pool; the reply (including a
-          // queue-full shed) is produced there or right below.
-          status = Enqueue(Pending{conn, context, msg, recv_time, admit_time},
-                           priority);
-          if (status.ok()) continue;
-        } else {
-          ExecuteRequest(conn, context, std::move(msg), recv_time, admit_time);
+        // The normal lane takes an execution slot; the priority lane
+        // never waits for one.
+        const bool slotted = options_.workers > 0 && !priority;
+        if (slotted) status = AcquireSlot();
+        if (status.ok()) {
+          ExecuteRequest(conn, context, std::move(msg), recv_time, admit_time,
+                         slotted);
           continue;
         }
       }

@@ -3,12 +3,14 @@
 // Mirrors the original RLS server structure (§3.1): a multi-threaded
 // server authenticates each connection (GSI), then services framed
 // request/response messages. One server thread per connection, matching
-// the thread-management overhead the paper attributes to its server.
-// With ServerOptions::workers > 0 the connection threads only receive,
-// authenticate and admit; execution moves to a shared worker pool fed by
-// a bounded two-lane run queue, giving the server a well-defined
-// overload surface (admit / shed / prioritize) instead of unbounded
-// per-connection concurrency.
+// the thread-management overhead the paper attributes to its server,
+// and every admitted request runs on the thread that read it. With
+// ServerOptions::workers > 0 at most that many normal-lane handlers run
+// at once: a reader that finds every execution slot held waits for one
+// in arrival order, and one that finds queue_depth readers already
+// waiting is shed. That gives the server a bounded overload surface
+// (admit / shed / prioritize) without handing a request to another
+// thread.
 //
 // Wire protocol: the first message on a connection must be an AUTH
 // request carrying the client's DN (empty = anonymous). Subsequent
@@ -58,10 +60,11 @@ using RpcHandler = std::function<rlscommon::Status(
     std::string* response)>;
 
 /// Verdict of an admission check, made after authentication and before
-/// the request is enqueued for execution. A non-OK status is returned to
+/// the request takes an execution slot. A non-OK status is returned to
 /// the client immediately (the handler never sees the request);
-/// `priority` routes admitted work to the protected lane that overload
-/// cannot starve (soft-state updates, admin ops, stats probes).
+/// `priority` puts admitted work on the protected lane that overload
+/// cannot starve (soft-state updates, admin ops, stats probes): it runs
+/// at once, without a slot.
 struct AdmitDecision {
   rlscommon::Status status;
   bool priority = false;
@@ -73,14 +76,15 @@ using AdmissionHook =
     std::function<AdmitDecision(const gsi::AuthContext&, uint16_t opcode)>;
 
 struct ServerOptions {
-  std::string name = "rls-server";
   gsi::AuthManager auth = gsi::AuthManager::Open();
 
   /// When set, the server registers per-method instruments here:
   ///   rpc_requests_total{method=...}, rpc_errors_total{method=...},
   ///   rpc_request_latency_us{method=...}, rpc_active_connections,
-  ///   rpc_shed_total{reason="queue_full"}. The registry must outlive the
-  /// server; it is the server's only count of requests and sheds.
+  ///   rpc_shed_total{reason="queue_full"}, and with workers > 0
+  ///   rpc_queue_depth{lane="normal"} (readers waiting for a slot). The
+  /// registry must outlive the server; it is the server's only count of
+  /// requests and sheds.
   obs::Registry* metrics = nullptr;
 
   /// Renders an opcode as the `method` label value (e.g. rls::OpName).
@@ -90,20 +94,17 @@ struct ServerOptions {
   /// Admission policy; unset = admit everything on the normal lane.
   AdmissionHook admission;
 
-  /// Worker threads executing admitted requests. 0 (default) keeps the
-  /// legacy thread-per-connection execution: handlers run inline on the
-  /// connection thread and the run queue below is unused (admission
-  /// still applies).
+  /// Execution slots: how many normal-lane handlers may run at once,
+  /// each on the connection thread that read its request. A reader that
+  /// finds every slot held waits for one, in arrival order; a slot is
+  /// returned when the handler returns, before the reply is sent. 0 (the
+  /// default) takes no slot. Priority-lane requests never take one.
   int workers = 0;
 
-  /// Normal-lane run-queue bound (requests waiting for a worker).
-  /// A full lane sheds with UNAVAILABLE + retry-after instead of
-  /// queueing unbounded latency. 0 = unbounded.
+  /// How many readers may wait for a slot. One more is shed with
+  /// UNAVAILABLE + retry-after instead of queueing unbounded latency.
+  /// 0 = unbounded.
   std::size_t queue_depth = 0;
-
-  /// Priority-lane bound; sized separately (and generously) so admin
-  /// and soft-state traffic survives a client storm. 0 = unbounded.
-  std::size_t priority_queue_depth = 0;
 
   /// Retry-after hint attached to queue-full sheds.
   std::chrono::milliseconds shed_retry_after{50};
@@ -151,19 +152,6 @@ class RpcServer {
   };
   static constexpr std::size_t kOpcodeCacheSize = 256;
 
-  /// One admitted request parked in the run queue. The auth context is
-  /// copied at admission: the connection thread may re-authenticate
-  /// mid-stream, and workers must not read a mutating context.
-  /// `recv_time`/`admit_time` stamp the transport receive and admission
-  /// decision instants so the request span can charge queue wait.
-  struct Pending {
-    std::shared_ptr<Connection> conn;
-    gsi::AuthContext context;
-    Message msg;
-    std::chrono::steady_clock::time_point recv_time{};
-    std::chrono::steady_clock::time_point admit_time{};
-  };
-
   /// Serves connection `id` until it closes, then removes it.
   void ServeConnection(std::shared_ptr<Connection> conn, uint64_t id);
   OpMetrics* MetricsFor(uint16_t opcode);
@@ -176,16 +164,21 @@ class RpcServer {
   void RecordStageLatencies(OpMetrics* metrics, const obs::Span& span,
                             uint64_t trace_id);
 
-  /// Runs the handler for one admitted request and sends the reply.
+  /// Runs the handler for one admitted request and sends the reply. A
+  /// `slotted` request gives its execution slot back as the handler
+  /// returns, before the reply's Send (and any modeled link delay).
   void ExecuteRequest(const std::shared_ptr<Connection>& conn,
                       const gsi::AuthContext& context, Message msg,
                       std::chrono::steady_clock::time_point recv_time,
-                      std::chrono::steady_clock::time_point admit_time);
+                      std::chrono::steady_clock::time_point admit_time,
+                      bool slotted);
 
-  /// Parks an admitted request on the chosen lane; UNAVAILABLE +
-  /// retry-after if that lane is full.
-  rlscommon::Status Enqueue(Pending pending, bool priority);
-  void WorkerLoop();
+  /// Takes one of the `workers` execution slots, waiting in arrival
+  /// order while all are held. UNAVAILABLE + retry-after if queue_depth
+  /// readers already wait; UNAVAILABLE if Stop() ends the wait.
+  rlscommon::Status AcquireSlot();
+  /// Returns a slot, handing it straight to the longest waiter if any.
+  void ReleaseSlot();
 
   Transport* network_;
   std::string address_;
@@ -194,15 +187,17 @@ class RpcServer {
   std::atomic<bool> stopping_{false};
   bool started_ = false;
 
-  // Two-lane bounded run queue feeding the worker pool. Workers drain
-  // the priority lane first, so soft-state/admin traffic keeps flowing
-  // while the normal lane sheds under storm load.
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<Pending> normal_queue_;
-  std::deque<Pending> priority_queue_;
-  bool queue_closed_ = false;
-  std::vector<std::thread> workers_;
+  // Execution slots. A reader that must wait parks its own SlotWaiter
+  // at the back of waiters_; ReleaseSlot grants the freed slot to the
+  // front one directly, so no later reader can overtake it.
+  struct SlotWaiter {
+    std::condition_variable cv;
+    bool granted = false;
+  };
+  std::mutex slot_mu_;
+  int free_slots_ = 0;               // guarded by slot_mu_
+  std::deque<SlotWaiter*> waiters_;  // guarded by slot_mu_; oldest first
+  bool slots_closed_ = false;        // guarded by slot_mu_; set by Stop()
   obs::Counter* shed_queue_full_ = nullptr;
 
   // Cache slots are created lazily and retired only at destruction. They

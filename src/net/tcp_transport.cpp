@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -196,12 +195,7 @@ class TcpConnection final : public Connection {
     return Status::Ok();
   }
 
-  Status Recv(Message* out) override { return Read(out, nullptr); }
-
-  Status RecvFor(Message* out, rlscommon::Duration timeout) override {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    return Read(out, &deadline);
-  }
+  Status Recv(Message* out) override { return Read(out); }
 
   /// Writes what the batch deferred (best effort: a writer blocked on a
   /// peer that stopped reading holds the lock, and is woken instead),
@@ -259,7 +253,7 @@ class TcpConnection final : public Connection {
     return Status::Unavailable(std::string("dropped ") + peer_ + ": " + what);
   }
 
-  Status Read(Message* out, const std::chrono::steady_clock::time_point* deadline) {
+  Status Read(Message* out) {
     for (;;) {
       uint32_t len = 0;
       const bool whole = WholeFrameBuffered(&len);
@@ -286,17 +280,6 @@ class TcpConnection final : public Connection {
       rbuf_.erase(0, rpos_);
       rpos_ = 0;
       if (read_closed_) return Status::Unavailable("connection closed by " + peer_);
-      if (deadline) {
-        const int64_t ms = std::clamp<int64_t>(
-            std::chrono::ceil<std::chrono::milliseconds>(
-                *deadline - std::chrono::steady_clock::now())
-                .count(),
-            0, INT_MAX);
-        pollfd pfd{fd_, POLLIN, 0};
-        const int ready = ::poll(&pfd, 1, static_cast<int>(ms));
-        if (ready < 0 && errno == EINTR) continue;
-        if (ready == 0) return Status::Timeout("recv timed out on " + peer_);
-      }
       char chunk[64 * 1024];
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
       if (n > 0) {

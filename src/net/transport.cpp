@@ -42,17 +42,6 @@ Status MessageQueue::Pop(Message* out) {
   return Status::Ok();
 }
 
-Status MessageQueue::PopFor(Message* out, rlscommon::Duration timeout) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!cv_.wait_for(lock, timeout, [this] { return closed_ || !queue_.empty(); })) {
-    return Status::Timeout("recv deadline exceeded");
-  }
-  if (queue_.empty()) return Status::Unavailable("connection closed");
-  *out = std::move(queue_.front());
-  queue_.pop_front();
-  return Status::Ok();
-}
-
 void MessageQueue::Close() {
   std::function<void()> on_closed;
   {
@@ -125,10 +114,6 @@ Status InProcConnection::Send(Message msg) {
 }
 
 Status InProcConnection::Recv(Message* out) { return incoming_->Pop(out); }
-
-Status InProcConnection::RecvFor(Message* out, rlscommon::Duration timeout) {
-  return incoming_->PopFor(out, timeout);
-}
 
 void InProcConnection::Close() {
   incoming_->Close();

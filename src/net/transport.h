@@ -115,7 +115,7 @@ struct Receiver {
 
 /// Unbounded MPSC-ish message queue with shutdown: one direction of an
 /// in-process connection. It never sheds; load shedding is RpcServer's
-/// bounded two-lane run queue (DESIGN.md §9).
+/// bounded wait for an execution slot (DESIGN.md §9).
 class MessageQueue {
  public:
   /// Enqueues, or with a receiver set hands `msg` to it on this thread;
@@ -131,10 +131,6 @@ class MessageQueue {
   /// Blocks for the next message. Returns Unavailable after Close() once
   /// drained.
   rlscommon::Status Pop(Message* out);
-
-  /// Like Pop but gives up after `timeout` (real time) with a Timeout
-  /// status. Backs RPC deadlines.
-  rlscommon::Status PopFor(Message* out, rlscommon::Duration timeout);
 
   /// Refuses later pushes, wakes Pop, then runs the receiver's close
   /// notice if this call closed the queue.
@@ -163,7 +159,7 @@ class MessageQueue {
 ///     close once buffered messages are drained (a half-closed TCP peer
 ///     still gets the messages that were in flight);
 ///   * Close is idempotent and wakes pending Recv calls;
-///   * at most one thread reads a connection (Recv/RecvFor); any number
+///   * at most one thread reads a connection (Recv); any number
 ///     of threads may Send on it;
 ///   * a connection that DeliverTo accepted is not read at all: the
 ///     peer's Send runs the receiver itself (below).
@@ -178,7 +174,6 @@ class Connection {
 
   virtual rlscommon::Status Send(Message msg) = 0;
   virtual rlscommon::Status Recv(Message* out) = 0;
-  virtual rlscommon::Status RecvFor(Message* out, rlscommon::Duration timeout) = 0;
   virtual void Close() = 0;
   virtual bool closed() const = 0;
 
@@ -310,7 +305,6 @@ class InProcConnection final : public Connection {
 
   rlscommon::Status Send(Message msg) override;
   rlscommon::Status Recv(Message* out) override;
-  rlscommon::Status RecvFor(Message* out, rlscommon::Duration timeout) override;
   void Close() override;
 
   /// Sets the receiver on the inbound queue, which the peer pushes into.

@@ -11,11 +11,11 @@
 //     class the operation requires (writes cost more than reads, like
 //     the paper's measured update-vs-query service times);
 //   * a protected priority lane: soft-state updates, admin operations
-//     and monitoring probes bypass the buckets and are routed to the
-//     RPC server's priority queue, so one tenant's query storm cannot
-//     starve the RLI update stream or blind operators. The lane and the
-//     cost both follow from the privilege in the opcode's rls::kOpTable
-//     row (OpSpec::priority);
+//     and monitoring probes bypass the buckets and never wait for one
+//     of the RPC server's execution slots, so one tenant's query storm
+//     cannot starve the RLI update stream or blind operators. The lane
+//     and the cost both follow from the privilege in the opcode's
+//     rls::kOpTable row (OpSpec::priority);
 //   * shed-with-hint: rejected requests fail UNAVAILABLE with a
 //     retry-after hint that net::RetryPolicy honors as a backoff floor.
 #pragma once
@@ -38,16 +38,13 @@ namespace rls {
 /// Overload-protection knobs for an RlsServer. All zero (the default)
 /// disables the layer entirely — the pre-overload behavior.
 struct ServerLimits {
-  /// Worker threads executing admitted requests (net::ServerOptions::
-  /// workers). 0 = legacy inline execution on connection threads.
+  /// Execution slots: normal-lane handlers that may run at once, each
+  /// on its connection thread (net::ServerOptions::workers). 0 = no
+  /// bound.
   int workers = 0;
 
-  /// Normal-lane run-queue bound; a full lane sheds. 0 = unbounded.
+  /// Readers that may wait for a slot; one more sheds. 0 = unbounded.
   std::size_t queue_depth = 0;
-
-  /// Priority-lane bound; 0 = unbounded (the lane carries low-volume
-  /// soft-state/admin traffic, so unbounded is the sane default).
-  std::size_t priority_queue_depth = 0;
 
   /// Per-DN token refill rate (tokens/second). 0 = no rate limiting.
   double per_dn_rate = 0;

@@ -120,7 +120,6 @@ Status RlsServer::Start() {
   }
 
   net::ServerOptions options;
-  options.name = config_.url;
   options.auth = config_.auth;
   options.metrics = &registry_;
   options.opcode_name = OpName;
@@ -129,7 +128,6 @@ Status RlsServer::Start() {
                                                        &registry_);
     options.workers = config_.limits.workers;
     options.queue_depth = config_.limits.queue_depth;
-    options.priority_queue_depth = config_.limits.priority_queue_depth;
     options.shed_retry_after = config_.limits.retry_after;
     options.admission = [this](const gsi::AuthContext& auth, uint16_t opcode) {
       return admission_->Admit(auth, opcode);

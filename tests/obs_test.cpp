@@ -381,7 +381,17 @@ TEST(GetStatsTest, EveryFormerFieldIsASample) {
   ASSERT_TRUE(server.rli_relational()->UpsertBatch({"r0", "r1", "r2"}, "rls://other",
                                                    clock.NowMicros()).ok());
 
-  const rls::GetStatsResponse stats = server.GetStatsSnapshot();
+  // A server records a request's span after it sends the reply, so the
+  // last request's span can land while the snapshot is taken: take it
+  // again until the recorder holds still around it.
+  rls::GetStatsResponse stats;
+  obs::SpanRecorder::Stats recorder;
+  for (;;) {
+    const obs::SpanRecorder::Stats before = obs::SpanRecorder::Global().GetStats();
+    stats = server.GetStatsSnapshot();
+    recorder = obs::SpanRecorder::Global().GetStats();
+    if (recorder.recorded == before.recorded) break;
+  }
   std::set<std::string> names;
   for (const rls::MetricSample& m : stats.metrics) names.insert(m.name);
   for (const char* name :
@@ -418,7 +428,6 @@ TEST(GetStatsTest, EveryFormerFieldIsASample) {
          SampleValue(stats.metrics, "ss_updates_sent_total", kAnyLabels));
   expect("ss_updates_sent_total", 1, obs::Label("mode", "bloom"));
 
-  const obs::SpanRecorder::Stats recorder = obs::SpanRecorder::Global().GetStats();
   expect("trace_recorder_depth", static_cast<double>(recorder.depth));
   expect("trace_recorder_dropped", static_cast<double>(recorder.dropped));
   expect("trace_recorder_capacity", 64);

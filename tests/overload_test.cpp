@@ -37,8 +37,8 @@ net::ClientOptions NoRetryClient(const std::string& dn = "") {
   return options;
 }
 
-/// The worker-pool tests that also run over sockets, where worker
-/// replies race the connection reader's reply batching.
+/// The execution-slot tests that also run over sockets, where a reader
+/// waits for a slot in the middle of its reply batching.
 class OverloadTransportTest : public ::testing::TestWithParam<const char*> {
  protected:
   OverloadTransportTest() : transport_(net::MakeTransport(GetParam())) {}
@@ -93,7 +93,7 @@ TEST_P(OverloadTransportTest, QueueFullShedsWithRetryAfter) {
   }
   for (auto& t : clients) t.join();
 
-  // 8 clients against 1 worker + 1 queue slot: work got done AND load
+  // 8 clients against 1 slot + 1 waiting reader: work got done AND load
   // got shed, and every shed carried the configured retry-after hint.
   EXPECT_GT(ok.load(), 0);
   EXPECT_GT(shed.load(), 0);
@@ -132,7 +132,7 @@ TEST(OverloadTest, AdmittedTailStaysBounded) {
     }
   }
 
-  // Storm: 12 clients versus 2 workers + 2 queue slots. Rejected calls
+  // Storm: 12 clients versus 2 slots + 2 waiting readers. Rejected calls
   // don't count — the promise is about the requests the server chose
   // to admit.
   rlscommon::LatencyHistogram admitted;
@@ -314,8 +314,8 @@ TEST(OverloadTest, FlightRecorderShowsQueueWaitDominatingUnderStorm) {
   config.lrc.enabled = true;
   config.lrc.dsn = "mysql://tracedstorm_lrc";
   ASSERT_TRUE(env.CreateDatabase(config.lrc.dsn).ok());
-  // One worker, a deep queue, no shedding: every admitted request of the
-  // storm spends most of its life waiting for the single worker.
+  // One slot, a deep wait line, no shedding: every admitted request of
+  // the storm spends most of its life waiting for the single slot.
   config.limits.workers = 1;
   config.limits.queue_depth = 256;
   config.obs.trace_capacity = 4096;

@@ -295,7 +295,7 @@ TEST(ServerConfigTest, ServerWithNoRolesRejected) {
 }
 
 // A server whose Start fails on a taken address unwinds its own set-up:
-// it destructs cleanly although its RPC layer has a worker pool, and it
+// it destructs cleanly although its RPC layer has execution slots, and it
 // leaves no WAL observer on the database, which the Environment owns and
 // which outlives the server.
 TEST(ServerConfigTest, FailedStartOnTakenAddressUnwinds) {

@@ -323,7 +323,7 @@ TEST(TcpTransportTest, HalfCloseStillDeliversReplies) {
   // Client half-closes: no more requests will come...
   ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
   // ...the server's receive side drains to closed...
-  EXPECT_FALSE(server_conn->RecvFor(&got, 2000ms).ok());
+  EXPECT_EQ(server_conn->Recv(&got).code(), ErrorCode::kUnavailable);
   // ...but a reply sent now still reaches the raw peer.
   Message reply;
   reply.request_id = 21;
